@@ -4,11 +4,15 @@
 Each criterion returns a :class:`CriterionResult` with a pass flag and a
 one-line detail string; nothing here mutates state, so criteria can run in
 any order.  A :class:`Workspace` memoizes the expensive shared objects
-(structures, the two example martingales) across criteria.
+(structures, the two example martingales) across criteria.  The statistics
+and gate predicates live in :mod:`vilenkin_lab.experiments`, next to the
+runners that record them, so a criterion and a runner never disagree about
+what a gate means.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -21,28 +25,39 @@ from .counterexamples import (
     SparseCriticalExample,
     build_critical_example,
     build_sparse_critical_example,
-    critical_atom,
     kernel_halfnorm_scan,
     modulus_ratio_report,
     sparse_divergence_statistic,
     sparse_modulus_ratio_report,
     weak_divergence_statistic,
 )
-from .experiments import family_damped_critical
-from .kernels import dirichlet_kernel, verify_fejer_lower_bounds
-from .norms import hardy_norm, lp_quasinorm, validate_atom
-from .rng import XorShift64Star
-from .structure import VilenkinStructure, character_column, cell_to_point, cylinder_cells
-from .transform import (
-    FejerWeight,
-    Spectrum,
-    StepFunction,
-    analyze,
-    fejer_mean,
-    iter_fejer_means,
-    naive_analyze,
-    synthesize,
+from .experiments import (
+    atom_certificates,
+    dense_law_error,
+    dirichlet_errors,
+    family_character_polynomial,
+    family_smoothed_indicator,
+    gram_error,
+    kernel_scan_ok,
+    modulus_ok,
+    parseval_worst_rel,
+    ratio_cv,
+    ratio_cv_ok,
+    relative_roundoff_ok,
+    roundoff_ok,
+    scale_sweep,
+    scale_sweep_gates,
+    scale_sweep_ok,
+    seed_maxima,
+    sparse_divergence_ok,
+    sparse_law_error,
+    sparse_modulus_ok,
+    weak_divergence_ok,
 )
+from .kernels import verify_fejer_lower_bounds
+from .rng import XorShift64Star
+from .structure import VilenkinStructure
+from .transform import Spectrum, StepFunction, analyze, fejer_mean, naive_analyze, synthesize
 
 
 @dataclass
@@ -59,9 +74,11 @@ class CriterionResult:
 
 
 class Workspace:
-    """Lazily built shared fixtures for the criterion runners."""
+    """Lazily built shared fixtures for the criterion runners, and the
+    speed-up the transform performance gate demands."""
 
-    def __init__(self) -> None:
+    def __init__(self, min_speedup: float = frozen.MIN_SPEEDUP) -> None:
+        self.min_speedup = min_speedup
         self._cache: dict = {}
 
     def _get(self, key, builder: Callable):
@@ -84,320 +101,205 @@ class Workspace:
         return self._get("sparse", lambda: build_sparse_critical_example(3, self.walsh(17)))
 
 
-def _timed(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str, float]:
-    start = time.perf_counter()
-    ok, detail = fn()
-    return ok, detail, time.perf_counter() - start
+def _criterion(number: int, name: str, time_limit: float = np.inf):
+    """Turn ``body(ws) -> (ok, detail)`` into a timed criterion that also
+    fails when it takes ``time_limit`` seconds or more."""
+
+    def wrap(body: Callable[[Workspace], tuple[bool, str]]):
+        @functools.wraps(body)
+        def criterion(ws: Workspace) -> CriterionResult:
+            start = time.perf_counter()
+            ok, detail = body(ws)
+            secs = time.perf_counter() - start
+            return CriterionResult(number, name, ok and secs < time_limit, detail, secs)
+
+        return criterion
+
+    return wrap
 
 
-def _gram_error(vs: VilenkinStructure) -> float:
-    mat = np.empty((vs.size, vs.size), dtype=np.complex128)
-    for n in range(vs.size):
-        mat[n] = character_column(n, vs)
-    gram = (mat @ mat.conj().T) / vs.size
-    return float(np.abs(gram - np.eye(vs.size)).max())
+@_criterion(1, "orthonormality-and-parseval", time_limit=5.0)
+def criterion_1(ws: Workspace) -> tuple[bool, str]:
+    structures = (ws.mixed(), ws.walsh(10))
+    worst_gram = max(gram_error(vs) for vs in structures)
+    worst_rel = max(parseval_worst_rel(vs, XorShift64Star(11), 100) for vs in structures)
+    ok = roundoff_ok(worst_gram) and relative_roundoff_ok(worst_rel)
+    return ok, f"gram_err={worst_gram:.2e} parseval_rel={worst_rel:.2e}"
 
 
-def criterion_1(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        worst_gram = max(_gram_error(ws.mixed()), _gram_error(ws.walsh(10)))
-        worst_rel = 0.0
-        for vs in (ws.mixed(), ws.walsh(10)):
-            rng = XorShift64Star(11)
-            for _ in range(100):
-                f = StepFunction(vs, rng.complex_uniforms(vs.size))
-                s = analyze(f)
-                lhs = float(np.mean(np.abs(f.values) ** 2))
-                rhs = float(np.sum(np.abs(s.coeffs) ** 2))
-                worst_rel = max(worst_rel, abs(lhs - rhs) / lhs)
-        ok = worst_gram < 1e-12 and worst_rel < 1e-10
-        return ok, f"gram_err={worst_gram:.2e} parseval_rel={worst_rel:.2e}"
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(1, "orthonormality-and-parseval", ok and secs < 5.0, detail, secs)
+@_criterion(2, "dirichlet-closed-form")
+def criterion_2(ws: Workspace) -> tuple[bool, str]:
+    worst = max(max(dirichlet_errors(vs)) for vs in (ws.mixed(), ws.walsh(10)))
+    return roundoff_ok(worst), f"max_err={worst:.2e}"
 
 
-def criterion_2(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        worst = 0.0
-        for vs in (ws.mixed(), ws.walsh(10)):
-            for j in range(vs.N + 1):
-                kernel = dirichlet_kernel(vs.M[j], vs)
-                expected = np.zeros(vs.size)
-                expected[: vs.size // vs.M[j]] = vs.M[j]
-                worst = max(worst, float(np.abs(kernel.values - expected).max()))
-        return worst < 1e-12, f"max_err={worst:.2e}"
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(2, "dirichlet-closed-form", ok, detail, secs)
-
-
-def criterion_3(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        worst = np.inf
-        cells = 0
-        for level in (3, 4, 5, 6):
-            vs = ws.walsh(2 * level - 1)
-            check = verify_fejer_lower_bounds(level, vs, slack=1e-9)
-            worst = min(worst, check.worst_margin)
-            cells += check.cells_checked
-            if not check.ok:
-                return False, f"violated at level {level}, margin {check.worst_margin:.3e}"
-        return True, f"cells={cells} worst_margin={worst:.3f}"
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(3, "fejer-kernel-lower-bounds", ok and secs < 30.0, detail, secs)
+@_criterion(3, "fejer-kernel-lower-bounds", time_limit=30.0)
+def criterion_3(ws: Workspace) -> tuple[bool, str]:
+    worst = np.inf
+    cells = 0
+    for level in (3, 4, 5, 6):
+        vs = ws.walsh(2 * level - 1)
+        check = verify_fejer_lower_bounds(level, vs)
+        worst = min(worst, check.worst_margin)
+        cells += check.cells_checked
+        if not check.ok:
+            return False, f"violated at level {level}, margin {check.worst_margin:.3e}"
+    return True, f"cells={cells} worst_margin={worst:.3f}"
 
 
-def criterion_4(ws: Workspace, min_speedup: float = frozen.MIN_SPEEDUP) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        worst_rel = 0.0
-        for vs in (ws.mixed(), ws.walsh(10), ws.walsh(12)):
-            rng = XorShift64Star(4000 + vs.size)
-            f = StepFunction(vs, rng.complex_uniforms(vs.size))
-            fast = analyze(f).coeffs
-            direct = naive_analyze(f)
-            rel = float(np.abs(fast - direct).max() / np.abs(direct).max())
-            worst_rel = max(worst_rel, rel)
-        if worst_rel >= 1e-10:
-            return False, f"agreement_rel={worst_rel:.2e}"
-
-        vs = ws.walsh(16)
-        rng = XorShift64Star(16)
+@_criterion(4, "fast-transform-vs-direct")
+def criterion_4(ws: Workspace) -> tuple[bool, str]:
+    worst_rel = 0.0
+    for vs in (ws.mixed(), ws.walsh(10), ws.walsh(12)):
+        rng = XorShift64Star(4000 + vs.size)
         f = StepFunction(vs, rng.complex_uniforms(vs.size))
-        fast_t = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            analyze(f)
-            fast_t = min(fast_t, time.perf_counter() - t0)
-        sample = np.arange(0, vs.size, vs.size // 128)
+        fast = analyze(f).coeffs
+        direct = naive_analyze(f)
+        rel = float(np.abs(fast - direct).max() / np.abs(direct).max())
+        worst_rel = max(worst_rel, rel)
+    if not relative_roundoff_ok(worst_rel):
+        return False, f"agreement_rel={worst_rel:.2e}"
+
+    vs = ws.walsh(16)
+    rng = XorShift64Star(16)
+    f = StepFunction(vs, rng.complex_uniforms(vs.size))
+    fast_t = np.inf
+    for _ in range(3):
         t0 = time.perf_counter()
-        naive_analyze(f, sample)
-        naive_est = (time.perf_counter() - t0) / len(sample) * vs.size
-        speedup = naive_est / fast_t
-        ok = speedup >= min_speedup
-        return ok, (
-            f"agreement_rel={worst_rel:.2e} fast={fast_t * 1e3:.1f}ms "
-            f"naive~{naive_est:.0f}s (extrapolated from 128 coeffs) "
-            f"speedup~{speedup:.0f}x (gate {min_speedup:g}x)"
+        analyze(f)
+        fast_t = min(fast_t, time.perf_counter() - t0)
+    sample = np.arange(0, vs.size, vs.size // 128)
+    t0 = time.perf_counter()
+    naive_analyze(f, sample)
+    naive_est = (time.perf_counter() - t0) / len(sample) * vs.size
+    speedup = naive_est / fast_t
+    ok = speedup >= ws.min_speedup
+    return ok, (
+        f"agreement_rel={worst_rel:.2e} fast={fast_t * 1e3:.1f}ms "
+        f"naive~{naive_est:.0f}s (extrapolated from 128 coeffs) "
+        f"speedup~{speedup:.0f}x (gate {ws.min_speedup:g}x)"
+    )
+
+
+@_criterion(5, "fejer-coefficient-algebra")
+def criterion_5(ws: Workspace) -> tuple[bool, str]:
+    vs = ws.walsh(8)
+    rng = XorShift64Star(55)
+    worst_law = 0.0
+    worst_ident = 0.0
+    for _ in range(50):
+        band_level = 1 + rng.next_u64() % (vs.N - 2)
+        band = vs.M[band_level]
+        coeffs = np.zeros(vs.size, dtype=np.complex128)
+        coeffs[:band] = rng.complex_uniforms(band)
+        spec = Spectrum(vs, coeffs)
+        n = band + 1 + rng.next_u64() % (vs.size - band)
+
+        sigma = fejer_mean(spec, n)
+        back = analyze(sigma).coeffs
+        expected = np.zeros(vs.size, dtype=np.complex128)
+        expected[:n] = coeffs[:n] * (1.0 - np.arange(n) / n)
+        worst_law = max(worst_law, float(np.abs(back - expected).max()))
+
+        f = synthesize(spec)
+        lhs = (fejer_mean(spec, n) - f).values
+        rhs = (band / n) * (fejer_mean(spec, band) - f).values
+        worst_ident = max(worst_ident, float(np.abs(lhs - rhs).max()))
+    ok = roundoff_ok(worst_law) and roundoff_ok(worst_ident)
+    return ok, f"law_err={worst_law:.2e} identity_err={worst_ident:.2e}"
+
+
+@_criterion(6, "coefficient-laws-exact")
+def criterion_6(ws: Workspace) -> tuple[bool, str]:
+    errs = [dense_law_error(ws.dense_example(p)) for p in (0.25, 1 / 3)]
+    errs.append(sparse_law_error(ws.sparse_example()))
+    worst = max(errs)
+    return roundoff_ok(worst), f"max_dev={worst:.2e}"
+
+
+@_criterion(7, "atom-certificates")
+def criterion_7(ws: Workspace) -> tuple[bool, str]:
+    checked = 0
+    for ex in (ws.dense_example(0.25), ws.dense_example(1 / 3), ws.sparse_example()):
+        for interval, cert in zip(ex.decomposition.intervals, atom_certificates(ex)):
+            checked += 1
+            if not cert.valid:
+                return False, (
+                    f"atom failed at depth {interval.depth}: mean_ok={cert.zero_mean_ok} "
+                    f"sup_ratio={cert.sup_ratio:.6f} support_ok={cert.support_ok}"
+                )
+    return True, f"atoms_checked={checked}"
+
+
+@_criterion(8, "modulus-decay-gates")
+def criterion_8(ws: Workspace) -> tuple[bool, str]:
+    dense_rows = modulus_ratio_report(ws.dense_example(0.25), list(range(1, 9)))
+    dense_max = max(r.ratio_power for r in dense_rows)
+    sparse_rows = sparse_modulus_ratio_report(ws.sparse_example(), list(range(5, 17)))
+    sparse_max = max(r.ratio_power for r in sparse_rows)
+    ok = modulus_ok(dense_max) and sparse_modulus_ok(sparse_max)
+    return ok, (
+        f"dense_max={dense_max:.3f} (gate {frozen.MODULUS_RATIO_POWER_MAX:g}) "
+        f"sparse_max={sparse_max:.3f} (gate {frozen.SPARSE_MODULUS_RATIO_POWER_MAX:g})"
+    )
+
+
+@_criterion(9, "divergence-gates", time_limit=60.0)
+def criterion_9(ws: Workspace) -> tuple[bool, str]:
+    dense = ws.dense_example(0.25)
+    dense_min = min(weak_divergence_statistic(dense, k) for k in range(3, 9))
+    sparse = ws.sparse_example()
+    sparse_min = min(sparse_divergence_statistic(sparse, k) for k in (1, 2, 3))
+    ok = weak_divergence_ok(dense_min) and sparse_divergence_ok(sparse_min)
+    return ok, (
+        f"dense_min={dense_min:.3f} (gate {frozen.WEAK_DIVERGENCE_MIN:g}) "
+        f"sparse_min={sparse_min:.3f} (gate {frozen.SPARSE_DIVERGENCE_MIN:g})"
+    )
+
+
+@_criterion(10, "kernel-growth-scan")
+def criterion_10(ws: Workspace) -> tuple[bool, str]:
+    rows = kernel_halfnorm_scan(list(range(2, 8)), ws.walsh(15))
+    worst = min(r.ratio for r in rows)
+    return kernel_scan_ok(worst), f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN:g})"
+
+
+@_criterion(11, "fejer-convergence-surrogate")
+def criterion_11(ws: Workspace) -> tuple[bool, str]:
+    vs = ws.walsh(10)
+    band_spec = family_character_polynomial(vs, 2, XorShift64Star(111))
+    smooth_spec = family_smoothed_indicator(vs, 2, 4, 3 * vs.size // 4)
+    gates = [
+        scale_sweep_gates(scale_sweep(spec, p))
+        for spec in (band_spec, smooth_spec)
+        for p in (0.25, 0.5)
+    ]
+    worst_final = max(final for final, _ in gates)
+    worst_backslide = max(backslide for _, backslide in gates)
+    return scale_sweep_ok(worst_final, worst_backslide), (
+        f"final_max={worst_final:.4f} (gate {frozen.FINAL_GAP_MAX:g}) "
+        f"backslide_max={worst_backslide:.3f} (gate {frozen.BACKSLIDE_FACTOR_MAX:g})"
+    )
+
+
+@_criterion(12, "weighted-ratio-stability")
+def criterion_12(ws: Workspace) -> tuple[bool, str]:
+    # cv_random is the spread of the random spectra alone: the critical atom
+    # reaches the maximum for every seed, so cv itself reads 0.
+    vs = ws.walsh(8)
+    details = []
+    ok = True
+    for p in (0.25, 0.5):
+        maxima, random_maxima = seed_maxima(
+            vs, p, first_seed=1000, seeds=10, randoms=3, atom_scale=2, damping=0.25,
+            n_max=vs.size,
         )
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(4, "fast-transform-vs-direct", ok, detail, secs)
-
-
-def criterion_5(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        vs = ws.walsh(8)
-        rng = XorShift64Star(55)
-        worst_law = 0.0
-        worst_ident = 0.0
-        for _ in range(50):
-            band_level = 1 + rng.next_u64() % (vs.N - 2)
-            band = vs.M[band_level]
-            coeffs = np.zeros(vs.size, dtype=np.complex128)
-            coeffs[:band] = rng.complex_uniforms(band)
-            spec = Spectrum(vs, coeffs)
-            n = band + 1 + rng.next_u64() % (vs.size - band)
-
-            sigma = fejer_mean(spec, n)
-            back = analyze(sigma).coeffs
-            expected = np.zeros(vs.size, dtype=np.complex128)
-            expected[:n] = coeffs[:n] * (1.0 - np.arange(n) / n)
-            worst_law = max(worst_law, float(np.abs(back - expected).max()))
-
-            f = synthesize(spec)
-            lhs = (fejer_mean(spec, n) - f).values
-            rhs = (band / n) * (fejer_mean(spec, band) - f).values
-            worst_ident = max(worst_ident, float(np.abs(lhs - rhs).max()))
-        ok = worst_law < 1e-12 and worst_ident < 1e-12
-        return ok, f"law_err={worst_law:.2e} identity_err={worst_ident:.2e}"
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(5, "fejer-coefficient-algebra", ok, detail, secs)
-
-
-def _dense_law_error(ex: CriticalExample) -> float:
-    vs = ex.vs
-    expected = np.zeros(vs.size, dtype=np.complex128)
-    for i in range(ex.depth + 1):
-        expected[vs.M[i] : vs.M[i + 1]] = vs.M[i]
-    return float(np.abs(ex.spectrum.coeffs - expected).max())
-
-
-def _sparse_law_error(ex: SparseCriticalExample) -> float:
-    vs = ex.vs
-    expected = np.zeros(vs.size, dtype=np.complex128)
-    for i in range(1, ex.depth + 1):
-        j = 2 * vs.M[i]
-        expected[vs.M[j] : vs.M[j + 1]] = vs.M[j] / (vs.M[i] * vs.M[i])
-    return float(np.abs(ex.spectrum.coeffs - expected).max())
-
-
-def criterion_6(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        errs = [_dense_law_error(ws.dense_example(p)) for p in (0.25, 1 / 3)]
-        errs.append(_sparse_law_error(ws.sparse_example()))
-        worst = max(errs)
-        return worst < 1e-12, f"max_dev={worst:.2e}"
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(6, "coefficient-laws-exact", ok, detail, secs)
-
-
-def criterion_7(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        checked = 0
-        for ex in (ws.dense_example(0.25), ws.dense_example(1 / 3), ws.sparse_example()):
-            d = ex.decomposition
-            for atom, interval in zip(d.atoms, d.intervals):
-                cert = validate_atom(atom, d.p, interval)
-                checked += 1
-                if not cert.valid:
-                    return False, (
-                        f"atom failed at depth {interval.depth}: mean_ok={cert.zero_mean_ok} "
-                        f"sup_ratio={cert.sup_ratio:.6f} support_ok={cert.support_ok}"
-                    )
-        return True, f"atoms_checked={checked}"
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(7, "atom-certificates", ok, detail, secs)
-
-
-def criterion_8(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        dense_rows = modulus_ratio_report(ws.dense_example(0.25), list(range(1, 9)))
-        dense_max = max(r.ratio_power for r in dense_rows)
-        sparse_rows = sparse_modulus_ratio_report(ws.sparse_example(), list(range(5, 17)))
-        sparse_max = max(r.ratio_power for r in sparse_rows)
-        ok = (
-            dense_max <= frozen.MODULUS_RATIO_POWER_MAX
-            and sparse_max <= frozen.SPARSE_MODULUS_RATIO_POWER_MAX
+        cv = ratio_cv(maxima)
+        ok = ok and ratio_cv_ok(cv)
+        details.append(
+            f"p={p:g}: max={max(maxima):.4f} cv={cv:.4%} cv_random={ratio_cv(random_maxima):.4%}"
         )
-        return ok, (
-            f"dense_max={dense_max:.3f} (gate {frozen.MODULUS_RATIO_POWER_MAX:g}) "
-            f"sparse_max={sparse_max:.3f} (gate {frozen.SPARSE_MODULUS_RATIO_POWER_MAX:g})"
-        )
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(8, "modulus-decay-gates", ok, detail, secs)
-
-
-def criterion_9(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        dense = ws.dense_example(0.25)
-        dense_min = min(weak_divergence_statistic(dense, k) for k in range(3, 9))
-        sparse = ws.sparse_example()
-        sparse_min = min(sparse_divergence_statistic(sparse, k) for k in (1, 2, 3))
-        ok = (
-            dense_min >= frozen.WEAK_DIVERGENCE_MIN
-            and sparse_min >= frozen.SPARSE_DIVERGENCE_MIN
-        )
-        return ok, (
-            f"dense_min={dense_min:.3f} (gate {frozen.WEAK_DIVERGENCE_MIN:g}) "
-            f"sparse_min={sparse_min:.3f} (gate {frozen.SPARSE_DIVERGENCE_MIN:g})"
-        )
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(9, "divergence-gates", ok and secs < 60.0, detail, secs)
-
-
-def criterion_10(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        rows = kernel_halfnorm_scan(list(range(2, 8)), ws.walsh(15))
-        worst = min(r.ratio for r in rows)
-        return worst >= frozen.KERNEL_SCAN_RATIO_MIN, (
-            f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN:g})"
-        )
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(10, "kernel-growth-scan", ok, detail, secs)
-
-
-def _scale_sweep_gates(spec: Spectrum, p: float) -> tuple[float, float]:
-    vs = spec.vs
-    f = synthesize(spec)
-    norm_f = lp_quasinorm(f, p)
-    rel = []
-    for k in range(2, vs.N + 1):
-        rel.append(lp_quasinorm(fejer_mean(spec, vs.M[k]) - f, p) / norm_f)
-    backslide = max(v / min(rel[: i + 1]) for i, v in enumerate(rel))
-    return rel[-1], backslide
-
-
-def criterion_11(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        vs = ws.walsh(10)
-        rng = XorShift64Star(111)
-        band = np.zeros(vs.size, dtype=np.complex128)
-        band[: vs.M[2]] = rng.complex_uniforms(vs.M[2])
-        band_spec = Spectrum(vs, band)
-
-        values = np.zeros(vs.size, dtype=np.complex128)
-        cells = cylinder_cells(cell_to_point(3 * vs.size // 4, vs), 2, vs)
-        values[cells.start : cells.stop] = 1.0
-        ind = analyze(StepFunction(vs, values))
-        window = vs.M[4]
-        smooth = np.zeros(vs.size, dtype=np.complex128)
-        smooth[:window] = ind.coeffs[:window] * (1.0 - np.arange(window) / window)
-        smooth_spec = Spectrum(vs, smooth)
-
-        worst_final = 0.0
-        worst_backslide = 0.0
-        for spec in (band_spec, smooth_spec):
-            for p in (0.25, 0.5):
-                final, backslide = _scale_sweep_gates(spec, p)
-                worst_final = max(worst_final, final)
-                worst_backslide = max(worst_backslide, backslide)
-        ok = (
-            worst_final <= frozen.FINAL_GAP_MAX
-            and worst_backslide <= frozen.BACKSLIDE_FACTOR_MAX
-        )
-        return ok, (
-            f"final_max={worst_final:.4f} (gate {frozen.FINAL_GAP_MAX:g}) "
-            f"backslide_max={worst_backslide:.3f} (gate {frozen.BACKSLIDE_FACTOR_MAX:g})"
-        )
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(11, "fejer-convergence-surrogate", ok, detail, secs)
-
-
-def criterion_12(ws: Workspace) -> CriterionResult:
-    def body() -> tuple[bool, str]:
-        vs = ws.walsh(8)
-        details = []
-        ok = True
-        for p in (0.25, 0.5):
-            atom_spec = analyze(critical_atom(2, p, vs))
-            damped = family_damped_critical(vs, vs.N - 1, 0.25)
-            weight = FejerWeight.for_p(p)
-            maxima = []
-            for s in range(10):
-                rng = XorShift64Star(1000 + s)
-                best = 0.0
-                for spec in (
-                    Spectrum(vs, rng.complex_uniforms(vs.size)),
-                    Spectrum(vs, rng.complex_uniforms(vs.size)),
-                    Spectrum(vs, rng.complex_uniforms(vs.size)),
-                    atom_spec,
-                    damped,
-                ):
-                    denom = hardy_norm(spec, p)
-                    if denom == 0:
-                        continue
-                    for n, sigma in iter_fejer_means(spec, vs.size):
-                        val = lp_quasinorm(StepFunction(vs, sigma), p)
-                        best = max(best, val / (weight.at(n) * denom))
-                maxima.append(best)
-            arr = np.array(maxima)
-            cv = float(arr.std() / arr.mean())
-            finite = bool(np.all(np.isfinite(arr)))
-            ok = ok and finite and cv < frozen.MAX_RATIO_CV_MAX
-            details.append(f"p={p:g}: max={arr.max():.4f} cv={cv:.4%}")
-        return ok, "; ".join(details) + f" (gate {frozen.MAX_RATIO_CV_MAX:.0%})"
-
-    ok, detail, secs = _timed(body)
-    return CriterionResult(12, "weighted-ratio-stability", ok, detail, secs)
+    return ok, "; ".join(details) + f" (gate {frozen.MAX_RATIO_CV_MAX:.0%})"
 
 
 CRITERIA: tuple[Callable[[Workspace], CriterionResult], ...] = (
@@ -419,13 +321,10 @@ CRITERIA: tuple[Callable[[Workspace], CriterionResult], ...] = (
 def run_all(
     min_speedup: float = frozen.MIN_SPEEDUP, echo: Callable[[str], None] | None = None
 ) -> list[CriterionResult]:
-    ws = Workspace()
+    ws = Workspace(min_speedup)
     results = []
     for fn in CRITERIA:
-        if fn is criterion_4:
-            result = criterion_4(ws, min_speedup)
-        else:
-            result = fn(ws)
+        result = fn(ws)
         results.append(result)
         if echo:
             echo(result.line())

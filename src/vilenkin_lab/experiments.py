@@ -21,6 +21,8 @@ import numpy as np
 from . import frozen
 from .errors import CapacityError
 from .counterexamples import (
+    CriticalExample,
+    SparseCriticalExample,
     build_critical_example,
     build_sparse_critical_example,
     block_gap_norm,
@@ -32,7 +34,7 @@ from .counterexamples import (
     weak_divergence_statistic,
 )
 from .kernels import dirichlet_kernel, verify_fejer_lower_bounds, fejer_lower_bound_cells
-from .norms import hardy_norm, lp_quasinorm, validate_atom
+from .norms import AtomCertificate, hardy_norm, lp_quasinorm, validate_atom
 from .reporting import ExperimentRecord, config_hash, write_records
 from .rng import XorShift64Star
 from .serialize import load_function, save_function
@@ -56,15 +58,22 @@ from .transform import (
 DEFAULT_CELL_CAP = 2**22
 ENV_CELL_CAP = "VILENKIN_CELL_CAP"
 
-EXPERIMENT_NAMES = (
-    "gram",
-    "kernels",
-    "convergence",
-    "counterexample-2a",
-    "counterexample-2b",
-    "kernel-scan",
-    "maximal-bound",
-)
+# The ``parameters`` keys each experiment reads; any other key is a config error.
+PARAMETER_KEYS = {
+    "gram": {"functions"},
+    "kernels": {"bound_level"},
+    "convergence": {
+        "grid_points", "family", "band", "base_depth", "window_level", "base_cell", "depth",
+        "damping", "function_path",
+    },
+    "counterexample-2a": {
+        "p", "depth", "modulus_lo", "modulus_hi", "divergence_lo", "divergence_hi",
+        "dump_function",
+    },
+    "counterexample-2b": {"depth", "modulus_lo", "modulus_hi", "dump_function"},
+    "kernel-scan": {"level_lo", "level_hi"},
+    "maximal-bound": {"seeds", "random_functions", "n_max", "atom_scale", "damping"},
+}
 
 
 @dataclass
@@ -90,9 +99,9 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     else:
         raw = dict(source)
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENT_NAMES:
+    if experiment not in PARAMETER_KEYS:
         raise ValueError(
-            f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}"
+            f"unknown experiment {experiment!r}; expected one of {tuple(PARAMETER_KEYS)}"
         )
     structure = raw.get("structure")
     if not isinstance(structure, dict) or not ({"m", "pattern"} & structure.keys()):
@@ -101,13 +110,20 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     for p in p_values:
         if not 0 < p <= 1:
             raise ValueError(f"p value {p} outside (0, 1]")
+    parameters = dict(raw.get("parameters", {}))
+    unknown = sorted(parameters.keys() - PARAMETER_KEYS[experiment])
+    if unknown:
+        raise ValueError(
+            f"unknown parameters {unknown} for {experiment}; "
+            f"accepted: {sorted(PARAMETER_KEYS[experiment])}"
+        )
     output = raw.get("output", {})
     return ExperimentConfig(
         experiment=experiment,
         structure=structure,
         resolution=raw.get("resolution"),
         p_values=p_values,
-        parameters=dict(raw.get("parameters", {})),
+        parameters=parameters,
         seed=int(raw.get("seed", 1)),
         output_path=output.get("path"),
         output_format=output.get("format", "csv"),
@@ -126,15 +142,13 @@ def build_structure(cfg: ExperimentConfig, cap: int | None = None) -> VilenkinSt
     spec = cfg.structure
     if "m" in spec:
         vs = VilenkinStructure.from_m(spec["m"])
-        if cfg.resolution is not None and cfg.resolution != vs.N:
-            raise ValueError(
-                f"explicit m has length {vs.N} but resolution says {cfg.resolution}"
-            )
     else:
         depth = spec.get("repeat_to", cfg.resolution)
         if depth is None:
             raise ValueError("pattern structure needs repeat_to or resolution")
         vs = VilenkinStructure.from_pattern(spec["pattern"], int(depth))
+    if cfg.resolution is not None and cfg.resolution != vs.N:
+        raise ValueError(f"structure has resolution {vs.N} but resolution says {cfg.resolution}")
     limit = cell_cap(cap)
     if vs.size > limit:
         raise CapacityError(
@@ -216,7 +230,38 @@ def build_family(cfg: ExperimentConfig, vs: VilenkinStructure, rng: XorShift64St
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners, each next to the statistics and gates it shares with the check suite
+
+
+def roundoff_ok(err: float) -> bool:
+    """Gate on the absolute error of a quantity the library knows exactly."""
+    return err < frozen.ROUNDOFF_MAX
+
+
+def relative_roundoff_ok(rel: float) -> bool:
+    """Gate on a relative round-off error (Parseval, fast vs direct)."""
+    return rel < frozen.RELATIVE_ROUNDOFF_MAX
+
+
+def gram_error(vs: VilenkinStructure) -> float:
+    """Largest entry of the character Gram matrix minus the identity."""
+    mat = np.empty((vs.size, vs.size), dtype=np.complex128)
+    for n in range(vs.size):
+        mat[n] = character_column(n, vs)
+    gram = (mat @ mat.conj().T) / vs.size
+    return float(np.abs(gram - np.eye(vs.size)).max())
+
+
+def parseval_worst_rel(vs: VilenkinStructure, rng: XorShift64Star, count: int) -> float:
+    """Worst relative Parseval error over ``count`` random functions."""
+    worst_rel = 0.0
+    for _ in range(count):
+        f = StepFunction(vs, rng.complex_uniforms(vs.size))
+        s = analyze(f)
+        lhs = float(np.mean(np.abs(f.values) ** 2))
+        rhs = float(np.sum(np.abs(s.coeffs) ** 2))
+        worst_rel = max(worst_rel, abs(lhs - rhs) / max(lhs, 1e-300))
+    return worst_rel
 
 
 def run_gram(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
@@ -226,23 +271,10 @@ def run_gram(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
             f"gram experiment materializes a {vs.size}x{vs.size} matrix; "
             "limit is 4096 cells"
         )
-    mat = np.empty((vs.size, vs.size), dtype=np.complex128)
-    for n in range(vs.size):
-        mat[n] = character_column(n, vs)
-    gram = (mat @ mat.conj().T) / vs.size
-    off = gram - np.eye(vs.size)
-    gram_err = float(np.abs(off).max())
-
-    rng = XorShift64Star(cfg.seed)
+    gram_err = gram_error(vs)
     count = int(cfg.parameters.get("functions", 100))
-    worst_rel = 0.0
-    for _ in range(count):
-        f = StepFunction(vs, rng.complex_uniforms(vs.size))
-        s = analyze(f)
-        lhs = float(np.mean(np.abs(f.values) ** 2))
-        rhs = float(np.sum(np.abs(s.coeffs) ** 2))
-        worst_rel = max(worst_rel, abs(lhs - rhs) / max(lhs, 1e-300))
-    ok = gram_err < 1e-12 and worst_rel < 1e-10
+    worst_rel = parseval_worst_rel(vs, XorShift64Star(cfg.seed), count)
+    ok = roundoff_ok(gram_err) and relative_roundoff_ok(worst_rel)
     records = [
         _rec(
             cfg,
@@ -259,17 +291,24 @@ def run_gram(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
     return ExperimentResult(records, 0 if ok else 2, msgs)
 
 
-def run_kernels(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
-    records = []
-    worst_closed = 0.0
+def dirichlet_errors(vs: VilenkinStructure) -> list[float]:
+    """Max error of D_{M[j]} against its closed form M[j] * 1_{I_j}, j = 0..N."""
+    errors = []
     for j in range(vs.N + 1):
         kernel = dirichlet_kernel(vs.M[j], vs)
         expected = np.zeros(vs.size)
         expected[: vs.size // vs.M[j]] = vs.M[j]
-        err = float(np.abs(kernel.values - expected).max())
-        worst_closed = max(worst_closed, err)
-        records.append(_rec(cfg, {"check": "closed-form", "j": j}, {"max_err": err}))
+        errors.append(float(np.abs(kernel.values - expected).max()))
+    return errors
+
+
+def run_kernels(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
+    vs = build_structure(cfg, cap)
+    errors = dirichlet_errors(vs)
+    records = [
+        _rec(cfg, {"check": "closed-form", "j": j}, {"max_err": err})
+        for j, err in enumerate(errors)
+    ]
 
     level = int(cfg.parameters.get("bound_level", (vs.N + 1) // 2))
     check = verify_fejer_lower_bounds(level, vs)
@@ -294,9 +333,9 @@ def run_kernels(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResu
             },
         )
     )
-    ok = worst_closed < 1e-12 and check.ok
+    ok = roundoff_ok(max(errors)) and check.ok
     msgs = [] if ok else [
-        f"kernel checks failed: closed-form err {worst_closed:.3e}, "
+        f"kernel checks failed: closed-form err {max(errors):.3e}, "
         f"bound margin {check.worst_margin:.3e}"
     ]
     return ExperimentResult(records, 0 if ok else 2, msgs)
@@ -308,6 +347,23 @@ def _log_spaced_orders(vs: VilenkinStructure, points: int) -> list[int]:
     return sorted(grid)
 
 
+def scale_sweep(spec: Spectrum, p: float) -> list[float]:
+    """Relative L^p Fejer gap ||sigma_{M[k]} f - f|| / ||f|| for k = 2..N."""
+    vs = spec.vs
+    f = synthesize(spec)
+    norm_f = lp_quasinorm(f, p)
+    return [lp_quasinorm(fejer_mean(spec, vs.M[k]) - f, p) / norm_f for k in range(2, vs.N + 1)]
+
+
+def scale_sweep_gates(rel: list[float]) -> tuple[float, float]:
+    """The top-scale gap and the largest ratio of a gap to its running minimum."""
+    return rel[-1], max(v / min(rel[: i + 1]) for i, v in enumerate(rel))
+
+
+def scale_sweep_ok(final: float, backslide: float) -> bool:
+    return final <= frozen.FINAL_GAP_MAX and backslide <= frozen.BACKSLIDE_FACTOR_MAX
+
+
 def run_convergence(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
     vs = build_structure(cfg, cap)
     rng = XorShift64Star(cfg.seed)
@@ -315,10 +371,8 @@ def run_convergence(cfg: ExperimentConfig, cap: int | None = None) -> Experiment
     f = synthesize(spec)
     points = int(cfg.parameters.get("grid_points", 25))
     records = []
-    exit_code = 0
     messages = []
     for p in cfg.p_values or (0.25, 0.5):
-        norm_f = lp_quasinorm(f, p)
         weight = FejerWeight.for_p(p) if p <= 0.5 else None
         for n in _log_spaced_orders(vs, points):
             gap = lp_quasinorm(fejer_mean(spec, n) - f, p)
@@ -334,21 +388,17 @@ def run_convergence(cfg: ExperimentConfig, cap: int | None = None) -> Experiment
                     {"gap": gap, "omega": omega, "bound_term": bound_term},
                 )
             )
-        # scale sweep gates: relative gap at the full-scale orders M[k]
-        rel = []
-        for k in range(2, vs.N + 1):
-            g = lp_quasinorm(fejer_mean(spec, vs.M[k]) - f, p) / norm_f
-            rel.append(g)
+        rel = scale_sweep(spec, p)
+        for i, g in enumerate(rel):
             records.append(
                 _rec(
                     cfg,
-                    {"p": p, "block": "scales", "n": k},
-                    {"scale_gap_rel": g, "running_min": min(rel)},
+                    {"p": p, "block": "scales", "n": i + 2},
+                    {"scale_gap_rel": g, "running_min": min(rel[: i + 1])},
                 )
             )
-        backslide = max(v / min(rel[: i + 1]) for i, v in enumerate(rel))
-        final = rel[-1]
-        ok = final <= frozen.FINAL_GAP_MAX and backslide <= frozen.BACKSLIDE_FACTOR_MAX
+        final, backslide = scale_sweep_gates(rel)
+        ok = scale_sweep_ok(final, backslide)
         records.append(
             _rec(
                 cfg,
@@ -357,12 +407,64 @@ def run_convergence(cfg: ExperimentConfig, cap: int | None = None) -> Experiment
             )
         )
         if not ok:
-            exit_code = 2
             messages.append(
                 f"convergence gate failed at p={p}: final {final:.4f}, "
                 f"backslide {backslide:.3f}"
             )
-    return ExperimentResult(records, exit_code, messages)
+    return ExperimentResult(records, 2 if messages else 0, messages)
+
+
+def dense_law_error(ex: CriticalExample) -> float:
+    """Max deviation of the dense spectrum from its law: M[i] on block i."""
+    vs = ex.vs
+    expected = np.zeros(vs.size, dtype=np.complex128)
+    for i in range(ex.depth + 1):
+        expected[vs.M[i] : vs.M[i + 1]] = vs.M[i]
+    return float(np.abs(ex.spectrum.coeffs - expected).max())
+
+
+def sparse_law_error(ex: SparseCriticalExample) -> float:
+    """Max deviation of the sparse spectrum from M[j] / M[i]^2 on block j = 2 M[i]."""
+    vs = ex.vs
+    expected = np.zeros(vs.size, dtype=np.complex128)
+    for i in range(1, ex.depth + 1):
+        j = 2 * vs.M[i]
+        expected[vs.M[j] : vs.M[j + 1]] = vs.M[j] / (vs.M[i] * vs.M[i])
+    return float(np.abs(ex.spectrum.coeffs - expected).max())
+
+
+def atom_certificates(ex: CriticalExample | SparseCriticalExample) -> list[AtomCertificate]:
+    """One certificate per atom of the example's decomposition, in order."""
+    d = ex.decomposition
+    return [validate_atom(a, d.p, iv) for a, iv in zip(d.atoms, d.intervals)]
+
+
+def _construction_record(
+    cfg: ExperimentConfig, law_err: float, ex, messages: list[str]
+) -> ExperimentRecord:
+    atoms_ok = all(cert.valid for cert in atom_certificates(ex))
+    if not (roundoff_ok(law_err) and atoms_ok):
+        messages.append(f"construction checks failed: law {law_err:.3e}, atoms {atoms_ok}")
+    return _rec(cfg, {"block": "construction", "i": 0},
+                {"law_err": law_err, "atoms_ok": float(atoms_ok)})
+
+
+def _modulus_records(cfg: ExperimentConfig, rows: list, records: list[ExperimentRecord]) -> float:
+    """Append one record per modulus row; return the largest ratio_power."""
+    records.extend(
+        _rec(cfg, {"block": "modulus", "i": r.n},
+             {"omega": r.omega, "bound": r.bound, "ratio": r.ratio, "ratio_power": r.ratio_power})
+        for r in rows
+    )
+    return max((r.ratio_power for r in rows), default=0.0)
+
+
+def modulus_ok(worst_ratio_power: float) -> bool:
+    return worst_ratio_power <= frozen.MODULUS_RATIO_POWER_MAX
+
+
+def weak_divergence_ok(worst_stat: float) -> bool:
+    return worst_stat >= frozen.WEAK_DIVERGENCE_MIN
 
 
 def run_counterexample_2a(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
@@ -372,39 +474,15 @@ def run_counterexample_2a(cfg: ExperimentConfig, cap: int | None = None) -> Expe
     depth = int(params.get("depth", 10))
     ex = build_critical_example(p, depth, vs)
 
-    records = []
-    exit_code = 0
     messages = []
-
     # coefficient law and atom certificates are assertion-grade
-    expected = np.zeros(vs.size, dtype=np.complex128)
-    for i in range(depth + 1):
-        expected[vs.M[i] : vs.M[i + 1]] = vs.M[i]
-    law_err = float(np.abs(ex.spectrum.coeffs - expected).max())
-    atoms_ok = all(
-        validate_atom(a, p, iv).valid
-        for a, iv in zip(ex.decomposition.atoms, ex.decomposition.intervals)
-    )
-    if law_err > 1e-12 or not atoms_ok:
-        exit_code = 2
-        messages.append(f"construction checks failed: law {law_err:.3e}, atoms {atoms_ok}")
-    records.append(
-        _rec(cfg, {"block": "construction", "i": 0},
-             {"law_err": law_err, "atoms_ok": float(atoms_ok)})
-    )
+    records = [_construction_record(cfg, dense_law_error(ex), ex, messages)]
 
     n_lo = int(params.get("modulus_lo", 1))
     n_hi = int(params.get("modulus_hi", min(8, depth - 2)))
-    worst_ratio = 0.0
-    for row in modulus_ratio_report(ex, list(range(n_lo, n_hi + 1))):
-        worst_ratio = max(worst_ratio, row.ratio_power)
-        records.append(
-            _rec(cfg, {"block": "modulus", "i": row.n},
-                 {"omega": row.omega, "bound": row.bound,
-                  "ratio": row.ratio, "ratio_power": row.ratio_power})
-        )
-    if worst_ratio > frozen.MODULUS_RATIO_POWER_MAX:
-        exit_code = 2
+    rows = modulus_ratio_report(ex, list(range(n_lo, n_hi + 1)))
+    worst_ratio = _modulus_records(cfg, rows, records)
+    if not modulus_ok(worst_ratio):
         messages.append(f"modulus ratio {worst_ratio:.3f} over gate")
 
     k_lo = int(params.get("divergence_lo", 3))
@@ -419,14 +497,21 @@ def run_counterexample_2a(cfg: ExperimentConfig, cap: int | None = None) -> Expe
             _rec(cfg, {"block": "divergence", "i": k},
                  {"weak_power": stat, "weak_root": root, "companion_gap": companion})
         )
-    if worst_stat < frozen.WEAK_DIVERGENCE_MIN:
-        exit_code = 2
+    if not weak_divergence_ok(worst_stat):
         messages.append(f"weak divergence {worst_stat:.3f} under gate")
 
     dump = params.get("dump_function")
     if dump:
         save_function(ex.spectrum, dump)
-    return ExperimentResult(records, exit_code, messages)
+    return ExperimentResult(records, 2 if messages else 0, messages)
+
+
+def sparse_modulus_ok(worst_ratio_power: float) -> bool:
+    return worst_ratio_power <= frozen.SPARSE_MODULUS_RATIO_POWER_MAX
+
+
+def sparse_divergence_ok(worst_stat: float) -> bool:
+    return worst_stat >= frozen.SPARSE_DIVERGENCE_MIN
 
 
 def run_counterexample_2b(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
@@ -435,39 +520,14 @@ def run_counterexample_2b(cfg: ExperimentConfig, cap: int | None = None) -> Expe
     depth = int(params.get("depth", 3))
     ex = build_sparse_critical_example(depth, vs)
 
-    records = []
-    exit_code = 0
     messages = []
-
-    expected = np.zeros(vs.size, dtype=np.complex128)
-    for i in range(1, depth + 1):
-        j = 2 * vs.M[i]
-        expected[vs.M[j] : vs.M[j + 1]] = vs.M[j] / (vs.M[i] * vs.M[i])
-    law_err = float(np.abs(ex.spectrum.coeffs - expected).max())
-    atoms_ok = all(
-        validate_atom(a, 0.5, iv).valid
-        for a, iv in zip(ex.decomposition.atoms, ex.decomposition.intervals)
-    )
-    if law_err > 1e-12 or not atoms_ok:
-        exit_code = 2
-        messages.append(f"construction checks failed: law {law_err:.3e}, atoms {atoms_ok}")
-    records.append(
-        _rec(cfg, {"block": "construction", "i": 0},
-             {"law_err": law_err, "atoms_ok": float(atoms_ok)})
-    )
+    records = [_construction_record(cfg, sparse_law_error(ex), ex, messages)]
 
     n_lo = int(params.get("modulus_lo", 5))
     n_hi = int(params.get("modulus_hi", 16))
-    worst_ratio = 0.0
-    for row in sparse_modulus_ratio_report(ex, list(range(n_lo, n_hi + 1))):
-        worst_ratio = max(worst_ratio, row.ratio_power)
-        records.append(
-            _rec(cfg, {"block": "modulus", "i": row.n},
-                 {"omega": row.omega, "bound": row.bound,
-                  "ratio": row.ratio, "ratio_power": row.ratio_power})
-        )
-    if worst_ratio > frozen.SPARSE_MODULUS_RATIO_POWER_MAX:
-        exit_code = 2
+    rows = sparse_modulus_ratio_report(ex, list(range(n_lo, n_hi + 1)))
+    worst_ratio = _modulus_records(cfg, rows, records)
+    if not sparse_modulus_ok(worst_ratio):
         messages.append(f"sparse modulus ratio {worst_ratio:.3f} over gate")
 
     worst_stat = float("inf")
@@ -477,14 +537,17 @@ def run_counterexample_2b(cfg: ExperimentConfig, cap: int | None = None) -> Expe
         records.append(
             _rec(cfg, {"block": "divergence", "i": k}, {"halfnorm_gap": stat})
         )
-    if worst_stat < frozen.SPARSE_DIVERGENCE_MIN:
-        exit_code = 2
+    if not sparse_divergence_ok(worst_stat):
         messages.append(f"sparse divergence {worst_stat:.3f} under gate")
 
     dump = params.get("dump_function")
     if dump:
         save_function(ex.spectrum, dump)
-    return ExperimentResult(records, exit_code, messages)
+    return ExperimentResult(records, 2 if messages else 0, messages)
+
+
+def kernel_scan_ok(worst_ratio: float) -> bool:
+    return worst_ratio >= frozen.KERNEL_SCAN_RATIO_MIN
 
 
 def run_kernel_scan(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
@@ -497,7 +560,7 @@ def run_kernel_scan(cfg: ExperimentConfig, cap: int | None = None) -> Experiment
         for r in rows
     ]
     worst = min(r.ratio for r in rows)
-    ok = worst >= frozen.KERNEL_SCAN_RATIO_MIN
+    ok = kernel_scan_ok(worst)
     return ExperimentResult(
         records,
         0 if ok else 2,
@@ -505,7 +568,8 @@ def run_kernel_scan(cfg: ExperimentConfig, cap: int | None = None) -> Experiment
     )
 
 
-def _max_weighted_ratio(spec: Spectrum, p: float, n_max: int) -> float:
+def max_weighted_ratio(spec: Spectrum, p: float, n_max: int) -> float:
+    """max over n <= n_max of ||sigma_n f||_p / (weight_p(n) * ||f||_{H_p}); 0 for f = 0."""
     vs = spec.vs
     denom = hardy_norm(spec, p)
     if denom == 0:
@@ -518,47 +582,72 @@ def _max_weighted_ratio(spec: Spectrum, p: float, n_max: int) -> float:
     return best
 
 
+def seed_maxima(
+    vs: VilenkinStructure, p: float, first_seed: int, seeds: int, randoms: int,
+    atom_scale: int, damping: float, n_max: int,
+) -> tuple[list[float], list[float]]:
+    """Per-seed maxima of :func:`max_weighted_ratio` over the sample family,
+    and the same maxima over the seed's random spectra alone.
+
+    Seed ``s`` draws ``randoms`` random spectra from ``first_seed + s``; the
+    family adds the critical atom at ``atom_scale`` and the damped critical
+    spectrum, which do not depend on the seed.
+    """
+    fixed = max(
+        max_weighted_ratio(analyze(critical_atom(atom_scale, p, vs)), p, n_max),
+        max_weighted_ratio(family_damped_critical(vs, vs.N - 1, damping), p, n_max),
+    )
+    random_maxima = []
+    for s in range(seeds):
+        rng = XorShift64Star(first_seed + s)
+        random_maxima.append(max(
+            (max_weighted_ratio(Spectrum(vs, rng.complex_uniforms(vs.size)), p, n_max)
+             for _ in range(randoms)),
+            default=0.0,
+        ))
+    return [max(r, fixed) for r in random_maxima], random_maxima
+
+
+def ratio_cv(maxima: list[float]) -> float:
+    """Coefficient of variation of per-seed maxima; inf when their mean is 0."""
+    arr = np.array(maxima)
+    return float(arr.std() / arr.mean()) if arr.mean() > 0 else float("inf")
+
+
+def ratio_cv_ok(cv: float) -> bool:
+    # A non-finite maximum makes cv NaN, which fails the comparison.
+    return cv < frozen.MAX_RATIO_CV_MAX
+
+
 def run_maximal_bound(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
     vs = build_structure(cfg, cap)
     params = cfg.parameters
     seeds = int(params.get("seeds", 10))
-    randoms = int(params.get("random_functions", 3))
-    n_max = int(params.get("n_max", vs.size))
-    atom_scale = int(params.get("atom_scale", 2))
-    damping = float(params.get("damping", 0.25))
+    p_list = [p for p in (cfg.p_values or (0.25, 0.5)) if p <= 0.5]
+    if not p_list:
+        raise ValueError("maximal-bound needs a p value <= 1/2 in p_values")
 
     records = []
-    exit_code = 0
     messages = []
-    p_list = [p for p in (cfg.p_values or (0.25, 0.5)) if p <= 0.5]
     for p in p_list:
-        atom_spec = analyze(critical_atom(atom_scale, p, vs))
-        damped = family_damped_critical(vs, vs.N - 1, damping)
-        maxima = []
-        for s in range(seeds):
-            rng = XorShift64Star(cfg.seed + s)
-            best = 0.0
-            for _ in range(randoms):
-                spec = Spectrum(vs, rng.complex_uniforms(vs.size))
-                best = max(best, _max_weighted_ratio(spec, p, n_max))
-            best = max(best, _max_weighted_ratio(atom_spec, p, n_max))
-            best = max(best, _max_weighted_ratio(damped, p, n_max))
-            maxima.append(best)
-            records.append(
-                _rec(cfg, {"p": p, "seed": s}, {"max_ratio": best})
-            )
-        arr = np.array(maxima)
-        cv = float(arr.std() / arr.mean()) if arr.mean() > 0 else float("inf")
-        finite = bool(np.all(np.isfinite(arr)))
-        ok = finite and cv < frozen.MAX_RATIO_CV_MAX
+        maxima, _ = seed_maxima(
+            vs, p, first_seed=cfg.seed, seeds=seeds,
+            randoms=int(params.get("random_functions", 3)),
+            atom_scale=int(params.get("atom_scale", 2)),
+            damping=float(params.get("damping", 0.25)),
+            n_max=int(params.get("n_max", vs.size)),
+        )
+        for s, best in enumerate(maxima):
+            records.append(_rec(cfg, {"p": p, "seed": s}, {"max_ratio": best}))
+        cv = ratio_cv(maxima)
+        ok = ratio_cv_ok(cv)
         records.append(
             _rec(cfg, {"p": p, "seed": seeds},
-                 {"cv": cv, "mean_max_ratio": float(arr.mean()), "passed": float(ok)})
+                 {"cv": cv, "mean_max_ratio": float(np.mean(maxima)), "passed": float(ok)})
         )
         if not ok:
-            exit_code = 2
             messages.append(f"ratio instability at p={p}: cv {cv:.4f}")
-    return ExperimentResult(records, exit_code, messages)
+    return ExperimentResult(records, 2 if messages else 0, messages)
 
 
 _RUNNERS = {

@@ -6,6 +6,15 @@ the test suite and must not be retuned casually.  Each name states the
 statistic it bounds and the direction of the bound.
 """
 
+# Absolute error of a quantity the library knows exactly (character Gram
+# matrix, closed-form Dirichlet kernels, coefficient laws, Fejer
+# coefficient algebra): stays below.
+ROUNDOFF_MAX = 1e-12
+
+# Relative error of Parseval's identity and of the fast transform against
+# the direct one: stays below.
+RELATIVE_ROUNDOFF_MAX = 1e-10
+
 # Weak divergence statistic of the dense family (p-powered form),
 # at orders M[k] + 1 for k = 3..8, depth 10, dyadic structure: stays above.
 WEAK_DIVERGENCE_MIN = 0.5

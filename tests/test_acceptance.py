@@ -1,10 +1,14 @@
 """Gate suite: every check the package must pass, one test per criterion.
 
 Each test prints the standard one-line PASS/FAIL summary produced by the
-criterion runner (visible with ``pytest -s`` or on failure).  The final
-test drives the installed command-line interface end to end.
+criterion runner (visible with ``pytest -s`` or on failure).  The last
+criterion test drives the installed command-line interface end to end.
+The tests after it pin the gate predicates the criteria and the experiment
+runners share: each can fail, and each frozen bound has one of them.
 """
 
+import ast
+import math
 import subprocess
 import sys
 import time
@@ -12,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from vilenkin_lab import acceptance
+from vilenkin_lab import acceptance, experiments, frozen
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "vilenkin_lab"
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +112,78 @@ def test_criterion_13_cli_determinism_and_check(tmp_path):
     assert elapsed < 300.0
     line = f"[13] PASS cli-determinism-and-check ({elapsed:.2f}s) byte-identical reruns, check exit 0"
     print(line)
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+@pytest.mark.parametrize(
+    "gate, inside, outside",
+    [
+        (experiments.roundoff_ok, _below(frozen.ROUNDOFF_MAX), frozen.ROUNDOFF_MAX),
+        (experiments.relative_roundoff_ok,
+         _below(frozen.RELATIVE_ROUNDOFF_MAX), frozen.RELATIVE_ROUNDOFF_MAX),
+        (experiments.modulus_ok,
+         frozen.MODULUS_RATIO_POWER_MAX, _above(frozen.MODULUS_RATIO_POWER_MAX)),
+        (experiments.sparse_modulus_ok,
+         frozen.SPARSE_MODULUS_RATIO_POWER_MAX, _above(frozen.SPARSE_MODULUS_RATIO_POWER_MAX)),
+        (experiments.weak_divergence_ok,
+         frozen.WEAK_DIVERGENCE_MIN, _below(frozen.WEAK_DIVERGENCE_MIN)),
+        (experiments.sparse_divergence_ok,
+         frozen.SPARSE_DIVERGENCE_MIN, _below(frozen.SPARSE_DIVERGENCE_MIN)),
+        (experiments.kernel_scan_ok,
+         frozen.KERNEL_SCAN_RATIO_MIN, _below(frozen.KERNEL_SCAN_RATIO_MIN)),
+        (lambda final: experiments.scale_sweep_ok(final, 1.0),
+         frozen.FINAL_GAP_MAX, _above(frozen.FINAL_GAP_MAX)),
+        (lambda backslide: experiments.scale_sweep_ok(0.0, backslide),
+         frozen.BACKSLIDE_FACTOR_MAX, _above(frozen.BACKSLIDE_FACTOR_MAX)),
+        (experiments.ratio_cv_ok, _below(frozen.MAX_RATIO_CV_MAX), frozen.MAX_RATIO_CV_MAX),
+        (experiments.ratio_cv_ok, 0.0, math.nan),
+    ],
+    ids=[
+        "roundoff", "relative-roundoff", "modulus", "sparse-modulus", "weak-divergence",
+        "sparse-divergence", "kernel-scan", "final-gap", "backslide", "ratio-cv",
+        "ratio-cv-nan",
+    ],
+)
+def test_gate_predicate_boundary(gate, inside, outside):
+    assert gate(inside)
+    assert not gate(outside)
+
+
+class _BoundComparisons(ast.NodeVisitor):
+    """Record, for each frozen bound, the innermost functions that compare it."""
+
+    def __init__(self, bounds: set[str]) -> None:
+        self.where: dict[str, set[str]] = {name: set() for name in bounds}
+        self.scope = "<module>"
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.scope = self.scope, f"{self.scope}.{node.name}"
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        for sub in ast.walk(node):
+            name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
+            if name in self.where:
+                self.where[name].add(self.scope)
+        self.generic_visit(node)
+
+
+def test_each_frozen_bound_is_compared_in_one_function():
+    tree = ast.parse((SRC_DIR / "frozen.py").read_text(encoding="utf-8"))
+    bounds = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    bounds.discard("MIN_SPEEDUP")  # also the CLI default; the check reads it from Workspace
+    found = _BoundComparisons(bounds)
+    for path in sorted(SRC_DIR.glob("*.py")):
+        found.scope = path.stem
+        found.visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert {name: len(fns) for name, fns in found.where.items()} == dict.fromkeys(bounds, 1), (
+        found.where
+    )

@@ -76,6 +76,21 @@ class TestConfigLoading:
                            "resolution": 3})
         with pytest.raises(ValueError):
             build_structure(cfg)
+        cfg = load_config({"experiment": "gram",
+                           "structure": {"pattern": [2], "repeat_to": 9},
+                           "resolution": 12})
+        with pytest.raises(ValueError):
+            build_structure(cfg)
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="dept"):
+            load_config({"experiment": "counterexample-2a",
+                         "structure": {"pattern": [2], "repeat_to": 8},
+                         "parameters": {"dept": 2}})
+        cfg = small_2a_config(tmp_path, parameters={"p": 0.25, "dept": 2})
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_gram_matrix_size_guard(self):
         from vilenkin_lab.experiments import run_gram
@@ -161,6 +176,17 @@ class TestShippedConfigs:
         assert out.count("PASS") == 12
         assert "12/12 criteria passed" in out
 
+    def test_maximal_bound_without_small_p_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, "mb.json", {
+            "experiment": "maximal-bound",
+            "structure": {"pattern": [2], "repeat_to": 4},
+            "p_values": [0.75],
+            "parameters": {"seeds": 2},
+        })
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_experiment_failure_exit_code(self, tmp_path):
         # rig the convergence gate by sweeping a family that cannot settle:
         # the undamped critical construction keeps a large top-scale gap
@@ -186,11 +212,11 @@ class TestFamilies:
 
     def test_zero_function_has_zero_ratio(self):
         import numpy as np
-        from vilenkin_lab.experiments import _max_weighted_ratio
+        from vilenkin_lab.experiments import max_weighted_ratio
 
         vs = VilenkinStructure.from_pattern((2,), 5)
         spec = Spectrum(vs, np.zeros(vs.size))
-        assert _max_weighted_ratio(spec, 0.25, vs.size) == 0.0
+        assert max_weighted_ratio(spec, 0.25, vs.size) == 0.0
 
     def test_from_file_family_round_trips_through_cli(self, tmp_path):
         # dump a construction, then feed it back as a convergence input
