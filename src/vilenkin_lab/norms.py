@@ -39,20 +39,22 @@ def lp_quasinorm(f: StepFunction, p: float) -> float:
     return float(np.mean(mags**p) ** (1.0 / p))
 
 
-def _weak_level_scan(f: StepFunction, p: float) -> tuple[float, list[tuple[float, float]]]:
+def _weak_level_scan(f: StepFunction, p: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(sup_v v^p * measure(|f| >= v), the positive levels v descending, their measures)."""
     mags = np.abs(f.values)
     ordered = np.sort(mags)
-    levels = np.unique(ordered)
-    best = 0.0
-    profile = []
+    levels = np.unique(ordered)[::-1]
+    levels = levels[levels > 0]
     size = len(mags)
-    for v in levels[::-1]:
-        if v <= 0:
-            continue
-        measure = (size - np.searchsorted(ordered, v, side="left")) / size
-        profile.append((float(v), float(measure)))
-        best = max(best, float(v**p * measure))
-    return best, profile
+    measure = (size - np.searchsorted(ordered, levels, side="left")) / size
+    if not len(levels):
+        return 0.0, levels, measure
+    # The array power may round an ulp away from the scalar one, so the
+    # levels near the array maximum are recomputed with the scalar power.
+    weighted = levels**p * measure
+    near = np.flatnonzero(weighted >= weighted.max() * (1.0 - 1e-12))
+    best = max(float(levels[i] ** p * measure[i]) for i in near)
+    return best, levels, measure
 
 
 def weak_lp_quasinorm(f: StepFunction, p: float, form: str = "root") -> float:
@@ -66,7 +68,7 @@ def weak_lp_quasinorm(f: StepFunction, p: float, form: str = "root") -> float:
         raise ValueError(f"exponent must be positive, got {p}")
     if form not in ("root", "p_power"):
         raise ValueError(f"unknown form {form!r}")
-    best, _ = _weak_level_scan(f, p)
+    best = _weak_level_scan(f, p)[0]
     return best if form == "p_power" else best ** (1.0 / p)
 
 
@@ -262,7 +264,7 @@ def norm_report(
     """Compute all quasinorms of ``f`` at exponent ``p`` in one pass."""
     if p <= 0:
         raise ValueError(f"exponent must be positive, got {p}")
-    weak_p, profile = _weak_level_scan(f, p)
+    weak_p, levels, measure = _weak_level_scan(f, p)
     hardy = hardy_norm(analyze(f), p) if with_hardy else None
     return NormReport(
         p=p,
@@ -270,5 +272,5 @@ def norm_report(
         weak_root=weak_p ** (1.0 / p),
         weak_p_power=weak_p,
         hardy=hardy,
-        levels=tuple(profile[:max_levels]),
+        levels=tuple(zip(levels[:max_levels].tolist(), measure[:max_levels].tolist())),
     )

@@ -234,7 +234,8 @@ def maximal_function(s: Spectrum) -> StepFunction:
     means = values
     for level in range(vs.N - 1, -1, -1):
         means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
-        best = np.maximum(best, np.repeat(np.abs(means), vs.size // vs.M[level]))
+        blocks = best.reshape(vs.M[level], -1)
+        np.maximum(blocks, np.abs(means)[:, None], out=blocks)
     return StepFunction(vs, best.astype(np.complex128))
 
 

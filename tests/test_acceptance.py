@@ -9,6 +9,7 @@ runners share: each can fail, and each frozen bound has one of them.
 
 import ast
 import math
+import os
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import vilenkin_lab
 from vilenkin_lab import acceptance, experiments, frozen
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -86,6 +88,11 @@ def test_criterion_12_weighted_ratio_stability(workspace):
 
 
 def test_criterion_13_cli_determinism_and_check(tmp_path):
+    # the CLI subprocesses import the package this test imported
+    package_parent = str(Path(vilenkin_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+
     # byte-identical reruns of a shipped config
     config = CONFIG_DIR / "counterexample_2a.json"
     outs = []
@@ -94,7 +101,7 @@ def test_criterion_13_cli_determinism_and_check(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "vilenkin_lab.cli", "run", str(config),
              "--out", str(out)],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
@@ -104,7 +111,7 @@ def test_criterion_13_cli_determinism_and_check(tmp_path):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "vilenkin_lab.cli", "check"],
-        capture_output=True, text=True, timeout=330,
+        capture_output=True, text=True, timeout=330, env=env,
     )
     elapsed = time.perf_counter() - start
     print(proc.stdout)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from vilenkin_lab.kernels import character_values, dirichlet_kernel
 from vilenkin_lab.norms import (
     AtomicDecomposition,
+    _weak_level_scan,
     CylinderInterval,
     assemble_from_atoms,
     hardy_norm,
@@ -103,6 +104,65 @@ class TestWeakQuasinorm:
         brute = max(lam**0.25 * np.mean(mags > lam) for lam in grid)
         assert brute <= exact + 1e-12
         assert brute > 0.98 * exact
+
+
+def loop_weak_level_scan(f, p):
+    # the level-by-level scan the vectorised one replaced, kept as its oracle
+    mags = np.abs(f.values)
+    ordered = np.sort(mags)
+    levels = np.unique(ordered)
+    best = 0.0
+    profile = []
+    size = len(mags)
+    for v in levels[::-1]:
+        if v <= 0:
+            continue
+        measure = (size - np.searchsorted(ordered, v, side="left")) / size
+        profile.append((float(v), float(measure)))
+        best = max(best, float(v**p * measure))
+    return best, profile
+
+
+def single_nonzero_values(size, p):
+    # one nonzero cell whose magnitude, if this machine's array power rounds
+    # any of a few thousand magnitudes differently from the scalar power, is
+    # one such magnitude
+    mags = np.abs(XorShift64Star(17).complex_uniforms(4096))
+    differs = [v for v in mags if (np.array([v]) ** p)[0] != v**p]
+    values = np.zeros(size, dtype=np.complex128)
+    values[size // 3] = differs[0] if differs else mags[0]
+    return values
+
+
+def weak_scan_inputs(vs, p):
+    size = vs.size
+    rng = XorShift64Star(2718)
+    tied = np.zeros(size, dtype=np.complex128)
+    tied[: size // 4] = 4.0  # at p = 1/2, 4^p * 1/4 == 1^p * 1/2: a tie
+    tied[size // 4 : size // 2] = -1.0
+    return {
+        "random": rng.complex_uniforms(size),
+        "few-magnitudes": np.array([1, 2, 3, 0, 1j, -2])[np.arange(size) * 7 % 6],
+        "tied": tied,
+        "all-zero": np.zeros(size, dtype=np.complex128),
+        "single-nonzero": single_nonzero_values(size, p),
+    }
+
+
+class TestWeakLevelScan:
+    @pytest.mark.parametrize("p", [0.25, 1 / 3, 0.5, 1.0])
+    def test_matches_level_loop(self, p):
+        vs = VilenkinStructure.from_m((2, 3, 4, 5, 2, 3))
+        for name, values in weak_scan_inputs(vs, p).items():
+            f = StepFunction(vs, values)
+            best, levels, measure = _weak_level_scan(f, p)
+            oracle_best, oracle_profile = loop_weak_level_scan(f, p)
+            assert type(best) is float, name
+            assert best.hex() == oracle_best.hex(), name
+            assert list(zip(levels.tolist(), measure.tolist())) == oracle_profile, name
+            report = norm_report(f, p, with_hardy=False, max_levels=5)
+            assert report.weak_p_power.hex() == oracle_best.hex(), name
+            assert report.levels == tuple(oracle_profile[:5]), name
 
 
 class TestHardyNorm:

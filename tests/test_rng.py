@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from vilenkin_lab import rng as rng_module
 from vilenkin_lab.rng import XorShift64Star
 
 
@@ -43,3 +45,78 @@ def test_complex_uniform_box():
     z = XorShift64Star(9).complex_uniforms(500)
     assert np.all(np.abs(z.real) <= 1) and np.all(np.abs(z.imag) <= 1)
     assert abs(z.real.mean()) < 0.1 and abs(z.imag.mean()) < 0.1
+
+
+def reference_doubles(seed, count):
+    # the documented mapping applied to the scalar stream, one double at a time
+    return [(u >> 11) * 2.0**-53 for u in reference_stream(seed, count)]
+
+
+def reference_complex(seed, count):
+    d = [2.0 * u - 1.0 for u in reference_doubles(seed, 2 * count)]
+    return np.array([complex(re, im) for re, im in zip(d[0::2], d[1::2])], dtype=np.complex128)
+
+
+# 0-3, both sides of the one-lane/laned switch, of whole lanes and of
+# power-of-two lane counts (jump doublings), and the benchmark's 172800
+LENGTH = rng_module._LANE_LENGTH
+LANE_BOUNDARY_COUNTS = sorted(
+    {0, 1, 2, 3, 172800}
+    | {b + d for b in (rng_module._MIN_LANED, LENGTH * 64, LENGTH * 1000, LENGTH * 1024) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("count", LANE_BOUNDARY_COUNTS)
+def test_arrays_are_the_scalar_stream(count):
+    gen = XorShift64Star(2024)
+    u = gen.uniforms(count)
+    assert u.dtype == np.float64
+    assert u.tobytes() == np.array(reference_doubles(2024, count), dtype=np.float64).tobytes()
+    assert gen.next_u64() == reference_stream(2024, count + 1)[-1]
+
+    gen = XorShift64Star(2024)
+    z = gen.complex_uniforms(count)
+    assert z.dtype == np.complex128 and z.shape == (count,)
+    assert z.tobytes() == reference_complex(2024, count).tobytes()
+    assert gen.next_u64() == reference_stream(2024, 2 * count + 1)[-1]
+
+
+def test_interleaved_scalar_and_array_draws():
+    gen = XorShift64Star(31)
+    oracle = XorShift64Star(31)
+    for count in (5, 700, 1, 3000, 0, 256):
+        assert gen.next_u64() == oracle.next_u64()
+        z = gen.complex_uniforms(count)
+        expected = [2.0 * oracle.uniform() - 1.0 for _ in range(2 * count)]
+        assert z.view(np.float64).tolist() == expected
+        u = gen.uniforms(count)
+        assert u.tolist() == [oracle.uniform() for _ in range(count)]
+    assert gen.next_u64() == oracle.next_u64()
+
+
+@pytest.mark.parametrize("count", [3, 1000])
+def test_zero_seed_arrays(count):
+    z = XorShift64Star(0).complex_uniforms(count)
+    assert z.tobytes() == XorShift64Star(0x9E3779B97F4A7C15).complex_uniforms(count).tobytes()
+    assert z.tobytes() == reference_complex(0, count).tobytes()
+
+
+def test_negative_count_rejected():
+    gen = XorShift64Star(5)
+    for draw in (gen.uniforms, gen.complex_uniforms):
+        with pytest.raises(ValueError):
+            draw(-1)
+    assert gen.next_u64() == reference_stream(5, 1)[0]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 63, 64, 1000, 10**5])
+def test_jump_matches_scalar_steps(steps):
+    gen = XorShift64Star(987654321)
+    starts = np.array([gen._state, 1, 1 << 63, rng_module._MASK], dtype=np.uint64)
+    expected = []
+    for s in starts.tolist():
+        g = XorShift64Star(s)
+        for _ in range(steps):
+            g.next_u64()
+        expected.append(g._state)
+    assert rng_module._jump(starts, steps).tolist() == expected

@@ -262,6 +262,17 @@ class TestMaximalFunction:
         assert np.abs(maximal_function(s).values - stack.max(axis=0)).max() < 1e-10
 
 
+    def test_bitwise_equal_to_repeat_formula(self):
+        vs = VilenkinStructure.from_m((3, 2, 5, 4, 2))
+        s = random_spectrum(vs, 64)
+        values = synthesize(s).values
+        best = np.abs(values)
+        means = values
+        for level in range(vs.N - 1, -1, -1):
+            means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
+            best = np.maximum(best, np.repeat(np.abs(means), vs.size // vs.M[level]))
+        assert maximal_function(s).values.tobytes() == best.astype(np.complex128).tobytes()
+
 class TestFejerWeight:
     def test_quarter_exponent(self):
         w = FejerWeight.for_p(0.25)
