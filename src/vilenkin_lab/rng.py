@@ -16,7 +16,7 @@ state is a fixed point of the update.
 stream in lanes (the jump-ahead of Haramoto et al., "Efficient jump ahead
 for F2-linear random number generators", INFORMS J. Comput. 2008): the
 state update is a linear map T on 64-bit vectors over GF(2), so lane j of
-length B = 2^e starts at T^(jB) applied to the current state, every lane is
+length B starts at T^(jB) applied to the current state, every lane is
 stepped at once in uint64 arithmetic, and the lane outputs are read back in
 stream order.  The samples, and the state left behind, are bitwise those of
 the scalar recurrence.
@@ -25,7 +25,6 @@ the scalar recurrence.
 from __future__ import annotations
 
 import functools
-from array import array
 
 import numpy as np
 
@@ -33,11 +32,9 @@ _MASK = (1 << 64) - 1
 _MULT = 2685821657736338717
 _ZERO_SEED = 0x9E3779B97F4A7C15
 
-# Below this many outputs one lane, the scalar recurrence, is fastest.  Above
-# it the lanes are 16 steps long: on 512 to 2^21 outputs, lengths 8 to 32 ran
-# within 10% of each other, and shorter lanes mean more jumps, longer ones
-# more numpy calls per output.
-_MIN_LANED = 512
+# Lanes are 16 steps long (fewer when fewer outputs are drawn): on 512 to
+# 2^21 outputs, lengths 8 to 32 ran within 10% of each other, and shorter
+# lanes mean more jumps, longer ones more numpy calls per output.
 _LANE_LENGTH = 16
 
 
@@ -76,19 +73,9 @@ class XorShift64Star:
         """``(output >> 11) * scale + shift`` for the next ``n`` outputs, read as ``dtype``."""
         if n < 0:
             raise ValueError("cannot draw a negative number of samples")
-        if n < _MIN_LANED:
-            # one lane: the recurrence of next_u64, inlined because a method
-            # call per output costs about half as much again
-            x = self._state
-            out = array("d")
-            for _ in range(n):
-                x ^= x >> 12
-                x = (x ^ (x << 25)) & _MASK
-                x ^= x >> 27
-                out.append((((x * _MULT) & _MASK) >> 11) * scale + shift)
-            self._state = x
-            return np.frombuffer(out, dtype)
-        length = _LANE_LENGTH
+        if n == 0:
+            return np.empty(0, dtype)
+        length = min(_LANE_LENGTH, n)
         lanes = -(-n // length)
         starts = np.empty(lanes, dtype=np.uint64)
         starts[0] = self._state

@@ -57,12 +57,12 @@ def reference_complex(seed, count):
     return np.array([complex(re, im) for re, im in zip(d[0::2], d[1::2])], dtype=np.complex128)
 
 
-# 0-3, both sides of the one-lane/laned switch, of whole lanes and of
-# power-of-two lane counts (jump doublings), and the benchmark's 172800
+# 0-3, both sides of one full lane, of whole lanes and of power-of-two lane
+# counts (jump doublings), and the benchmark's 172800
 LENGTH = rng_module._LANE_LENGTH
 LANE_BOUNDARY_COUNTS = sorted(
     {0, 1, 2, 3, 172800}
-    | {b + d for b in (rng_module._MIN_LANED, LENGTH * 64, LENGTH * 1000, LENGTH * 1024) for d in (-1, 0, 1)}
+    | {b + d for b in (LENGTH, LENGTH * 64, LENGTH * 1000, LENGTH * 1024) for d in (-1, 0, 1)}
 )
 
 
