@@ -33,7 +33,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     result.write(Path(out), fmt)

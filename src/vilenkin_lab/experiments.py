@@ -117,7 +117,11 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
             f"unknown parameters {unknown} for {experiment}; "
             f"accepted: {sorted(PARAMETER_KEYS[experiment])}"
         )
+    if parameters.get("family") == "from-file" and "function_path" not in parameters:
+        raise ValueError("family from-file needs parameters.function_path")
     output = raw.get("output", {})
+    if not isinstance(output, dict):
+        raise ValueError(f"output must be an object with path and format, got {output!r}")
     return ExperimentConfig(
         experiment=experiment,
         structure=structure,
@@ -248,8 +252,10 @@ def gram_error(vs: VilenkinStructure) -> float:
     mat = np.empty((vs.size, vs.size), dtype=np.complex128)
     for n in range(vs.size):
         mat[n] = character_column(n, vs)
-    gram = (mat @ mat.conj().T) / vs.size
-    return float(np.abs(gram - np.eye(vs.size)).max())
+    gram = mat @ mat.conj().T
+    gram /= vs.size
+    gram.flat[:: vs.size + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def parseval_worst_rel(vs: VilenkinStructure, rng: XorShift64Star, count: int) -> float:

@@ -222,7 +222,11 @@ def cylinder_cells(x: GroupPoint, depth: int, vs: VilenkinStructure) -> range:
 
 @lru_cache(maxsize=32)
 def cell_digit_table(vs: VilenkinStructure) -> np.ndarray:
-    """Digit matrix of shape (N, M[N]): row j holds digit j of every cell."""
+    """Digit matrix of shape (N, M[N]): row j holds digit j of every cell.
+
+    An int64 table of N * M[N] entries, read only by the direct
+    ``convolve`` oracle; the fast paths read digits as array axes.
+    """
     ids = np.arange(vs.size, dtype=np.int64)
     rows = np.empty((vs.N, vs.size), dtype=np.int64)
     for j in range(vs.N):
@@ -250,8 +254,11 @@ def rademacher_column(k: int, vs: VilenkinStructure) -> np.ndarray:
     """Values of the k-th generalized Rademacher function on all cells."""
     if not 0 <= k < vs.N:
         raise ResolutionError(f"coordinate {k} not below resolution {vs.N}")
-    digits = cell_digit_table(vs)[k]
-    return root_tables(vs)[k][digits]
+    # Cell ids are C order over vs.m, so digit k of a cell is the middle
+    # axis of the (M[k], m[k], rest) view.
+    col = np.empty(vs.size, dtype=np.complex128)
+    col.reshape(vs.M[k], vs.m[k], -1)[...] = root_tables(vs)[k][:, None]
+    return col
 
 
 def character_column(n: int, vs: VilenkinStructure) -> np.ndarray:
@@ -263,9 +270,9 @@ def character_column(n: int, vs: VilenkinStructure) -> np.ndarray:
     if not 0 <= n < vs.size:
         raise ResolutionError(f"character index {n} not below M[N] = {vs.size}")
     col = np.ones(vs.size, dtype=np.complex128)
-    digits = cell_digit_table(vs)
     roots = root_tables(vs)
     for j, nj in enumerate(index_to_digits(n, vs)):
         if nj:
-            col = col * roots[j][(nj * digits[j]) % vs.m[j]]
+            view = col.reshape(vs.M[j], vs.m[j], -1)
+            view *= roots[j][(nj * np.arange(vs.m[j])) % vs.m[j]][:, None]
     return col

@@ -99,19 +99,6 @@ def _stage_matrices(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-@lru_cache(maxsize=32)
-def _coeff_order(vs: VilenkinStructure) -> np.ndarray:
-    # After the stage loop, the flat array is indexed by coefficient digits
-    # packed in cell order; entry i of this table is the integer index
-    # sum_j digit_j(i) * M[j] of that packed position.
-    digits = cell_digit_table(vs)
-    order = np.zeros(vs.size, dtype=np.int64)
-    for j in range(vs.N):
-        order += digits[j] * vs.M[j]
-    order.setflags(write=False)
-    return order
-
-
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.ndarray:
     mats = _stage_matrices(vs)
     a = flat
@@ -128,15 +115,17 @@ def analyze(f: StepFunction) -> Spectrum:
     """Character coefficients of ``f`` via the factorized fast transform."""
     vs = f.vs
     packed = _run_stages(f.values, vs, conjugate=False)
-    coeffs = np.empty(vs.size, dtype=np.complex128)
-    coeffs[_coeff_order(vs)] = packed
-    return Spectrum(vs, coeffs / vs.size)
+    # Stage j leaves coefficient digit j on axis j of packed.reshape(vs.m);
+    # the index sum_j k_j * M[j] is C order over the reversed axes.
+    coeffs = packed.reshape(vs.m).transpose().reshape(-1)
+    coeffs /= vs.size
+    return Spectrum(vs, coeffs)
 
 
 def synthesize(s: Spectrum) -> StepFunction:
     """Step function with the given coefficients (inverse of analyze)."""
     vs = s.vs
-    packed = s.coeffs[_coeff_order(vs)]
+    packed = s.coeffs.reshape(vs.m[::-1]).transpose().reshape(-1)
     return StepFunction(vs, _run_stages(packed, vs, conjugate=True))
 
 

@@ -20,8 +20,12 @@ from vilenkin_lab.structure import (
     GroupPoint,
     VilenkinStructure,
     add_points,
+    cell_digit_table,
     cell_to_point,
+    character_column,
     index_to_digits,
+    rademacher_column,
+    root_tables,
     zero_point,
 )
 
@@ -126,6 +130,48 @@ class TestCharacter:
                     prod = character_values(t * vs.M[n], vs) * character_values(j, vs)
                     whole = character_values(t * vs.M[n] + j, vs)
                     assert np.abs(whole - prod).max() < 1e-12
+
+
+AXIS_STRUCTURES = [(5,), (7, 3), (2, 3, 2, 3), (7, 2, 7), (3, 2, 5, 4, 2), (2, 3, 4, 5, 2)]
+
+
+class TestColumnsFromAxes:
+    # The columns read cell digits as array axes; the formulas below index
+    # the digit table instead, and the two must agree bit for bit.
+
+    @staticmethod
+    def table_character(n, vs):
+        col = np.ones(vs.size, dtype=np.complex128)
+        digits = cell_digit_table(vs)
+        for j, nj in enumerate(index_to_digits(n, vs)):
+            if nj:
+                col = col * root_tables(vs)[j][(nj * digits[j]) % vs.m[j]]
+        return col
+
+    @pytest.mark.parametrize("gens", AXIS_STRUCTURES)
+    def test_character_column_bitwise_equal_to_digit_table(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        for n in range(vs.size):
+            assert character_column(n, vs).tobytes() == self.table_character(n, vs).tobytes()
+
+    @pytest.mark.parametrize("gens", AXIS_STRUCTURES)
+    def test_rademacher_column_bitwise_equal_to_digit_table(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        for k in range(vs.N):
+            expected = root_tables(vs)[k][cell_digit_table(vs)[k]]
+            assert rademacher_column(k, vs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("gens", [(5,), (2, 3, 2, 3)])
+    def test_columns_are_fresh_writable_arrays(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        for make, arg in ((character_column, vs.size - 1), (character_column, 0),
+                          (rademacher_column, vs.N - 1)):
+            col = make(arg, vs)
+            expected = col.copy()
+            assert col.flags.writeable
+            assert not any(np.shares_memory(col, t) for t in root_tables(vs))
+            col[:] = 0
+            assert make(arg, vs).tobytes() == expected.tobytes()
 
 
 class TestDirichletKernel:

@@ -92,6 +92,26 @@ class TestConfigLoading:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "from-file"}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "from-file", "function_path": "missing.json"}},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "output": "x.csv"},
+        ],
+        ids=["no-function-path", "missing-function-file", "output-not-object"],
+    )
+    def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist
+        cfg = write_config(tmp_path, "bad.json", payload)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gram_matrix_size_guard(self):
         from vilenkin_lab.experiments import run_gram
         cfg = load_config({"experiment": "gram",
@@ -253,3 +273,29 @@ class TestFamilies:
             "seed": 1,
         })
         assert main(["run", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+
+
+class TestGramError:
+    @pytest.mark.parametrize("gens", [(2,) * 10, (3, 2, 5, 4, 2)])
+    def test_equal_to_identity_difference_formula(self, gens):
+        import numpy as np
+        from vilenkin_lab.experiments import gram_error
+        from vilenkin_lab.structure import character_column
+
+        vs = VilenkinStructure.from_m(gens)
+        mat = np.array([character_column(n, vs) for n in range(vs.size)])
+        expected = float(np.abs((mat @ mat.conj().T) / vs.size - np.eye(vs.size)).max())
+        assert gram_error(vs) == expected
+
+    def test_peak_memory_is_three_matrices(self):
+        import tracemalloc
+        from vilenkin_lab.experiments import gram_error
+
+        vs = VilenkinStructure.from_pattern((2,), 10)
+        tracemalloc.start()
+        try:
+            gram_error(vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 16 * vs.size**2

@@ -1,14 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import character_values, dirichlet_kernel, fejer_kernel
 from vilenkin_lab.rng import XorShift64Star
-from vilenkin_lab.structure import VilenkinStructure, cell_to_point, cylinder_cells, zero_point
+from vilenkin_lab.structure import (
+    VilenkinStructure,
+    cell_digit_table,
+    cell_to_point,
+    cylinder_cells,
+    zero_point,
+)
 from vilenkin_lab.transform import (
     FejerWeight,
     Spectrum,
     StepFunction,
+    _run_stages,
     analyze,
     condexp,
     convolve,
@@ -70,6 +79,44 @@ class TestAnalyze:
         mat = np.array([character_values(n, mixed232) for n in range(mixed232.size)])
         gram = mat @ mat.conj().T / mixed232.size
         assert np.abs(gram - np.eye(mixed232.size)).max() < 1e-12
+
+
+class TestCoefficientOrder:
+    # The coefficient order is a transpose of the stage output's axes; the
+    # digit-table gather/scatter it replaced must give the same bits.
+
+    @staticmethod
+    def table_order(vs):
+        digits = cell_digit_table(vs)
+        return sum(digits[j] * vs.M[j] for j in range(vs.N))
+
+    @pytest.mark.parametrize(
+        "gens", [(2,) * 6, (2, 3, 2, 3), (3, 2, 5, 4, 2), (2, 3, 4, 5, 2), (5,), (7, 3)]
+    )
+    def test_bitwise_equal_to_digit_table_permutation(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        order = self.table_order(vs)
+        f = random_function(vs, 71)
+        coeffs = np.empty(vs.size, dtype=np.complex128)
+        coeffs[order] = _run_stages(f.values, vs, conjugate=False)
+        assert analyze(f).coeffs.tobytes() == (coeffs / vs.size).tobytes()
+        s = random_spectrum(vs, 72)
+        values = _run_stages(s.coeffs[order], vs, conjugate=True)
+        assert synthesize(s).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("gens", [(2,) * 16, (3, 4, 5) * 3])
+    def test_first_analyze_peak_memory(self, gens):
+        # A fresh structure builds no per-cell index table: the transient
+        # peak stays a small multiple of the array itself.
+        vs = VilenkinStructure.from_m(gens)
+        f = random_function(vs, 73)
+        tracemalloc.start()
+        try:
+            analyze(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * f.values.nbytes
 
 
 class TestSynthesize:
