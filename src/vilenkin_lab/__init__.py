@@ -29,7 +29,6 @@ from .transform import (
     condexp,
     convolve,
     fejer_mean,
-    fejer_weight,
     maximal_function,
     partial_sum,
     synthesize,
@@ -37,13 +36,11 @@ from .transform import (
 )
 from .kernels import (
     character,
-    character_values,
     dirichlet_kernel,
     fejer_kernel,
     fejer_lower_bound_cells,
     lacunary_index,
     rademacher,
-    rademacher_values,
     verify_fejer_lower_bounds,
 )
 from .norms import (

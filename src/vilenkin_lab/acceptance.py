@@ -22,7 +22,6 @@ import numpy as np
 from . import frozen
 from .counterexamples import (
     CriticalExample,
-    SparseCriticalExample,
     build_critical_example,
     build_sparse_critical_example,
     kernel_halfnorm_scan,
@@ -97,7 +96,7 @@ class Workspace:
             ("dense", p), lambda: build_critical_example(p, 10, self.walsh(11))
         )
 
-    def sparse_example(self) -> SparseCriticalExample:
+    def sparse_example(self) -> CriticalExample:
         return self._get("sparse", lambda: build_sparse_critical_example(3, self.walsh(17)))
 
 

@@ -27,7 +27,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg.seed = args.seed
         cfg.raw["seed"] = args.seed
     fmt = args.format or cfg.output_format
-    out = args.out or cfg.output_path or f"{cfg.experiment}.{fmt}"
+    out = Path(args.out or cfg.output_path or f"{cfg.experiment}.{fmt}")
+    if not out.parent.is_dir():
+        print(f"config error: output directory {out.parent} does not exist", file=sys.stderr)
+        return 2
     try:
         result = run_experiment(cfg, cap=args.cells_cap)
     except CapacityError as exc:
@@ -36,7 +39,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    result.write(Path(out), fmt)
+    try:
+        result.write(out, fmt)
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     for msg in result.messages:
         print(msg, file=sys.stderr)
     print(f"wrote {len(result.records)} records to {out} (exit {result.exit_code})")

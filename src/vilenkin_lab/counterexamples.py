@@ -21,6 +21,7 @@ estimated) tail contribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +65,11 @@ def critical_atom(k: int, p: float, vs: VilenkinStructure) -> StepFunction:
 
 @dataclass
 class CriticalExample:
-    """Dense-family martingale truncated at ``depth`` (exponent p < 1/2)."""
+    """Martingale of either family, truncated at ``depth``.
+
+    The dense family has exponent p < 1/2 and ``depth`` is its top scale;
+    the sparse family has p = 1/2 and ``depth`` counts its atoms.
+    """
 
     p: float
     depth: int
@@ -120,12 +125,13 @@ class ModulusRow:
     ratio_power: float
 
 
-def modulus_ratio_report(ex: CriticalExample, ns: list[int]) -> list[ModulusRow]:
-    """Modulus of continuity against the rate M[n]^-(1/p - 2), per level."""
+def _modulus_rows(
+    ex: CriticalExample, ns: list[int], rate: Callable[[int], float]
+) -> list[ModulusRow]:
     rows = []
     for n in ns:
         omega = modulus_of_continuity(ex.spectrum, n, ex.p)
-        bound = float(ex.vs.M[n]) ** -(1.0 / ex.p - 2.0)
+        bound = rate(n)
         ratio = omega / bound
         rows.append(
             ModulusRow(
@@ -135,25 +141,31 @@ def modulus_ratio_report(ex: CriticalExample, ns: list[int]) -> list[ModulusRow]
     return rows
 
 
-def weak_divergence_statistic(ex: CriticalExample, k: int, form: str = "p_power") -> float:
+def modulus_ratio_report(ex: CriticalExample, ns: list[int]) -> list[ModulusRow]:
+    """Modulus of continuity against the rate M[n]^-(1/p - 2), per level."""
+    return _modulus_rows(ex, ns, lambda n: float(ex.vs.M[n]) ** -(1.0 / ex.p - 2.0))
+
+
+def _fejer_gap(ex: CriticalExample, order: int) -> StepFunction:
+    return fejer_mean(ex.spectrum, order) - ex.function()
+
+
+def weak_divergence_statistic(ex: CriticalExample, k: int) -> float:
     """Weak quasinorm of the Fejer gap at order M[k] + 1.
 
-    Defaults to the p-powered form sup_v v^p * measure(|gap| >= v), the
-    quantity the divergence gates are calibrated on; ``form="root"`` gives
-    its homogeneous 1/p-th root instead.
+    The p-powered form sup_v v^p * measure(|gap| >= v), the quantity the
+    divergence gates are calibrated on.
     """
     if k >= ex.depth:
         raise ValueError(f"scale {k} not below truncation depth {ex.depth}")
-    gap = fejer_mean(ex.spectrum, ex.vs.M[k] + 1) - ex.function()
-    return weak_lp_quasinorm(gap, ex.p, form=form)
+    return weak_lp_quasinorm(_fejer_gap(ex, ex.vs.M[k] + 1), ex.p, form="p_power")
 
 
 def block_gap_norm(ex: CriticalExample, k: int) -> float:
     """Companion statistic: plain quasinorm of the gap at order M[k]."""
     if k > ex.vs.N:
         raise ValueError(f"scale {k} exceeds resolution {ex.vs.N}")
-    gap = fejer_mean(ex.spectrum, ex.vs.M[k]) - ex.function()
-    return lp_quasinorm(gap, ex.p)
+    return lp_quasinorm(_fejer_gap(ex, ex.vs.M[k]), ex.p)
 
 
 def sparse_required_resolution(depth: int, vs: VilenkinStructure) -> int:
@@ -179,24 +191,7 @@ def sparse_critical_atom(i: int, vs: VilenkinStructure) -> StepFunction:
     return scale * diff
 
 
-@dataclass
-class SparseCriticalExample:
-    """Sparse-family martingale truncated at ``depth`` (exponent 1/2)."""
-
-    depth: int
-    vs: VilenkinStructure
-    spectrum: Spectrum
-    decomposition: AtomicDecomposition
-
-    @property
-    def p(self) -> float:
-        return 0.5
-
-    def function(self) -> StepFunction:
-        return synthesize(self.spectrum)
-
-
-def build_sparse_critical_example(depth: int, vs: VilenkinStructure) -> SparseCriticalExample:
+def build_sparse_critical_example(depth: int, vs: VilenkinStructure) -> CriticalExample:
     """Assemble the sparse family up to scale ``depth``.
 
     Coefficient block i carries M[2*M[i]] / M[i]^2 on the block starting
@@ -220,7 +215,8 @@ def build_sparse_critical_example(depth: int, vs: VilenkinStructure) -> SparseCr
         weights.append(vs.lam / (vs.M[i] * vs.M[i]))
         atoms.append(sparse_critical_atom(i, vs))
         intervals.append(CylinderInterval(zero_point(vs), j))
-    return SparseCriticalExample(
+    return CriticalExample(
+        p=0.5,
         depth=depth,
         vs=vs,
         spectrum=_block_spectrum(vs, blocks),
@@ -230,22 +226,12 @@ def build_sparse_critical_example(depth: int, vs: VilenkinStructure) -> SparseCr
     )
 
 
-def sparse_modulus_ratio_report(
-    ex: SparseCriticalExample, ns: list[int]
-) -> list[ModulusRow]:
+def sparse_modulus_ratio_report(ex: CriticalExample, ns: list[int]) -> list[ModulusRow]:
     """Modulus of continuity against the rate 1 / n^2, per level."""
-    rows = []
-    for n in ns:
-        omega = modulus_of_continuity(ex.spectrum, n, 0.5)
-        bound = 1.0 / (n * n)
-        ratio = omega / bound
-        rows.append(
-            ModulusRow(n=n, omega=omega, bound=bound, ratio=ratio, ratio_power=ratio**0.5)
-        )
-    return rows
+    return _modulus_rows(ex, ns, lambda n: 1.0 / (n * n))
 
 
-def sparse_divergence_statistic(ex: SparseCriticalExample, k: int) -> float:
+def sparse_divergence_statistic(ex: CriticalExample, k: int) -> float:
     """Half-exponent quasinorm of the Fejer gap at the lacunary order.
 
     The Fejer order is the lacunary index at level M[k]; a capacity error
@@ -259,8 +245,7 @@ def sparse_divergence_statistic(ex: SparseCriticalExample, k: int) -> float:
         raise CapacityError(
             f"Fejer order {order} exceeds M[N] = {vs.size}; increase resolution"
         )
-    gap = fejer_mean(ex.spectrum, order) - ex.function()
-    return lp_quasinorm(gap, 0.5)
+    return lp_quasinorm(_fejer_gap(ex, order), ex.p)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from . import frozen
 from .errors import CapacityError
 from .counterexamples import (
     CriticalExample,
-    SparseCriticalExample,
     build_critical_example,
     build_sparse_critical_example,
     block_gap_norm,
@@ -34,7 +33,7 @@ from .counterexamples import (
     weak_divergence_statistic,
 )
 from .kernels import dirichlet_kernel, verify_fejer_lower_bounds, fejer_lower_bound_cells
-from .norms import AtomCertificate, hardy_norm, lp_quasinorm, validate_atom
+from .norms import AtomCertificate, hardy_norm, lp_quasinorm, modulus_of_continuity, validate_atom
 from .reporting import ExperimentRecord, config_hash, write_records
 from .rng import XorShift64Star
 from .serialize import load_function, save_function
@@ -50,6 +49,7 @@ from .transform import (
     Spectrum,
     StepFunction,
     analyze,
+    fejer_coefficients,
     fejer_mean,
     iter_fejer_means,
     synthesize,
@@ -119,6 +119,8 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         )
     if parameters.get("family") == "from-file" and "function_path" not in parameters:
         raise ValueError("family from-file needs parameters.function_path")
+    if "function_path" in parameters and parameters.get("family") != "from-file":
+        raise ValueError("parameters.function_path is read only with family from-file")
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ValueError(f"output must be an object with path and format, got {output!r}")
@@ -194,11 +196,7 @@ def family_smoothed_indicator(
     values = np.zeros(vs.size, dtype=np.complex128)
     cells = cylinder_cells(cell_to_point(base_cell, vs), base_depth, vs)
     values[cells.start : cells.stop] = 1.0
-    spec = analyze(StepFunction(vs, values))
-    window = vs.M[window_level]
-    out = np.zeros(vs.size, dtype=np.complex128)
-    out[:window] = spec.coeffs[:window] * (1.0 - np.arange(window) / window)
-    return Spectrum(vs, out)
+    return fejer_coefficients(analyze(StepFunction(vs, values)), vs.M[window_level])
 
 
 def family_damped_critical(vs: VilenkinStructure, depth: int, damping: float) -> Spectrum:
@@ -383,9 +381,7 @@ def run_convergence(cfg: ExperimentConfig, cap: int | None = None) -> Experiment
         for n in _log_spaced_orders(vs, points):
             gap = lp_quasinorm(fejer_mean(spec, n) - f, p)
             pos = leading_position(n, vs) if n < vs.size else vs.N
-            tail = spec.coeffs.copy()
-            tail[: vs.M[pos]] = 0.0
-            omega = hardy_norm(Spectrum(vs, tail), p)
+            omega = modulus_of_continuity(spec, pos, p)
             bound_term = weight.at(n) * omega if weight else float("nan")
             records.append(
                 _rec(
@@ -429,7 +425,7 @@ def dense_law_error(ex: CriticalExample) -> float:
     return float(np.abs(ex.spectrum.coeffs - expected).max())
 
 
-def sparse_law_error(ex: SparseCriticalExample) -> float:
+def sparse_law_error(ex: CriticalExample) -> float:
     """Max deviation of the sparse spectrum from M[j] / M[i]^2 on block j = 2 M[i]."""
     vs = ex.vs
     expected = np.zeros(vs.size, dtype=np.complex128)
@@ -439,7 +435,7 @@ def sparse_law_error(ex: SparseCriticalExample) -> float:
     return float(np.abs(ex.spectrum.coeffs - expected).max())
 
 
-def atom_certificates(ex: CriticalExample | SparseCriticalExample) -> list[AtomCertificate]:
+def atom_certificates(ex: CriticalExample) -> list[AtomCertificate]:
     """One certificate per atom of the example's decomposition, in order."""
     d = ex.decomposition
     return [validate_atom(a, d.p, iv) for a, iv in zip(d.atoms, d.intervals)]
@@ -496,7 +492,7 @@ def run_counterexample_2a(cfg: ExperimentConfig, cap: int | None = None) -> Expe
     worst_stat = float("inf")
     for k in range(k_lo, k_hi + 1):
         stat = weak_divergence_statistic(ex, k)
-        root = weak_divergence_statistic(ex, k, form="root")
+        root = stat ** (1.0 / ex.p)  # bit for bit the root form of weak_lp_quasinorm
         companion = block_gap_norm(ex, k)
         worst_stat = min(worst_stat, stat)
         records.append(

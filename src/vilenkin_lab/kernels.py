@@ -19,13 +19,15 @@ from .structure import (
     VilenkinStructure,
     add_points,
     basis_point,
-    character_column,
     cylinder_cells,
     index_to_digits,
-    rademacher_column,
     root_tables,
 )
-from .transform import Spectrum, StepFunction, synthesize
+from .transform import Spectrum, StepFunction, fejer_mean, partial_sum
+
+# Slack on the worst margin of the lower-bound check: the kernel is
+# synthesized in floating point, the bounds are exact.
+BOUND_SLACK = 1e-9
 
 
 def rademacher(k: int, x: GroupPoint, vs: VilenkinStructure) -> complex:
@@ -46,40 +48,20 @@ def character(n: int, x: GroupPoint, vs: VilenkinStructure) -> complex:
     return value
 
 
-def rademacher_values(k: int, vs: VilenkinStructure) -> np.ndarray:
-    """k-th Rademacher function on every cell, in cell order."""
-    return rademacher_column(k, vs)
-
-
-def character_values(n: int, vs: VilenkinStructure) -> np.ndarray:
-    """n-th character on every cell, in cell order."""
-    return character_column(n, vs)
+def _all_ones(vs: VilenkinStructure) -> Spectrum:
+    return Spectrum(vs, np.ones(vs.size, dtype=np.complex128))
 
 
 def dirichlet_kernel(n: int, vs: VilenkinStructure) -> StepFunction:
     """Sum of the first ``n`` characters, for 1 <= n <= M[N]."""
     if n < 1:
         raise ValueError(f"Dirichlet kernel needs order >= 1, got {n}")
-    if n > vs.size:
-        raise ResolutionError(f"Dirichlet order {n} exceeds M[N] = {vs.size}")
-    coeffs = np.zeros(vs.size, dtype=np.complex128)
-    coeffs[:n] = 1.0
-    return synthesize(Spectrum(vs, coeffs))
+    return partial_sum(_all_ones(vs), n)
 
 
 def fejer_kernel(n: int, vs: VilenkinStructure) -> StepFunction:
-    """Arithmetic mean of the first ``n`` Dirichlet kernels.
-
-    Coefficient j equals 1 - j/n for j < n, so the kernel is synthesized
-    directly instead of averaging n Dirichlet kernels.
-    """
-    if n < 1:
-        raise ValueError(f"Fejer kernel needs order >= 1, got {n}")
-    if n > vs.size:
-        raise ResolutionError(f"Fejer order {n} exceeds M[N] = {vs.size}")
-    coeffs = np.zeros(vs.size, dtype=np.complex128)
-    coeffs[:n] = 1.0 - np.arange(n) / n
-    return synthesize(Spectrum(vs, coeffs))
+    """Arithmetic mean of the first ``n`` Dirichlet kernels, for 1 <= n <= M[N]."""
+    return fejer_mean(_all_ones(vs), n)
 
 
 def lacunary_index(level: int, vs: VilenkinStructure) -> int:
@@ -164,7 +146,6 @@ class BoundCheck:
 def verify_fejer_lower_bounds(
     level: int,
     vs: VilenkinStructure,
-    slack: float = 1e-9,
     catalogue: list[LowerBoundCell] | None = None,
 ) -> BoundCheck:
     """Check every catalogued cylinder against the scaled Fejer kernel.
@@ -184,7 +165,7 @@ def verify_fejer_lower_bounds(
         worst = min(worst, margin)
         checked += len(entry.cells)
     return BoundCheck(
-        ok=(not catalogue) or worst >= -slack,
+        ok=(not catalogue) or worst >= -BOUND_SLACK,
         kernel_index=index,
         entries=len(catalogue),
         cells_checked=checked,

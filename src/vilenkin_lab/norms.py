@@ -24,10 +24,10 @@ from .structure import GroupPoint, VilenkinStructure, cylinder_cells
 from .transform import (
     Spectrum,
     StepFunction,
+    _block_maximum,
     analyze,
     maximal_function,
     partial_sum,
-    synthesize,
 )
 
 
@@ -265,7 +265,9 @@ def norm_report(
     if p <= 0:
         raise ValueError(f"exponent must be positive, got {p}")
     weak_p, levels, measure = _weak_level_scan(f, p)
-    hardy = hardy_norm(analyze(f), p) if with_hardy else None
+    # f is the finest level of its martingale, so its own values carry
+    # every conditional expectation the maximal function needs.
+    hardy = lp_quasinorm(_block_maximum(f), p) if with_hardy else None
     return NormReport(
         p=p,
         lp=lp_quasinorm(f, p),

@@ -215,17 +215,22 @@ def condexp(s: Spectrum, level: int) -> StepFunction:
     return StepFunction(vs, np.repeat(means, width))
 
 
-def maximal_function(s: Spectrum) -> StepFunction:
-    """Pointwise maximum of |conditional expectation| over all levels."""
-    vs = s.vs
-    values = synthesize(s).values
-    best = np.abs(values)
-    means = values
+def _block_maximum(f: StepFunction) -> StepFunction:
+    # Pyramid of block means from the finest level down, each level's
+    # magnitude spread over its block and folded into the running maximum.
+    vs = f.vs
+    best = np.abs(f.values)
+    means = f.values
     for level in range(vs.N - 1, -1, -1):
         means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
         blocks = best.reshape(vs.M[level], -1)
         np.maximum(blocks, np.abs(means)[:, None], out=blocks)
     return StepFunction(vs, best.astype(np.complex128))
+
+
+def maximal_function(s: Spectrum) -> StepFunction:
+    """Pointwise maximum of |conditional expectation| over all levels."""
+    return _block_maximum(synthesize(s))
 
 
 @dataclass(frozen=True)
@@ -249,10 +254,6 @@ class FejerWeight:
 
     def at(self, n: int) -> float:
         return (n + 1.0) ** self.exponent * math.log(n + 1.0) ** self.log_power
-
-
-def fejer_weight(n: int, p: float) -> float:
-    return FejerWeight.for_p(p).at(n)
 
 
 def iter_fejer_means(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,11 @@ import pytest
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import (
     character,
-    character_values,
     dirichlet_kernel,
     fejer_kernel,
     fejer_lower_bound_cells,
     lacunary_index,
     rademacher,
-    rademacher_values,
     verify_fejer_lower_bounds,
 )
 from vilenkin_lab.structure import (
@@ -53,7 +52,7 @@ class TestRademacher:
 
     def test_unit_modulus_and_order(self, mixed2323):
         for k in range(mixed2323.N):
-            col = rademacher_values(k, mixed2323)
+            col = rademacher_column(k, mixed2323)
             assert np.abs(np.abs(col) - 1).max() < 1e-12
             assert np.abs(col ** mixed2323.m[k] - 1).max() < 1e-12
 
@@ -64,15 +63,15 @@ class TestRademacher:
 
 class TestCharacter:
     def test_trivial_character(self, mixed2323):
-        assert np.abs(character_values(0, mixed2323) - 1).max() == 0
+        assert np.abs(character_column(0, mixed2323) - 1).max() == 0
 
     def test_walsh_first_character(self, walsh3):
         assert character(1, GroupPoint((1, 0, 0)), walsh3) == pytest.approx(-1)
 
     def test_scale_index_is_rademacher(self, mixed2323):
         for k in range(mixed2323.N):
-            col = character_values(mixed2323.M[k], mixed2323)
-            assert np.abs(col - rademacher_values(k, mixed2323)).max() < 1e-12
+            col = character_column(mixed2323.M[k], mixed2323)
+            assert np.abs(col - rademacher_column(k, mixed2323)).max() < 1e-12
 
     def test_matches_direct_product_formula(self, mixed232):
         for n in range(mixed232.size):
@@ -84,7 +83,7 @@ class TestCharacter:
 
     def test_column_matches_pointwise(self, mixed2323):
         for n in range(0, mixed2323.size, 5):
-            col = character_values(n, mixed2323)
+            col = character_column(n, mixed2323)
             for cell in range(0, mixed2323.size, 7):
                 x = cell_to_point(cell, mixed2323)
                 assert col[cell] == pytest.approx(character(n, x, mixed2323))
@@ -118,8 +117,8 @@ class TestCharacter:
             da = index_to_digits(a, vs)
             db = index_to_digits(b, vs)
             c = sum(((x + y) % vs.m[j]) * vs.M[j] for j, (x, y) in enumerate(zip(da, db)))
-            prod = character_values(a, vs) * character_values(b, vs)
-            assert np.abs(prod - character_values(c, vs)).max() < 1e-12
+            prod = character_column(a, vs) * character_column(b, vs)
+            assert np.abs(prod - character_column(c, vs)).max() < 1e-12
 
     def test_no_carry_index_splitting(self, mixed2323):
         # for t < m[n] and j < M[n] the index t*M[n] + j factors the character
@@ -127,8 +126,8 @@ class TestCharacter:
         for n in range(1, vs.N):
             for t in range(1, vs.m[n]):
                 for j in range(vs.M[n]):
-                    prod = character_values(t * vs.M[n], vs) * character_values(j, vs)
-                    whole = character_values(t * vs.M[n] + j, vs)
+                    prod = character_column(t * vs.M[n], vs) * character_column(j, vs)
+                    whole = character_column(t * vs.M[n] + j, vs)
                     assert np.abs(whole - prod).max() < 1e-12
 
 
@@ -189,7 +188,7 @@ class TestDirichletKernel:
         for n in (2, 3, 5, 7, 8):
             brute = np.zeros(walsh3.size, dtype=np.complex128)
             for k in range(n):
-                brute += character_values(k, walsh3)
+                brute += character_column(k, walsh3)
             assert np.abs(dirichlet_kernel(n, walsh3).values - brute).max() < 1e-12
 
     def test_value_at_zero_and_integral(self, mixed2323):
@@ -210,7 +209,7 @@ class TestDirichletKernel:
         # D_{M[n] + j} = D_{M[n]} + character(M[n]) * D_j for j <= M[n]
         vs = mixed2323
         for n in range(1, vs.N):
-            psi = character_values(vs.M[n], vs)
+            psi = character_column(vs.M[n], vs)
             base = dirichlet_kernel(vs.M[n], vs).values
             for j in range(1, vs.M[n] + 1):
                 lhs = dirichlet_kernel(vs.M[n] + j, vs).values
@@ -218,10 +217,11 @@ class TestDirichletKernel:
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_order_bounds(self, mixed232):
-        with pytest.raises(ValueError):
-            dirichlet_kernel(0, mixed232)
-        with pytest.raises(ResolutionError):
-            dirichlet_kernel(13, mixed232)
+        for kernel in (dirichlet_kernel, fejer_kernel):
+            with pytest.raises(ValueError):
+                kernel(0, mixed232)
+            with pytest.raises(ResolutionError):
+                kernel(13, mixed232)
 
 
 class TestFejerKernel:
@@ -303,3 +303,14 @@ class TestLowerBoundCatalogue:
         vs = VilenkinStructure.from_m((2, 3, 2, 3, 2))
         check = verify_fejer_lower_bounds(3, vs)
         assert check.ok
+
+    def test_substituted_catalogue_can_fail(self):
+        # a catalogue asking for more than the kernel gives on one cylinder
+        vs = VilenkinStructure.from_pattern((2,), 5)
+        cat = fejer_lower_bound_cells(3, vs)
+        margin = verify_fejer_lower_bounds(3, vs, catalogue=cat[:1]).worst_margin
+        raised = [replace(cat[0], bound=cat[0].bound + margin + 1.0)]
+        check = verify_fejer_lower_bounds(3, vs, catalogue=raised)
+        assert not check.ok
+        assert check.worst_margin == pytest.approx(-1.0)
+        assert check.entries == 1 and check.cells_checked == len(cat[0].cells)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from vilenkin_lab import cli
+from vilenkin_lab.acceptance import CriterionResult
 from vilenkin_lab.cli import main
 from vilenkin_lab.experiments import (
     build_structure,
@@ -101,8 +103,11 @@ class TestConfigLoading:
              "parameters": {"family": "from-file", "function_path": "missing.json"}},
             {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
              "output": "x.csv"},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"function_path": "missing.json"}},
         ],
-        ids=["no-function-path", "missing-function-file", "output-not-object"],
+        ids=["no-function-path", "missing-function-file", "output-not-object",
+             "function-path-without-from-file"],
     )
     def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist
@@ -136,6 +141,17 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out1)]) == 0
         assert main(["run", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        cfg = small_2a_config(tmp_path)
+        # a missing directory is refused before the experiment runs
+        assert main(["run", str(cfg), "--out", str(tmp_path / "nodir" / "x.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "nodir").exists()
+        # a failed write is reported the same way
+        (tmp_path / "taken.csv").mkdir()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "taken.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_capacity_exit_code(self, tmp_path):
         cfg = small_2a_config(tmp_path)
@@ -190,11 +206,28 @@ class TestShippedConfigs:
         assert result.exit_code == 0, result.messages
         result.write(tmp_path / "out.csv", "csv")
 
-    def test_check_command_with_relaxed_gate(self, capsys):
+    def test_check_command_with_relaxed_gate(self, capsys, monkeypatch):
+        # The gate suite itself runs in test_acceptance; here only the
+        # command's wiring: the speed-up reaches run_all, verdicts set the exit.
+        seen = []
+
+        def fake_run_all(min_speedup, echo):
+            seen.append(min_speedup)
+            results = [CriterionResult(k, f"c{k}", True, "", 0.0) for k in (1, 2)]
+            results[1].passed = passing
+            for r in results:
+                echo(r.line())
+            return results
+
+        monkeypatch.setattr(cli, "run_all", fake_run_all)
+        passing = True
         assert main(["check", "--min-speedup", "1"]) == 0
+        assert seen == [1.0] and isinstance(seen[0], float)
+        assert "2/2 criteria passed" in capsys.readouterr().out
+        passing = False
+        assert main(["check", "--min-speedup", "1"]) == 2
         out = capsys.readouterr().out
-        assert out.count("PASS") == 12
-        assert "12/12 criteria passed" in out
+        assert "FAIL c2" in out and "1/2 criteria passed" in out
 
     def test_maximal_bound_without_small_p_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "mb.json", {

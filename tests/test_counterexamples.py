@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vilenkin_lab.errors import CapacityError
-from vilenkin_lab.kernels import character_values, dirichlet_kernel, lacunary_index
+from vilenkin_lab.kernels import dirichlet_kernel, lacunary_index
 from vilenkin_lab.counterexamples import (
     block_gap_norm,
     build_critical_example,
@@ -15,8 +15,8 @@ from vilenkin_lab.counterexamples import (
     sparse_modulus_ratio_report,
     weak_divergence_statistic,
 )
-from vilenkin_lab.norms import modulus_of_continuity, validate_atom
-from vilenkin_lab.structure import VilenkinStructure
+from vilenkin_lab.norms import modulus_of_continuity, validate_atom, weak_lp_quasinorm
+from vilenkin_lab.structure import VilenkinStructure, character_column
 from vilenkin_lab.transform import Spectrum, analyze, condexp, fejer_mean, partial_sum, synthesize
 from vilenkin_lab.norms import assemble_from_atoms
 
@@ -140,7 +140,7 @@ class TestDenseMartingaleStructure:
                 partial_sum(dense_small.spectrum, vs.M[k] + 1).values
                 - partial_sum(dense_small.spectrum, vs.M[k]).values
             )
-            expected = vs.M[k] * character_values(vs.M[k], vs)
+            expected = vs.M[k] * character_column(vs.M[k], vs)
             assert np.abs(diff - expected).max() < 1e-10
 
 
@@ -153,10 +153,14 @@ class TestDenseReports:
             assert row.ratio_power == pytest.approx(row.ratio**0.25)
 
     def test_divergence_forms(self, dense_small):
-        power = weak_divergence_statistic(dense_small, 1)
-        root = weak_divergence_statistic(dense_small, 1, form="root")
-        assert power == pytest.approx(root**0.25)
-        assert power > 0
+        # the statistic is the p-powered weak quasinorm of the Fejer gap at M[k] + 1
+        vs = dense_small.vs
+        for k in (1, 2):
+            gap = fejer_mean(dense_small.spectrum, vs.M[k] + 1) - synthesize(dense_small.spectrum)
+            power = weak_divergence_statistic(dense_small, k)
+            assert power == weak_lp_quasinorm(gap, 0.25, "p_power")
+            assert power ** (1 / 0.25) == weak_lp_quasinorm(gap, 0.25)
+            assert power > 0
 
     def test_divergence_scale_guard(self, dense_small):
         with pytest.raises(ValueError):
@@ -210,7 +214,7 @@ class TestSparseIdentities:
         # block start is the modulated Dirichlet kernel of the overhang
         vs = sparse_small.vs
         base = partial_sum(sparse_small.spectrum, 16).values
-        psi = character_values(16, vs)
+        psi = character_column(16, vs)
         for j in range(17, lacunary_index(vs.M[1], vs) + 1):
             lhs = partial_sum(sparse_small.spectrum, j).values
             rhs = base + 4.0 * psi * dirichlet_kernel(j - 16, vs).values

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vilenkin_lab.kernels import character_values, dirichlet_kernel
+from vilenkin_lab.kernels import dirichlet_kernel
 from vilenkin_lab.norms import (
     AtomicDecomposition,
     _weak_level_scan,
@@ -16,7 +16,7 @@ from vilenkin_lab.norms import (
     weak_lp_quasinorm,
 )
 from vilenkin_lab.rng import XorShift64Star
-from vilenkin_lab.structure import VilenkinStructure, zero_point
+from vilenkin_lab.structure import VilenkinStructure, character_column, zero_point
 from vilenkin_lab.transform import Spectrum, StepFunction, analyze, synthesize
 
 
@@ -43,7 +43,7 @@ class TestLpQuasinorm:
 
     def test_characters_are_unimodular(self, mixed2323):
         for n in (1, 7, 20):
-            f = StepFunction(mixed2323, character_values(n, mixed2323))
+            f = StepFunction(mixed2323, character_column(n, mixed2323))
             for p in (0.25, 1.0, 3.0):
                 assert lp_quasinorm(f, p) == pytest.approx(1.0)
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from vilenkin_lab.errors import ResolutionError
-from vilenkin_lab.kernels import character_values, dirichlet_kernel, fejer_kernel
+from vilenkin_lab.kernels import dirichlet_kernel, fejer_kernel
 from vilenkin_lab.rng import XorShift64Star
 from vilenkin_lab.structure import (
     VilenkinStructure,
     cell_digit_table,
     cell_to_point,
+    character_column,
     cylinder_cells,
     zero_point,
 )
@@ -22,7 +23,6 @@ from vilenkin_lab.transform import (
     condexp,
     convolve,
     fejer_mean,
-    fejer_weight,
     iter_fejer_means,
     maximal_function,
     naive_analyze,
@@ -76,7 +76,7 @@ class TestAnalyze:
             assert abs(lhs - rhs) / lhs < 1e-10
 
     def test_orthonormality_small_gram(self, mixed232):
-        mat = np.array([character_values(n, mixed232) for n in range(mixed232.size)])
+        mat = np.array([character_column(n, mixed232) for n in range(mixed232.size)])
         gram = mat @ mat.conj().T / mixed232.size
         assert np.abs(gram - np.eye(mixed232.size)).max() < 1e-12
 
@@ -125,7 +125,7 @@ class TestSynthesize:
             coeffs = np.zeros(mixed2323.size, dtype=np.complex128)
             coeffs[n] = 1.0
             f = synthesize(Spectrum(mixed2323, coeffs))
-            assert np.abs(f.values - character_values(n, mixed2323)).max() < 1e-12
+            assert np.abs(f.values - character_column(n, mixed2323)).max() < 1e-12
 
     def test_zero_spectrum(self, mixed232):
         f = synthesize(Spectrum(mixed232, np.zeros(12)))
@@ -336,7 +336,7 @@ class TestFejerWeight:
     def test_range_validation(self):
         for bad in (0.0, -1.0, 0.75, 1.0):
             with pytest.raises(ValueError):
-                fejer_weight(1, bad)
+                FejerWeight.for_p(bad)
 
 
 class TestWeightedMaximal:
