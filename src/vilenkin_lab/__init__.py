@@ -57,12 +57,12 @@ from .norms import (
     weak_lp_quasinorm,
 )
 from .counterexamples import (
+    block_spectrum,
     build_critical_example,
     build_sparse_critical_example,
     critical_atom,
     kernel_halfnorm_scan,
     modulus_ratio_report,
-    sparse_critical_atom,
     sparse_divergence_statistic,
     sparse_modulus_ratio_report,
     weak_divergence_statistic,

@@ -14,6 +14,7 @@ from pathlib import Path
 from .acceptance import run_all
 from .errors import CapacityError
 from .experiments import load_config, run_experiment
+from .reporting import write_records
 from . import frozen
 
 
@@ -40,7 +41,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        result.write(out, fmt)
+        write_records(result.records, out, fmt)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

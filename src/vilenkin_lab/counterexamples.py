@@ -1,14 +1,15 @@
 """Martingales with critically slow modulus decay and diverging Fejer means.
 
-Two families are built, both assembled from atoms of the form
-scale * (dirichlet_kernel(M[k+1]) - dirichlet_kernel(M[k])):
+Both families are one construction: an atom
+scale * (dirichlet_kernel(M[j+1]) - dirichlet_kernel(M[j])) at each scale j
+of a list, with a weight per atom:
 
-* the dense family places one atom at every scale k <= depth and is tuned
-  to an exponent p < 1/2; its coefficients equal M[i] on the index block
-  [M[i], M[i+1]) and vanish elsewhere;
-* the sparse family places atoms only at the doubled scales 2*M[i] and is
-  the boundary case p = 1/2; its coefficients equal M[2*M[i]] / M[i]^2 on
-  [M[2*M[i]], M[2*M[i]+1]).
+* the dense family places an atom at every scale j <= depth and is tuned
+  to an exponent p < 1/2; its coefficients equal M[j] on the index block
+  [M[j], M[j+1]) and vanish elsewhere;
+* the sparse family is the same construction at p = 1/2 on the doubled
+  scales j = 2*M[i], each term divided by M[i]^2; its coefficients equal
+  M[j] / M[i]^2 on [M[j], M[j+1]).
 
 Spectra are filled from these block laws with exact integer (or exact
 dyadic) values; the equivalence with the atom-by-atom assembly route is a
@@ -38,15 +39,17 @@ from .structure import VilenkinStructure, zero_point
 from .transform import Spectrum, StepFunction, fejer_mean, synthesize
 
 
-def _block_spectrum(vs: VilenkinStructure, blocks: list[tuple[int, int, float]]) -> Spectrum:
+def block_spectrum(vs: VilenkinStructure, blocks: list[tuple[int, float]]) -> Spectrum:
+    """Spectrum with ``value`` on each index block [M[j], M[j+1]) of
+    ``blocks = [(j, value), ...]`` and zero elsewhere."""
     coeffs = np.zeros(vs.size, dtype=np.complex128)
-    for lo, hi, value in blocks:
-        coeffs[lo:hi] = value
+    for j, value in blocks:
+        coeffs[vs.M[j] : vs.M[j + 1]] = value
     return Spectrum(vs, coeffs)
 
 
 def critical_atom(k: int, p: float, vs: VilenkinStructure) -> StepFunction:
-    """Atom at scale k for the dense family, supported on the k-cylinder.
+    """Atom at scale k of either family, supported on the k-cylinder.
 
     Equals M[k]^(1/p - 1) / lam times the difference of the Dirichlet
     kernels of orders M[k+1] and M[k]; this passes the atom certificate
@@ -81,6 +84,31 @@ class CriticalExample:
         return synthesize(self.spectrum)
 
 
+def _require_top_scale(depth: int, top: int, vs: VilenkinStructure) -> None:
+    """Both families' resolution check, run before their scales read M."""
+    if top + 1 > vs.N:
+        raise CapacityError(f"depth {depth} needs resolution >= {top + 1}, have {vs.N}")
+
+
+def _critical_example(
+    p: float, depth: int, vs: VilenkinStructure, scales: list[tuple[int, float, float]]
+) -> CriticalExample:
+    """Place ``critical_atom(j, p)`` with weight w at each ``(j, w, c)`` of
+    ``scales``; the spectrum carries c on block j."""
+    return CriticalExample(
+        p,
+        depth,
+        vs,
+        block_spectrum(vs, [(j, c) for j, _, c in scales]),
+        AtomicDecomposition(
+            tuple(w for _, w, _ in scales),
+            tuple(critical_atom(j, p, vs) for j, _, _ in scales),
+            p,
+            tuple(CylinderInterval(zero_point(vs), j) for j, _, _ in scales),
+        ),
+    )
+
+
 def build_critical_example(p: float, depth: int, vs: VilenkinStructure) -> CriticalExample:
     """Assemble the dense family up to scale ``depth``.
 
@@ -90,21 +118,12 @@ def build_critical_example(p: float, depth: int, vs: VilenkinStructure) -> Criti
     """
     if not 0 < p < 0.5:
         raise ValueError(f"dense family needs p in (0, 1/2), got {p}")
-    if depth + 1 > vs.N:
-        raise CapacityError(
-            f"depth {depth} needs resolution >= {depth + 1}, have {vs.N}"
-        )
-    blocks = [(vs.M[i], vs.M[i + 1], float(vs.M[i])) for i in range(depth + 1)]
-    weights = tuple(vs.lam / vs.M[i] ** (1.0 / p - 2.0) for i in range(depth + 1))
-    atoms = tuple(critical_atom(i, p, vs) for i in range(depth + 1))
-    intervals = tuple(CylinderInterval(zero_point(vs), i) for i in range(depth + 1))
-    return CriticalExample(
-        p=p,
-        depth=depth,
-        vs=vs,
-        spectrum=_block_spectrum(vs, blocks),
-        decomposition=AtomicDecomposition(weights, atoms, p, intervals),
-    )
+    if depth < 0:
+        raise ValueError(f"dense depth must be >= 0, got {depth}")
+    _require_top_scale(depth, depth, vs)
+    M = vs.M
+    scales = [(i, vs.lam / M[i] ** (1.0 / p - 2.0), float(M[i])) for i in range(depth + 1)]
+    return _critical_example(p, depth, vs, scales)
 
 
 @dataclass(frozen=True)
@@ -168,62 +187,26 @@ def block_gap_norm(ex: CriticalExample, k: int) -> float:
     return lp_quasinorm(_fejer_gap(ex, ex.vs.M[k]), ex.p)
 
 
-def sparse_required_resolution(depth: int, vs: VilenkinStructure) -> int:
+def build_sparse_critical_example(depth: int, vs: VilenkinStructure) -> CriticalExample:
+    """Assemble the sparse family up to scale ``depth``: the dense
+    construction at p = 1/2 on the scales 2*M[i], i = 1..depth, with
+    term i divided by M[i]^2.
+
+    Coefficient block 2*M[i] carries M[2*M[i]] / M[i]^2 and its atom the
+    weight lam / M[i]^2.  Raises a capacity error naming the required
+    resolution when the structure is too coarse.
+    """
+    if depth < 1:
+        raise ValueError(f"sparse depth must be >= 1, got {depth}")
     if depth > vs.N:
         raise CapacityError(
             f"sparse depth {depth} exceeds resolution {vs.N}, scale table too short"
         )
-    return 2 * vs.M[depth] + 1
-
-
-def sparse_critical_atom(i: int, vs: VilenkinStructure) -> StepFunction:
-    """Atom at the doubled scale 2*M[i], supported on that cylinder."""
-    if i < 1:
-        raise ValueError(f"sparse atoms start at scale 1, got {i}")
-    need = sparse_required_resolution(i, vs)
-    if vs.N < need:
-        raise CapacityError(
-            f"sparse atom {i} needs resolution >= {need}, have {vs.N}"
-        )
-    j = 2 * vs.M[i]
-    scale = vs.M[j] / vs.lam
-    diff = dirichlet_kernel(vs.M[j + 1], vs) - dirichlet_kernel(vs.M[j], vs)
-    return scale * diff
-
-
-def build_sparse_critical_example(depth: int, vs: VilenkinStructure) -> CriticalExample:
-    """Assemble the sparse family up to scale ``depth``.
-
-    Coefficient block i carries M[2*M[i]] / M[i]^2 on the block starting
-    at M[2*M[i]].  Raises a capacity error naming the required resolution
-    when the structure is too coarse.
-    """
-    if depth < 1:
-        raise ValueError(f"sparse depth must be >= 1, got {depth}")
-    need = sparse_required_resolution(depth, vs)
-    if vs.N < need:
-        raise CapacityError(
-            f"sparse depth {depth} needs resolution >= {need}, have {vs.N}"
-        )
-    blocks = []
-    weights = []
-    atoms = []
-    intervals = []
-    for i in range(1, depth + 1):
-        j = 2 * vs.M[i]
-        blocks.append((vs.M[j], vs.M[j + 1], vs.M[j] / (vs.M[i] * vs.M[i])))
-        weights.append(vs.lam / (vs.M[i] * vs.M[i]))
-        atoms.append(sparse_critical_atom(i, vs))
-        intervals.append(CylinderInterval(zero_point(vs), j))
-    return CriticalExample(
-        p=0.5,
-        depth=depth,
-        vs=vs,
-        spectrum=_block_spectrum(vs, blocks),
-        decomposition=AtomicDecomposition(
-            tuple(weights), tuple(atoms), 0.5, tuple(intervals)
-        ),
-    )
+    M = vs.M
+    _require_top_scale(depth, 2 * M[depth], vs)
+    scales = [(2 * M[i], vs.lam / (M[i] * M[i]), M[2 * M[i]] / (M[i] * M[i]))
+              for i in range(1, depth + 1)]
+    return _critical_example(0.5, depth, vs, scales)
 
 
 def sparse_modulus_ratio_report(ex: CriticalExample, ns: list[int]) -> list[ModulusRow]:

@@ -22,6 +22,7 @@ from . import frozen
 from .errors import CapacityError
 from .counterexamples import (
     CriticalExample,
+    block_spectrum,
     build_critical_example,
     build_sparse_critical_example,
     block_gap_norm,
@@ -34,7 +35,7 @@ from .counterexamples import (
 )
 from .kernels import dirichlet_kernel, verify_fejer_lower_bounds, fejer_lower_bound_cells
 from .norms import AtomCertificate, hardy_norm, lp_quasinorm, modulus_of_continuity, validate_atom
-from .reporting import ExperimentRecord, config_hash, write_records
+from .reporting import ExperimentRecord, config_hash
 from .rng import XorShift64Star
 from .serialize import load_function, save_function
 from .structure import (
@@ -73,6 +74,23 @@ PARAMETER_KEYS = {
     "counterexample-2b": {"depth", "modulus_lo", "modulus_hi", "dump_function"},
     "kernel-scan": {"level_lo", "level_hi"},
     "maximal-bound": {"seeds", "random_functions", "n_max", "atom_scale", "damping"},
+}
+
+
+def _dense_p(parameters: dict) -> float:
+    return float(parameters.get("p", 0.25))
+
+
+# Whether each experiment computes anything at exponent p, given its
+# parameters; any other ``p_values`` entry is a config error.
+COMPUTES_P = {
+    "gram": lambda p, params: False,
+    "kernels": lambda p, params: False,
+    "convergence": lambda p, params: True,
+    "counterexample-2a": lambda p, params: p == _dense_p(params),
+    "counterexample-2b": lambda p, params: p == 0.5,
+    "kernel-scan": lambda p, params: p == 0.5,  # the half-power integral
+    "maximal-bound": lambda p, params: p <= 0.5,
 }
 
 
@@ -117,6 +135,9 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
             f"unknown parameters {unknown} for {experiment}; "
             f"accepted: {sorted(PARAMETER_KEYS[experiment])}"
         )
+    ignored = [p for p in p_values if not COMPUTES_P[experiment](p, parameters)]
+    if ignored:
+        raise ValueError(f"{experiment} computes nothing at p_values {ignored}")
     if parameters.get("family") == "from-file" and "function_path" not in parameters:
         raise ValueError("family from-file needs parameters.function_path")
     if "function_path" in parameters and parameters.get("family") != "from-file":
@@ -170,9 +191,6 @@ class ExperimentResult:
     exit_code: int
     messages: list[str]
 
-    def write(self, path: str | Path, fmt: str) -> None:
-        write_records(self.records, path, fmt)
-
 
 def _rec(cfg: ExperimentConfig, index: dict, values: dict) -> ExperimentRecord:
     return ExperimentRecord(cfg.experiment, index, values, cfg.hash)
@@ -202,10 +220,7 @@ def family_smoothed_indicator(
 def family_damped_critical(vs: VilenkinStructure, depth: int, damping: float) -> Spectrum:
     """Blockwise spectrum M[i] * damping^i, a fast-decaying relative of the
     dense divergence family."""
-    coeffs = np.zeros(vs.size, dtype=np.complex128)
-    for i in range(depth + 1):
-        coeffs[vs.M[i] : vs.M[i + 1]] = vs.M[i] * damping**i
-    return Spectrum(vs, coeffs)
+    return block_spectrum(vs, [(i, vs.M[i] * damping**i) for i in range(depth + 1)])
 
 
 def build_family(cfg: ExperimentConfig, vs: VilenkinStructure, rng: XorShift64Star) -> Spectrum:
@@ -315,8 +330,9 @@ def run_kernels(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResu
     ]
 
     level = int(cfg.parameters.get("bound_level", (vs.N + 1) // 2))
-    check = verify_fejer_lower_bounds(level, vs)
-    for entry in fejer_lower_bound_cells(level, vs):
+    catalogue = fejer_lower_bound_cells(level, vs)
+    check = verify_fejer_lower_bounds(level, vs, catalogue)
+    for entry in catalogue:
         records.append(
             _rec(
                 cfg,
@@ -419,20 +435,17 @@ def run_convergence(cfg: ExperimentConfig, cap: int | None = None) -> Experiment
 def dense_law_error(ex: CriticalExample) -> float:
     """Max deviation of the dense spectrum from its law: M[i] on block i."""
     vs = ex.vs
-    expected = np.zeros(vs.size, dtype=np.complex128)
-    for i in range(ex.depth + 1):
-        expected[vs.M[i] : vs.M[i + 1]] = vs.M[i]
-    return float(np.abs(ex.spectrum.coeffs - expected).max())
+    expected = block_spectrum(vs, [(i, vs.M[i]) for i in range(ex.depth + 1)])
+    return float(np.abs(ex.spectrum.coeffs - expected.coeffs).max())
 
 
 def sparse_law_error(ex: CriticalExample) -> float:
     """Max deviation of the sparse spectrum from M[j] / M[i]^2 on block j = 2 M[i]."""
-    vs = ex.vs
-    expected = np.zeros(vs.size, dtype=np.complex128)
-    for i in range(1, ex.depth + 1):
-        j = 2 * vs.M[i]
-        expected[vs.M[j] : vs.M[j + 1]] = vs.M[j] / (vs.M[i] * vs.M[i])
-    return float(np.abs(ex.spectrum.coeffs - expected).max())
+    M = ex.vs.M
+    expected = block_spectrum(
+        ex.vs, [(2 * M[i], M[2 * M[i]] / (M[i] * M[i])) for i in range(1, ex.depth + 1)]
+    )
+    return float(np.abs(ex.spectrum.coeffs - expected.coeffs).max())
 
 
 def atom_certificates(ex: CriticalExample) -> list[AtomCertificate]:
@@ -472,7 +485,7 @@ def weak_divergence_ok(worst_stat: float) -> bool:
 def run_counterexample_2a(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
     vs = build_structure(cfg, cap)
     params = cfg.parameters
-    p = float(params.get("p", 0.25))
+    p = _dense_p(params)
     depth = int(params.get("depth", 10))
     ex = build_critical_example(p, depth, vs)
 
@@ -625,13 +638,9 @@ def run_maximal_bound(cfg: ExperimentConfig, cap: int | None = None) -> Experime
     vs = build_structure(cfg, cap)
     params = cfg.parameters
     seeds = int(params.get("seeds", 10))
-    p_list = [p for p in (cfg.p_values or (0.25, 0.5)) if p <= 0.5]
-    if not p_list:
-        raise ValueError("maximal-bound needs a p value <= 1/2 in p_values")
-
     records = []
     messages = []
-    for p in p_list:
+    for p in cfg.p_values or (0.25, 0.5):
         maxima, _ = seed_maxima(
             vs, p, first_seed=cfg.seed, seeds=seeds,
             randoms=int(params.get("random_functions", 3)),

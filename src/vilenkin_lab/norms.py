@@ -236,6 +236,9 @@ def assemble_from_atoms(
     )
 
 
+REPORT_LEVELS = 16  # weak-level profile entries a NormReport keeps
+
+
 @dataclass(frozen=True)
 class NormReport:
     """Bundle of the quasinorms of one function at one exponent."""
@@ -244,7 +247,7 @@ class NormReport:
     lp: float
     weak_root: float
     weak_p_power: float
-    hardy: float | None
+    hardy: float
     levels: tuple[tuple[float, float], ...]  # (magnitude, measure at least)
 
     def to_json_dict(self) -> dict:
@@ -258,21 +261,20 @@ class NormReport:
         }
 
 
-def norm_report(
-    f: StepFunction, p: float, with_hardy: bool = True, max_levels: int = 16
-) -> NormReport:
-    """Compute all quasinorms of ``f`` at exponent ``p`` in one pass."""
+def norm_report(f: StepFunction, p: float) -> NormReport:
+    """Compute all quasinorms of ``f`` at exponent ``p`` in one pass, with
+    the first ``REPORT_LEVELS`` of its weak-level profile."""
     if p <= 0:
         raise ValueError(f"exponent must be positive, got {p}")
     weak_p, levels, measure = _weak_level_scan(f, p)
     # f is the finest level of its martingale, so its own values carry
     # every conditional expectation the maximal function needs.
-    hardy = lp_quasinorm(_block_maximum(f), p) if with_hardy else None
+    hardy = lp_quasinorm(_block_maximum(f), p)
     return NormReport(
         p=p,
         lp=lp_quasinorm(f, p),
         weak_root=weak_p ** (1.0 / p),
         weak_p_power=weak_p,
         hardy=hardy,
-        levels=tuple(zip(levels[:max_levels].tolist(), measure[:max_levels].tolist())),
+        levels=tuple(zip(levels[:REPORT_LEVELS].tolist(), measure[:REPORT_LEVELS].tolist())),
     )

@@ -1,15 +1,19 @@
 """Gate suite: every check the package must pass, one test per criterion.
 
-Each test prints the standard one-line PASS/FAIL summary produced by the
-criterion runner (visible with ``pytest -s`` or on failure).  The last
-criterion test drives the installed command-line interface end to end.
-The tests after it pin the gate predicates the criteria and the experiment
-runners share: each can fail, and each frozen bound has one of them.
+The installed command-line interface runs the suite once per module
+(``vilenkin-lab check`` in a subprocess); each criterion test asserts its
+own PASS line and time limit from that run's output, visible with
+``pytest -s`` or on failure.  The last criterion test also checks the
+command's exit code and elapsed time and reruns a shipped config for
+byte-identical output.  The tests after it pin the gate predicates the
+criteria and the experiment runners share: each can fail, and each frozen
+bound has one of them.
 """
 
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,105 +22,113 @@ from pathlib import Path
 import pytest
 
 import vilenkin_lab
-from vilenkin_lab import acceptance, experiments, frozen
+from vilenkin_lab import experiments, frozen
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "vilenkin_lab"
+LINE = re.compile(r"\[\s*(\d+)\] (PASS|FAIL) \S+ \(([0-9.]+)s\)")
 
 
-@pytest.fixture(scope="module")
-def workspace():
-    return acceptance.Workspace()
-
-
-def _run(criterion, workspace, **kwargs):
-    result = criterion(workspace, **kwargs)
-    print(result.line())
-    assert result.passed, result.line()
-    return result
-
-
-def test_criterion_01_orthonormality_and_parseval(workspace):
-    result = _run(acceptance.criterion_1, workspace)
-    assert result.seconds < 5.0
-
-
-def test_criterion_02_dirichlet_closed_form(workspace):
-    _run(acceptance.criterion_2, workspace)
-
-
-def test_criterion_03_fejer_kernel_lower_bounds(workspace):
-    result = _run(acceptance.criterion_3, workspace)
-    assert result.seconds < 30.0
-
-
-def test_criterion_04_fast_transform_vs_direct(workspace):
-    _run(acceptance.criterion_4, workspace)
-
-
-def test_criterion_05_fejer_coefficient_algebra(workspace):
-    _run(acceptance.criterion_5, workspace)
-
-
-def test_criterion_06_coefficient_laws_exact(workspace):
-    _run(acceptance.criterion_6, workspace)
-
-
-def test_criterion_07_atom_certificates(workspace):
-    _run(acceptance.criterion_7, workspace)
-
-
-def test_criterion_08_modulus_decay_gates(workspace):
-    _run(acceptance.criterion_8, workspace)
-
-
-def test_criterion_09_divergence_gates(workspace):
-    result = _run(acceptance.criterion_9, workspace)
-    assert result.seconds < 60.0
-
-
-def test_criterion_10_kernel_growth_scan(workspace):
-    _run(acceptance.criterion_10, workspace)
-
-
-def test_criterion_11_fejer_convergence_surrogate(workspace):
-    _run(acceptance.criterion_11, workspace)
-
-
-def test_criterion_12_weighted_ratio_stability(workspace):
-    _run(acceptance.criterion_12, workspace)
-
-
-def test_criterion_13_cli_determinism_and_check(tmp_path):
+def _cli(*args, timeout):
     # the CLI subprocesses import the package this test imported
     package_parent = str(Path(vilenkin_lab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "vilenkin_lab.cli", *args],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
+
+@pytest.fixture(scope="module")
+def check_run():
+    """One ``vilenkin-lab check``: the process, its wall time, and the
+    printed (line, status, seconds) of each criterion by number."""
+    start = time.perf_counter()
+    proc = _cli("check", timeout=330)
+    elapsed = time.perf_counter() - start
+    print(proc.stdout)
+    lines = {}
+    for line in proc.stdout.splitlines():
+        m = LINE.match(line)
+        if m:
+            lines[int(m[1])] = (line, m[2], float(m[3]))
+    return proc, elapsed, lines
+
+
+def _run(number, check_run, time_limit=math.inf):
+    _, _, lines = check_run
+    assert number in lines, check_run[0].stdout + check_run[0].stderr
+    line, status, seconds = lines[number]
+    print(line)
+    assert status == "PASS", line
+    assert seconds < time_limit, line
+
+
+def test_criterion_01_orthonormality_and_parseval(check_run):
+    _run(1, check_run, time_limit=5.0)
+
+
+def test_criterion_02_dirichlet_closed_form(check_run):
+    _run(2, check_run)
+
+
+def test_criterion_03_fejer_kernel_lower_bounds(check_run):
+    _run(3, check_run, time_limit=30.0)
+
+
+def test_criterion_04_fast_transform_vs_direct(check_run):
+    _run(4, check_run)
+
+
+def test_criterion_05_fejer_coefficient_algebra(check_run):
+    _run(5, check_run)
+
+
+def test_criterion_06_coefficient_laws_exact(check_run):
+    _run(6, check_run)
+
+
+def test_criterion_07_atom_certificates(check_run):
+    _run(7, check_run)
+
+
+def test_criterion_08_modulus_decay_gates(check_run):
+    _run(8, check_run)
+
+
+def test_criterion_09_divergence_gates(check_run):
+    _run(9, check_run, time_limit=60.0)
+
+
+def test_criterion_10_kernel_growth_scan(check_run):
+    _run(10, check_run)
+
+
+def test_criterion_11_fejer_convergence_surrogate(check_run):
+    _run(11, check_run)
+
+
+def test_criterion_12_weighted_ratio_stability(check_run):
+    _run(12, check_run)
+
+
+def test_criterion_13_cli_determinism_and_check(check_run, tmp_path):
     # byte-identical reruns of a shipped config
     config = CONFIG_DIR / "counterexample_2a.json"
     outs = []
     for name in ("first.csv", "second.csv"):
         out = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "vilenkin_lab.cli", "run", str(config),
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
+        proc = _cli("run", str(config), "--out", str(out), timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
-    # the full gate suite exits 0 in under five minutes
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "vilenkin_lab.cli", "check"],
-        capture_output=True, text=True, timeout=330, env=env,
-    )
-    elapsed = time.perf_counter() - start
-    print(proc.stdout)
+    # the full gate suite exits 0 in under five minutes, every criterion reported
+    proc, elapsed, lines = check_run
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 300.0
+    assert sorted(lines) == list(range(1, 13)), proc.stdout
     line = f"[13] PASS cli-determinism-and-check ({elapsed:.2f}s) byte-identical reruns, check exit 0"
     print(line)
 

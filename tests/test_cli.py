@@ -13,6 +13,7 @@ from vilenkin_lab.experiments import (
     run_experiment,
 )
 from vilenkin_lab.errors import CapacityError
+from vilenkin_lab.reporting import write_records
 from vilenkin_lab.serialize import load_function
 from vilenkin_lab.structure import VilenkinStructure
 from vilenkin_lab.transform import Spectrum
@@ -117,6 +118,52 @@ class TestConfigLoading:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, parameters, p_values, error",
+        [
+            ("gram", {}, [0.5], "p_values [0.5]"),
+            ("kernels", {}, [0.25], "p_values [0.25]"),
+            # computes at the default p = 1/4
+            ("counterexample-2a", {}, [0.3], "p_values [0.3]"),
+            ("counterexample-2a", {"p": 0.3}, [0.25], "p_values [0.25]"),
+            ("counterexample-2b", {}, [0.25], "p_values [0.25]"),
+            ("kernel-scan", {}, [0.25], "p_values [0.25]"),
+        ],
+        ids=["gram", "kernels", "2a-default-p", "2a-explicit-p", "2b", "kernel-scan"],
+    )
+    def test_p_values_not_computed_exit_2(
+        self, experiment, parameters, p_values, error, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path, "p.json", {
+            "experiment": experiment, "structure": {"pattern": [2], "repeat_to": 6},
+            "p_values": p_values, "parameters": parameters,
+        })
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and error in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, parameters, computed",
+        [
+            ("gram", {}, []),
+            ("kernels", {}, []),
+            ("convergence", {}, [0.25, 0.5, 0.75, 1.0]),
+            ("counterexample-2a", {"p": 0.3}, [0.3]),
+            ("counterexample-2b", {}, [0.5]),
+            ("kernel-scan", {}, [0.5]),
+            ("maximal-bound", {}, [0.25, 0.5]),
+        ],
+        ids=["gram", "kernels", "convergence", "2a", "2b", "kernel-scan", "maximal-bound"],
+    )
+    def test_p_values_computed_load(self, experiment, parameters, computed):
+        cfg = load_config({
+            "experiment": experiment, "structure": {"pattern": [2], "repeat_to": 6},
+            "p_values": computed, "parameters": parameters,
+        })
+        assert cfg.p_values == tuple(computed)
+
     def test_gram_matrix_size_guard(self):
         from vilenkin_lab.experiments import run_gram
         cfg = load_config({"experiment": "gram",
@@ -169,6 +216,14 @@ class TestRunCommand:
         })
         assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
+    def test_dense_depth_beyond_resolution_is_capacity_exit(self, tmp_path, capsys):
+        cfg = small_2a_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload["parameters"]["depth"] = 10
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        assert "depth 10 needs resolution >= 11" in capsys.readouterr().err
+
     def test_json_format_output(self, tmp_path):
         cfg = small_2a_config(tmp_path)
         out = tmp_path / "out.json"
@@ -204,7 +259,7 @@ class TestShippedConfigs:
         cfg = load_config(CONFIG_DIR / f"{name}.json")
         result = run_experiment(cfg)
         assert result.exit_code == 0, result.messages
-        result.write(tmp_path / "out.csv", "csv")
+        write_records(result.records, tmp_path / "out.csv", "csv")
 
     def test_check_command_with_relaxed_gate(self, capsys, monkeypatch):
         # The gate suite itself runs in test_acceptance; here only the
@@ -229,15 +284,18 @@ class TestShippedConfigs:
         out = capsys.readouterr().out
         assert "FAIL c2" in out and "1/2 criteria passed" in out
 
-    def test_maximal_bound_without_small_p_rejected(self, tmp_path):
+    def test_maximal_bound_without_small_p_rejected(self, tmp_path, capsys):
+        # the computed 1/4 does not excuse the ignored 3/4
         cfg = write_config(tmp_path, "mb.json", {
             "experiment": "maximal-bound",
             "structure": {"pattern": [2], "repeat_to": 4},
-            "p_values": [0.75],
+            "p_values": [0.25, 0.75],
             "parameters": {"seeds": 2},
         })
         out = tmp_path / "x.csv"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "p_values [0.75]" in err
         assert not out.exists()
 
     def test_experiment_failure_exit_code(self, tmp_path):

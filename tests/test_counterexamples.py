@@ -10,7 +10,6 @@ from vilenkin_lab.counterexamples import (
     critical_atom,
     kernel_halfnorm_scan,
     modulus_ratio_report,
-    sparse_critical_atom,
     sparse_divergence_statistic,
     sparse_modulus_ratio_report,
     weak_divergence_statistic,
@@ -87,6 +86,11 @@ class TestDenseConstruction:
             build_critical_example(0.5, 2, walsh5)
         with pytest.raises(CapacityError):
             build_critical_example(0.25, 5, walsh5)
+        # past the end of the scale table: still the capacity error
+        with pytest.raises(CapacityError, match="resolution >= 7"):
+            build_critical_example(0.25, 6, walsh5)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            build_critical_example(0.25, -1, walsh5)
 
 
 class TestDenseAtoms:
@@ -201,7 +205,7 @@ class TestSparseConstruction:
             assert cert.valid
 
     def test_atom_spectrum_block(self, walsh5):
-        a = sparse_critical_atom(1, walsh5)
+        a = critical_atom(2 * walsh5.M[1], 0.5, walsh5)
         coeffs = analyze(a).coeffs
         expected = np.zeros(walsh5.size, dtype=np.complex128)
         expected[16:32] = 8.0  # M[4] / lam

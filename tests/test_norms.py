@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vilenkin_lab.kernels import dirichlet_kernel
 from vilenkin_lab.norms import (
+    REPORT_LEVELS,
     AtomicDecomposition,
     _weak_level_scan,
     CylinderInterval,
@@ -160,9 +161,9 @@ class TestWeakLevelScan:
             assert type(best) is float, name
             assert best.hex() == oracle_best.hex(), name
             assert list(zip(levels.tolist(), measure.tolist())) == oracle_profile, name
-            report = norm_report(f, p, with_hardy=False, max_levels=5)
+            report = norm_report(f, p)
             assert report.weak_p_power.hex() == oracle_best.hex(), name
-            assert report.levels == tuple(oracle_profile[:5]), name
+            assert report.levels == tuple(oracle_profile[:REPORT_LEVELS]), name
 
 
 class TestHardyNorm:
