@@ -56,7 +56,7 @@ from .experiments import (
 from .kernels import verify_fejer_lower_bounds
 from .rng import XorShift64Star
 from .structure import VilenkinStructure
-from .transform import Spectrum, StepFunction, analyze, fejer_mean, naive_analyze, synthesize
+from .transform import StepFunction, analyze, fejer_mean, naive_analyze, synthesize
 
 
 @dataclass
@@ -189,15 +189,13 @@ def criterion_5(ws: Workspace) -> tuple[bool, str]:
     for _ in range(50):
         band_level = 1 + rng.next_u64() % (vs.N - 2)
         band = vs.M[band_level]
-        coeffs = np.zeros(vs.size, dtype=np.complex128)
-        coeffs[:band] = rng.complex_uniforms(band)
-        spec = Spectrum(vs, coeffs)
+        spec = family_character_polynomial(vs, band_level, rng)
         n = band + 1 + rng.next_u64() % (vs.size - band)
 
         sigma = fejer_mean(spec, n)
         back = analyze(sigma).coeffs
         expected = np.zeros(vs.size, dtype=np.complex128)
-        expected[:n] = coeffs[:n] * (1.0 - np.arange(n) / n)
+        expected[:n] = spec.coeffs[:n] * (1.0 - np.arange(n) / n)
         worst_law = max(worst_law, float(np.abs(back - expected).max()))
 
         f = synthesize(spec)

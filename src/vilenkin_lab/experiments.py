@@ -1,8 +1,10 @@
 """Config-driven experiment runners behind the command-line harness.
 
-Each runner consumes an :class:`ExperimentConfig`, produces sorted
-:class:`~vilenkin_lab.reporting.ExperimentRecord` rows, and reports an
-exit code: 0 for success, 2 when an assertion-grade check fails.  Capacity
+Each experiment is one :class:`Experiment` in ``EXPERIMENTS``.  Its runner
+is handed an :class:`ExperimentConfig` and the structure built from it,
+produces sorted :class:`~vilenkin_lab.reporting.ExperimentRecord` rows, and
+reports an exit code: 0 for success, 2 when an assertion-grade check fails.
+A config that asks for nothing raises ``ValueError`` (exit 2); capacity
 violations raise :class:`~vilenkin_lab.errors.CapacityError`, which the
 CLI maps to exit code 3.  All randomness flows through the seeded
 xorshift generator, so identical config plus seed reproduces identical
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,39 +62,8 @@ from .transform import (
 DEFAULT_CELL_CAP = 2**22
 ENV_CELL_CAP = "VILENKIN_CELL_CAP"
 
-# The ``parameters`` keys each experiment reads; any other key is a config error.
-PARAMETER_KEYS = {
-    "gram": {"functions"},
-    "kernels": {"bound_level"},
-    "convergence": {
-        "grid_points", "family", "band", "base_depth", "window_level", "base_cell", "depth",
-        "damping", "function_path",
-    },
-    "counterexample-2a": {
-        "p", "depth", "modulus_lo", "modulus_hi", "divergence_lo", "divergence_hi",
-        "dump_function",
-    },
-    "counterexample-2b": {"depth", "modulus_lo", "modulus_hi", "dump_function"},
-    "kernel-scan": {"level_lo", "level_hi"},
-    "maximal-bound": {"seeds", "random_functions", "n_max", "atom_scale", "damping"},
-}
-
-
 def _dense_p(parameters: dict) -> float:
     return float(parameters.get("p", 0.25))
-
-
-# Whether each experiment computes anything at exponent p, given its
-# parameters; any other ``p_values`` entry is a config error.
-COMPUTES_P = {
-    "gram": lambda p, params: False,
-    "kernels": lambda p, params: False,
-    "convergence": lambda p, params: True,
-    "counterexample-2a": lambda p, params: p == _dense_p(params),
-    "counterexample-2b": lambda p, params: p == 0.5,
-    "kernel-scan": lambda p, params: p == 0.5,  # the half-power integral
-    "maximal-bound": lambda p, params: p <= 0.5,
-}
 
 
 @dataclass
@@ -117,10 +89,11 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     else:
         raw = dict(source)
     experiment = raw.get("experiment")
-    if experiment not in PARAMETER_KEYS:
+    if experiment not in EXPERIMENTS:
         raise ValueError(
-            f"unknown experiment {experiment!r}; expected one of {tuple(PARAMETER_KEYS)}"
+            f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}"
         )
+    declared = EXPERIMENTS[experiment]
     structure = raw.get("structure")
     if not isinstance(structure, dict) or not ({"m", "pattern"} & structure.keys()):
         raise ValueError("config needs structure.m or structure.pattern")
@@ -129,13 +102,12 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         if not 0 < p <= 1:
             raise ValueError(f"p value {p} outside (0, 1]")
     parameters = dict(raw.get("parameters", {}))
-    unknown = sorted(parameters.keys() - PARAMETER_KEYS[experiment])
+    unknown = sorted(parameters.keys() - declared.keys)
     if unknown:
         raise ValueError(
-            f"unknown parameters {unknown} for {experiment}; "
-            f"accepted: {sorted(PARAMETER_KEYS[experiment])}"
+            f"unknown parameters {unknown} for {experiment}; accepted: {sorted(declared.keys)}"
         )
-    ignored = [p for p in p_values if not COMPUTES_P[experiment](p, parameters)]
+    ignored = [p for p in p_values if not declared.computes_p(p, parameters)]
     if ignored:
         raise ValueError(f"{experiment} computes nothing at p_values {ignored}")
     if parameters.get("family") == "from-file" and "function_path" not in parameters:
@@ -158,13 +130,6 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     )
 
 
-def cell_cap(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(ENV_CELL_CAP)
-    return int(env) if env else DEFAULT_CELL_CAP
-
-
 def build_structure(cfg: ExperimentConfig, cap: int | None = None) -> VilenkinStructure:
     spec = cfg.structure
     if "m" in spec:
@@ -176,7 +141,7 @@ def build_structure(cfg: ExperimentConfig, cap: int | None = None) -> VilenkinSt
         vs = VilenkinStructure.from_pattern(spec["pattern"], int(depth))
     if cfg.resolution is not None and cfg.resolution != vs.N:
         raise ValueError(f"structure has resolution {vs.N} but resolution says {cfg.resolution}")
-    limit = cell_cap(cap)
+    limit = int(cap if cap is not None else os.environ.get(ENV_CELL_CAP) or DEFAULT_CELL_CAP)
     if vs.size > limit:
         raise CapacityError(
             f"structure needs {vs.size} cells, over the cap of {limit}; "
@@ -283,15 +248,30 @@ def parseval_worst_rel(vs: VilenkinStructure, rng: XorShift64Star, count: int) -
     return worst_rel
 
 
-def run_gram(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
+def _at_least_one(params: dict, key: str, default: int) -> int:
+    """A count that asks for nothing (below 1) is a config error."""
+    count = int(params.get(key, default))
+    if count < 1:
+        raise ValueError(f"{key} must be >= 1, got {count}")
+    return count
+
+
+def _levels(params: dict, name: str, lo: int, hi: int) -> list[int]:
+    """Levels ``<name>_lo`` to ``<name>_hi`` inclusive; an empty range is a config error."""
+    lo, hi = int(params.get(f"{name}_lo", lo)), int(params.get(f"{name}_hi", hi))
+    if lo > hi:
+        raise ValueError(f"{name}_lo..{name}_hi is the empty range {lo}..{hi}")
+    return list(range(lo, hi + 1))
+
+
+def run_gram(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
+    count = _at_least_one(cfg.parameters, "functions", 100)
     if vs.size > 4096:
         raise CapacityError(
             f"gram experiment materializes a {vs.size}x{vs.size} matrix; "
             "limit is 4096 cells"
         )
     gram_err = gram_error(vs)
-    count = int(cfg.parameters.get("functions", 100))
     worst_rel = parseval_worst_rel(vs, XorShift64Star(cfg.seed), count)
     ok = roundoff_ok(gram_err) and relative_roundoff_ok(worst_rel)
     records = [
@@ -321,16 +301,16 @@ def dirichlet_errors(vs: VilenkinStructure) -> list[float]:
     return errors
 
 
-def run_kernels(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
+def run_kernels(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
+    level = int(cfg.parameters.get("bound_level", (vs.N + 1) // 2))
+    catalogue = fejer_lower_bound_cells(level, vs)
+    if not catalogue:
+        raise ValueError(f"bound_level {level} gives an empty lower-bound catalogue")
     errors = dirichlet_errors(vs)
     records = [
         _rec(cfg, {"check": "closed-form", "j": j}, {"max_err": err})
         for j, err in enumerate(errors)
     ]
-
-    level = int(cfg.parameters.get("bound_level", (vs.N + 1) // 2))
-    catalogue = fejer_lower_bound_cells(level, vs)
     check = verify_fejer_lower_bounds(level, vs, catalogue)
     for entry in catalogue:
         records.append(
@@ -384,8 +364,9 @@ def scale_sweep_ok(final: float, backslide: float) -> bool:
     return final <= frozen.FINAL_GAP_MAX and backslide <= frozen.BACKSLIDE_FACTOR_MAX
 
 
-def run_convergence(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
+def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
+    if vs.N < 2:
+        raise ValueError(f"the scale sweep runs k = 2..N and is empty at resolution {vs.N}")
     rng = XorShift64Star(cfg.seed)
     spec = build_family(cfg, vs, rng)
     f = synthesize(spec)
@@ -471,7 +452,7 @@ def _modulus_records(cfg: ExperimentConfig, rows: list, records: list[Experiment
              {"omega": r.omega, "bound": r.bound, "ratio": r.ratio, "ratio_power": r.ratio_power})
         for r in rows
     )
-    return max((r.ratio_power for r in rows), default=0.0)
+    return max(r.ratio_power for r in rows)
 
 
 def modulus_ok(worst_ratio_power: float) -> bool:
@@ -482,36 +463,34 @@ def weak_divergence_ok(worst_stat: float) -> bool:
     return worst_stat >= frozen.WEAK_DIVERGENCE_MIN
 
 
-def run_counterexample_2a(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
+def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
     p = _dense_p(params)
     depth = int(params.get("depth", 10))
+    modulus_levels = _levels(params, "modulus", 1, min(8, depth - 2))
+    divergence_levels = _levels(params, "divergence", 3, min(8, depth - 2))
     ex = build_critical_example(p, depth, vs)
 
     messages = []
     # coefficient law and atom certificates are assertion-grade
     records = [_construction_record(cfg, dense_law_error(ex), ex, messages)]
 
-    n_lo = int(params.get("modulus_lo", 1))
-    n_hi = int(params.get("modulus_hi", min(8, depth - 2)))
-    rows = modulus_ratio_report(ex, list(range(n_lo, n_hi + 1)))
+    rows = modulus_ratio_report(ex, modulus_levels)
     worst_ratio = _modulus_records(cfg, rows, records)
     if not modulus_ok(worst_ratio):
         messages.append(f"modulus ratio {worst_ratio:.3f} over gate")
 
-    k_lo = int(params.get("divergence_lo", 3))
-    k_hi = int(params.get("divergence_hi", min(8, depth - 2)))
-    worst_stat = float("inf")
-    for k in range(k_lo, k_hi + 1):
+    stats = []
+    for k in divergence_levels:
         stat = weak_divergence_statistic(ex, k)
         root = stat ** (1.0 / ex.p)  # bit for bit the root form of weak_lp_quasinorm
         companion = block_gap_norm(ex, k)
-        worst_stat = min(worst_stat, stat)
+        stats.append(stat)
         records.append(
             _rec(cfg, {"block": "divergence", "i": k},
                  {"weak_power": stat, "weak_root": root, "companion_gap": companion})
         )
+    worst_stat = min(stats)
     if not weak_divergence_ok(worst_stat):
         messages.append(f"weak divergence {worst_stat:.3f} under gate")
 
@@ -529,29 +508,27 @@ def sparse_divergence_ok(worst_stat: float) -> bool:
     return worst_stat >= frozen.SPARSE_DIVERGENCE_MIN
 
 
-def run_counterexample_2b(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
+def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
     depth = int(params.get("depth", 3))
+    modulus_levels = _levels(params, "modulus", 5, 16)
+    # the builder rejects depth < 1, so the divergence levels 1..depth are never empty
     ex = build_sparse_critical_example(depth, vs)
 
     messages = []
     records = [_construction_record(cfg, sparse_law_error(ex), ex, messages)]
 
-    n_lo = int(params.get("modulus_lo", 5))
-    n_hi = int(params.get("modulus_hi", 16))
-    rows = sparse_modulus_ratio_report(ex, list(range(n_lo, n_hi + 1)))
+    rows = sparse_modulus_ratio_report(ex, modulus_levels)
     worst_ratio = _modulus_records(cfg, rows, records)
     if not sparse_modulus_ok(worst_ratio):
         messages.append(f"sparse modulus ratio {worst_ratio:.3f} over gate")
 
-    worst_stat = float("inf")
-    for k in range(1, depth + 1):
-        stat = sparse_divergence_statistic(ex, k)
-        worst_stat = min(worst_stat, stat)
-        records.append(
-            _rec(cfg, {"block": "divergence", "i": k}, {"halfnorm_gap": stat})
-        )
+    stats = [sparse_divergence_statistic(ex, k) for k in range(1, depth + 1)]
+    records.extend(
+        _rec(cfg, {"block": "divergence", "i": k}, {"halfnorm_gap": stat})
+        for k, stat in enumerate(stats, start=1)
+    )
+    worst_stat = min(stats)
     if not sparse_divergence_ok(worst_stat):
         messages.append(f"sparse divergence {worst_stat:.3f} under gate")
 
@@ -565,11 +542,8 @@ def kernel_scan_ok(worst_ratio: float) -> bool:
     return worst_ratio >= frozen.KERNEL_SCAN_RATIO_MIN
 
 
-def run_kernel_scan(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
-    lo = int(cfg.parameters.get("level_lo", 2))
-    hi = int(cfg.parameters.get("level_hi", 7))
-    rows = kernel_halfnorm_scan(list(range(lo, hi + 1)), vs)
+def run_kernel_scan(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
+    rows = kernel_halfnorm_scan(_levels(cfg.parameters, "level", 2, 7), vs)
     records = [
         _rec(cfg, {"level": r.level}, {"halfnorm": r.halfnorm, "ratio": r.ratio})
         for r in rows
@@ -616,7 +590,7 @@ def seed_maxima(
     for s in range(seeds):
         rng = XorShift64Star(first_seed + s)
         random_maxima.append(max(
-            (max_weighted_ratio(Spectrum(vs, rng.complex_uniforms(vs.size)), p, n_max)
+            (max_weighted_ratio(family_character_polynomial(vs, vs.N, rng), p, n_max)
              for _ in range(randoms)),
             default=0.0,
         ))
@@ -634,10 +608,9 @@ def ratio_cv_ok(cv: float) -> bool:
     return cv < frozen.MAX_RATIO_CV_MAX
 
 
-def run_maximal_bound(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    vs = build_structure(cfg, cap)
+def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
-    seeds = int(params.get("seeds", 10))
+    seeds = _at_least_one(params, "seeds", 10)
     records = []
     messages = []
     for p in cfg.p_values or (0.25, 0.5):
@@ -661,16 +634,41 @@ def run_maximal_bound(cfg: ExperimentConfig, cap: int | None = None) -> Experime
     return ExperimentResult(records, 2 if messages else 0, messages)
 
 
-_RUNNERS = {
-    "gram": run_gram,
-    "kernels": run_kernels,
-    "convergence": run_convergence,
-    "counterexample-2a": run_counterexample_2a,
-    "counterexample-2b": run_counterexample_2b,
-    "kernel-scan": run_kernel_scan,
-    "maximal-bound": run_maximal_bound,
+@dataclass(frozen=True)
+class Experiment:
+    """A runner, the ``parameters`` keys it reads (any other key is a config
+    error), and whether it computes anything at exponent p given its
+    parameters (any other ``p_values`` entry is a config error)."""
+
+    run: Callable[[ExperimentConfig, VilenkinStructure], ExperimentResult]
+    keys: tuple[str, ...]
+    computes_p: Callable[[float, dict], bool]
+
+
+EXPERIMENTS = {
+    "gram": Experiment(run_gram, ("functions",), lambda p, params: False),
+    "kernels": Experiment(run_kernels, ("bound_level",), lambda p, params: False),
+    "convergence": Experiment(run_convergence, (
+        "grid_points", "family", "band", "base_depth", "window_level", "base_cell", "depth",
+        "damping", "function_path",
+    ), lambda p, params: True),
+    "counterexample-2a": Experiment(run_counterexample_2a, (
+        "p", "depth", "modulus_lo", "modulus_hi", "divergence_lo", "divergence_hi",
+        "dump_function",
+    ), lambda p, params: p == _dense_p(params)),
+    "counterexample-2b": Experiment(
+        run_counterexample_2b, ("depth", "modulus_lo", "modulus_hi", "dump_function"),
+        lambda p, params: p == 0.5,
+    ),
+    "kernel-scan": Experiment(
+        run_kernel_scan, ("level_lo", "level_hi"), lambda p, params: p == 0.5  # half-power integral
+    ),
+    "maximal-bound": Experiment(
+        run_maximal_bound, ("seeds", "random_functions", "n_max", "atom_scale", "damping"),
+        lambda p, params: p <= 0.5,
+    ),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
-    return _RUNNERS[cfg.experiment](cfg, cap)
+    return EXPERIMENTS[cfg.experiment].run(cfg, build_structure(cfg, cap))

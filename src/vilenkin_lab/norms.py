@@ -188,52 +188,23 @@ class AtomicDecomposition:
         )
 
 
-@dataclass
-class AssemblyResult:
-    function: StepFunction
-    coefficient_estimate: float
-    failed_atoms: tuple[int, ...]
-
-
-def assemble_from_atoms(
-    d: AtomicDecomposition,
-    level: int,
-    validate: bool = False,
-    vs: VilenkinStructure | None = None,
-) -> AssemblyResult:
+def assemble_from_atoms(d: AtomicDecomposition, level: int) -> StepFunction:
     """Level-``level`` martingale term: sum of mu_k times the level-M[level]
     partial sum of each atom.
 
-    An empty decomposition assembles to zero, in which case ``vs`` must be
-    passed explicitly.  With ``validate=True`` each atom is run through its
-    certificate and the indices of failures are recorded (the assembly
-    still proceeds).
+    An empty decomposition has no structure to build on and raises.
     """
     if not d.atoms:
-        if vs is None:
-            raise ValueError("empty decomposition needs an explicit structure")
-        return AssemblyResult(
-            function=StepFunction(vs, np.zeros(vs.size, dtype=np.complex128)),
-            coefficient_estimate=0.0,
-            failed_atoms=(),
-        )
+        raise ValueError("empty decomposition has no structure to assemble on")
     vs = d.atoms[0].vs
     if not 0 <= level <= vs.N:
         raise ResolutionError(f"level {level} not in [0, {vs.N}]")
-    failed = []
     total = np.zeros(vs.size, dtype=np.complex128)
     for idx, (mu, atom) in enumerate(zip(d.coefficients, d.atoms)):
         if atom.vs != vs:
             raise ValueError(f"atom {idx} lives on a different structure")
-        if validate and d.intervals:
-            if not validate_atom(atom, d.p, d.intervals[idx]).valid:
-                failed.append(idx)
         total += mu * partial_sum(analyze(atom), vs.M[level]).values
-    return AssemblyResult(
-        function=StepFunction(vs, total),
-        coefficient_estimate=d.coefficient_estimate(),
-        failed_atoms=tuple(failed),
-    )
+    return StepFunction(vs, total)
 
 
 REPORT_LEVELS = 16  # weak-level profile entries a NormReport keeps
@@ -249,16 +220,6 @@ class NormReport:
     weak_p_power: float
     hardy: float
     levels: tuple[tuple[float, float], ...]  # (magnitude, measure at least)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lp": self.lp,
-            "weak_root": self.weak_root,
-            "weak_p_power": self.weak_p_power,
-            "hardy": self.hardy,
-            "levels": [list(pair) for pair in self.levels],
-        }
 
 
 def norm_report(f: StepFunction, p: float) -> NormReport:

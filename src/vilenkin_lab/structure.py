@@ -99,25 +99,17 @@ def _check_point(x: GroupPoint, vs: VilenkinStructure) -> None:
             raise ValueError(f"digit {d} at position {k} not in [0, {vs.m[k]})")
 
 
-def index_to_digits(
-    n: int, vs: VilenkinStructure, length: int | None = None
-) -> tuple[int, ...]:
+def index_to_digits(n: int, vs: VilenkinStructure) -> tuple[int, ...]:
     """Expand an integer in the generalized number system of ``vs``.
 
-    Returns digits (d_0, ..., d_{L-1}) with n = sum_j d_j * M[j] and
-    d_j in [0, m[j]).  ``length`` defaults to the full resolution N.
+    Returns digits (d_0, ..., d_{N-1}) with n = sum_j d_j * M[j] and
+    d_j in [0, m[j]).
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    L = vs.N if length is None else int(length)
-    if not 0 < L <= vs.N:
-        raise ResolutionError(f"digit length {L} not in [1, {vs.N}]")
-    if n >= vs.M[L]:
-        raise ResolutionError(f"index {n} >= M[{L}] = {vs.M[L]}")
-    out = []
-    for j in range(L):
-        out.append((n // vs.M[j]) % vs.m[j])
-    return tuple(out)
+    if n >= vs.size:
+        raise ResolutionError(f"index {n} >= M[{vs.N}] = {vs.size}")
+    return tuple((n // vs.M[j]) % vs.m[j] for j in range(vs.N))
 
 
 def digits_to_index(digits: Sequence[int], vs: VilenkinStructure) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -106,9 +107,29 @@ class TestConfigLoading:
              "output": "x.csv"},
             {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
              "parameters": {"function_path": "missing.json"}},
+            # an empty range, an empty catalogue or no seeds asks for nothing
+            {"experiment": "counterexample-2a", "structure": {"pattern": [2], "repeat_to": 8},
+             "parameters": {"depth": 6, "modulus_lo": 9, "modulus_hi": 8,
+                            "divergence_lo": 9, "divergence_hi": 8}},
+            # both ranges default to 1..min(8, depth - 2) and 3..min(8, depth - 2)
+            {"experiment": "counterexample-2a", "structure": {"pattern": [2], "repeat_to": 5},
+             "parameters": {"depth": 2}},
+            {"experiment": "counterexample-2b", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"depth": 1, "modulus_lo": 17, "modulus_hi": 16}},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"bound_level": 2}},
+            {"experiment": "kernel-scan", "structure": {"pattern": [2], "repeat_to": 8},
+             "parameters": {"level_lo": 5, "level_hi": 4}},
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"seeds": 0}},
+            {"experiment": "gram", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"functions": 0}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 1}},
         ],
         ids=["no-function-path", "missing-function-file", "output-not-object",
-             "function-path-without-from-file"],
+             "function-path-without-from-file", "2a-empty-ranges", "2a-shallow-default-ranges",
+             "2b-empty-modulus-range", "kernels-empty-catalogue", "kernel-scan-empty-levels",
+             "maximal-bound-no-seeds", "gram-no-functions", "convergence-no-scales"],
     )
     def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist
@@ -165,11 +186,10 @@ class TestConfigLoading:
         assert cfg.p_values == tuple(computed)
 
     def test_gram_matrix_size_guard(self):
-        from vilenkin_lab.experiments import run_gram
         cfg = load_config({"experiment": "gram",
                            "structure": {"pattern": [2], "repeat_to": 13}})
         with pytest.raises(CapacityError):
-            run_gram(cfg)
+            run_experiment(cfg)
 
 
 class TestRunCommand:
@@ -248,18 +268,28 @@ class TestRunCommand:
         assert spec.coeffs[4] == pytest.approx(4.0)
 
 
+# sha256 of the CSV each shipped config writes.  A change that moves records
+# on purpose updates this table and names the moved columns in CHANGES.md.
+SHIPPED_CSV_SHA256 = {
+    "convergence_walsh": "861666d8042be6e24ad94389680347375138d64499fa77a922de6fabc749be41",
+    "counterexample_2a": "5b6484f7d878ff2ebf409abf00fa2b94791374d10fb3e3d2cc7c892b4cee72df",
+    "counterexample_2b": "ecbc4b1ce0c54d2eec85a0002168cf6689eb22e77588431437b09335ef502dd1",
+    "gram_mixed": "9f625f15762dd43f491e2511fa7c11f09d7a3f68a20d304638f583945c5b2b7e",
+    "kernel_scan": "de127507b307d7281ee55721eb1c60ccd30fb2d06264303956ef4a31c47a3572",
+    "kernels_walsh": "f5dedd4a9e154bbfa74d2da9c0109d2760d5eddd067698d308f7abb39da9bfad",
+    "maximal_bound": "802cc0961edb6a9f19eca3821471ee70364731e553fe8dc19070dba78abf1ed3",
+}
+
+
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name",
-        ["gram_mixed", "kernels_walsh", "convergence_walsh",
-         "counterexample_2a", "counterexample_2b", "kernel_scan",
-         "maximal_bound"],
-    )
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CSV_SHA256))
     def test_quick_configs_pass(self, name, tmp_path):
         cfg = load_config(CONFIG_DIR / f"{name}.json")
         result = run_experiment(cfg)
         assert result.exit_code == 0, result.messages
-        write_records(result.records, tmp_path / "out.csv", "csv")
+        out = tmp_path / "out.csv"
+        write_records(result.records, out, "csv")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name]
 
     def test_check_command_with_relaxed_gate(self, capsys, monkeypatch):
         # The gate suite itself runs in test_acceptance; here only the

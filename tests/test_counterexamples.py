@@ -127,7 +127,7 @@ class TestDenseMartingaleStructure:
         for level in range(dense_small.vs.N + 1):
             via_levels = condexp(dense_small.spectrum, level).values
             via_atoms = assemble_from_atoms(dense_small.decomposition, level)
-            assert np.abs(via_levels - via_atoms.function.values).max() < 1e-10
+            assert np.abs(via_levels - via_atoms.values).max() < 1e-10
 
     def test_modulus_vanishes_only_past_truncation(self, dense_small):
         # tail keeps block depth while level <= depth; empties at depth + 1

@@ -13,7 +13,7 @@ from vilenkin_lab.experiments import (
     build_family,
     family_smoothed_indicator,
     load_config,
-    run_convergence,
+    run_experiment,
 )
 from vilenkin_lab.kernels import dirichlet_kernel, fejer_kernel
 from vilenkin_lab.norms import hardy_norm, norm_report
@@ -90,7 +90,7 @@ def test_convergence_omega_equals_tail_formula(vs, family):
         "seed": 5,
     })
     spec = build_family(cfg, vs, XorShift64Star(cfg.seed))
-    grid = [r for r in run_convergence(cfg).records if r.index["block"] == "grid"]
+    grid = [r for r in run_experiment(cfg).records if r.index["block"] == "grid"]
     assert len(grid) > vs.N
     for rec in grid:
         want = old_omega(spec, rec.index["n"], rec.index["p"])

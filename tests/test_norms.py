@@ -274,18 +274,16 @@ class TestAssembly:
         a = 4.0 * (dirichlet_kernel(4, walsh4) - dirichlet_kernel(2, walsh4))
         d = AtomicDecomposition((1.0,), (a,), 0.25,
                                 (CylinderInterval(zero_point(walsh4), 1),))
-        out = assemble_from_atoms(d, walsh4.N, validate=True)
-        assert np.abs(out.function.values - a.values).max() < 1e-10
-        assert out.failed_atoms == ()
-        assert out.coefficient_estimate == pytest.approx(1.0)
+        out = assemble_from_atoms(d, walsh4.N)
+        assert np.abs(out.values - a.values).max() < 1e-10
+        assert validate_atom(a, d.p, d.intervals[0]).valid
+        assert d.coefficient_estimate() == pytest.approx(1.0)
 
-    def test_empty_decomposition_is_zero(self, walsh4):
+    def test_empty_decomposition_raises(self):
         d = AtomicDecomposition((), (), 0.5)
-        out = assemble_from_atoms(d, 2, vs=walsh4)
-        assert np.abs(out.function.values).max() == 0
-        assert out.coefficient_estimate == 0.0
+        assert d.coefficient_estimate() == 0.0
         with pytest.raises(ValueError):
-            assemble_from_atoms(d, 2)  # no structure to build zero on
+            assemble_from_atoms(d, 2)  # no structure to build on
 
     def test_coefficient_estimate(self, walsh4):
         a = StepFunction(walsh4, np.zeros(walsh4.size))
@@ -298,7 +296,7 @@ class TestAssembly:
         a2 = 0.5 * (dirichlet_kernel(2, walsh4) - dirichlet_kernel(1, walsh4))
         d = AtomicDecomposition((1.0, 0.25), (a1, a2), 0.25)
         out = assemble_from_atoms(d, walsh4.N)
-        ratio = hardy_norm(analyze(out.function), 0.25) / out.coefficient_estimate
+        ratio = hardy_norm(analyze(out), 0.25) / d.coefficient_estimate()
         assert 0 < ratio < 4
 
 
@@ -309,6 +307,5 @@ class TestNormReport:
         assert report.weak_root == pytest.approx(report.weak_p_power ** 2)
         assert report.weak_root <= report.lp + 1e-12
         assert report.hardy is not None and report.hardy >= report.lp - 1e-12
-        payload = report.to_json_dict()
-        assert payload["p"] == 0.5
-        assert len(payload["levels"]) <= 16
+        assert report.p == 0.5
+        assert len(report.levels) <= 16

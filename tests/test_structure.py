@@ -68,12 +68,8 @@ class TestIndexDigits:
         with pytest.raises(ResolutionError):
             index_to_digits(12, mixed232)
 
-    def test_explicit_length(self, mixed232):
-        assert index_to_digits(5, mixed232, length=2) == (1, 2)
-        with pytest.raises(ResolutionError):
-            index_to_digits(6, mixed232, length=2)
-        with pytest.raises(ResolutionError):
-            index_to_digits(1, mixed232, length=4)
+    def test_always_full_length(self, mixed232):
+        assert index_to_digits(5, mixed232) == (1, 2, 0)
         with pytest.raises(ValueError):
             index_to_digits(-1, mixed232)
 
