@@ -41,12 +41,14 @@ def lp_quasinorm(f: StepFunction, p: float) -> float:
 
 def _weak_level_scan(f: StepFunction, p: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(sup_v v^p * measure(|f| >= v), the positive levels v descending, their measures)."""
-    mags = np.abs(f.values)
-    ordered = np.sort(mags)
-    levels = np.unique(ordered)[::-1]
-    levels = levels[levels > 0]
-    size = len(mags)
-    measure = (size - np.searchsorted(ordered, levels, side="left")) / size
+    ordered = np.sort(np.abs(f.values))
+    size = len(ordered)
+    # Each distinct level starts a run of ordered, and the cells from that
+    # run's start on are those with |f| >= level.
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    starts = starts[ordered[starts] > 0][::-1]
+    levels = ordered[starts]
+    measure = (size - starts) / size
     if not len(levels):
         return 0.0, levels, measure
     # The array power may round an ulp away from the scalar one, so the

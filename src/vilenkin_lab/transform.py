@@ -3,13 +3,23 @@
 A :class:`StepFunction` stores one complex value per depth-N cell; a
 :class:`Spectrum` stores one coefficient per character index below M[N].
 ``analyze`` and ``synthesize`` convert between them with a decimation-in-
-digit factorization: one dense radix-m_j stage per coordinate, giving cost
+digit factorization, one radix-m_j stage per coordinate, giving cost
 O(M[N] * sum_j m_j) instead of the O(M[N]^2) direct summation, which is
 kept as :func:`naive_analyze` for cross-checking.
 
+Each stage is a dense ``einsum`` against its stage matrix, except the
+trailing run of radix-2 stages that act inside blocks of at most
+``_BLOCK`` cells: those run block by block while the block is in cache, as
+real add/multiply butterflies that round each operation exactly as the
+dense stage's sum of products does, so their output is bit-identical to
+it (a test compares the two byte for byte).  The butterflies keep the
+unsnapped root w = exp(i*pi) of the root tables, whose imaginary part is
+about 1.2e-16: snapping it to -1 would move stored records, so it waits
+for the benchmark change of ROADMAP item 5.
+
 Every operation is pure and the reduction order inside each output entry
-is fixed (stages ascend in coordinate, accumulation loops ascend in
-index), so results do not depend on scheduling.
+is fixed (stages ascend in coordinate, each output entry sums its stage
+inputs in ascending digit), so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -99,16 +109,65 @@ def _stage_matrices(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
+# Cells per cache block of the radix-2 tail in _run_stages.
+_BLOCK = 2**14
+
+
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.ndarray:
     mats = _stage_matrices(vs)
-    a = flat
-    for j in range(vs.N):
+    # Stages from tail on are radix 2 and act inside contiguous blocks of
+    # vs.size // vs.M[tail] <= _BLOCK cells.
+    tail = vs.N
+    while tail > 0 and vs.m[tail - 1] == 2 and vs.size // vs.M[tail - 1] <= _BLOCK:
+        tail -= 1
+    # einsum accumulates onto +0.0 and so never returns -0.0; adding +0.0
+    # does the same for an input that goes straight into the butterflies.
+    a = flat + 0.0 if tail == 0 else flat
+    for j in range(tail):
         mat = mats[j].conj() if conjugate else mats[j]
         high = vs.M[j]
         mj = vs.m[j]
         low = vs.size // (high * mj)
         a = np.einsum("kd,hdl->hkl", mat, a.reshape(high, mj, low)).reshape(-1)
-    return a
+    if tail == vs.N:
+        return a
+    # Each chunk of whole blocks runs through every tail stage while in
+    # cache, ping-ponging between two buffers, the last stage writing out.
+    width = vs.size // vs.M[tail]
+    cells = _BLOCK // width * width
+    out = np.empty_like(a)
+    bufs = (np.empty(cells, dtype=np.complex128), np.empty(cells, dtype=np.complex128))
+    scratch = np.empty(cells // 2)
+    for start in range(0, vs.size, cells):
+        src = a[start : start + cells]
+        n = len(src)
+        for i, j in enumerate(range(tail, vs.N)):
+            dst = out[start : start + n] if j == vs.N - 1 else bufs[i % 2][:n]
+            w = mats[j][1, 1].conj() if conjugate else mats[j][1, 1]
+            _butterfly(src, dst, w.imag, vs.size // vs.M[j + 1], scratch[: n // 2])
+            src = dst
+    return out
+
+
+def _butterfly(
+    src: np.ndarray, dst: np.ndarray, w_imag: float, low: int, scratch: np.ndarray
+) -> None:
+    # One radix-2 stage, matrix [[1, 1], [1, w]] with w.real == -1, on
+    # float64 views (blocks, digit, low, re/im).  einsum forms each product
+    # as re*re - im*im and re*im + im*re, then adds it onto the running sum;
+    # one ufunc per operation rounds each step once, exactly as it does.  A
+    # complex np.multiply by w may fuse multiply-adds and round differently.
+    s = src.view(np.float64).reshape(-1, 2, low, 2)
+    d = dst.view(np.float64).reshape(-1, 2, low, 2)
+    t = scratch.reshape(-1, low)
+    v0r, v0i, v1r, v1i = s[:, 0, :, 0], s[:, 0, :, 1], s[:, 1, :, 0], s[:, 1, :, 1]
+    np.add(s[:, 0], s[:, 1], out=d[:, 0])
+    np.multiply(v1i, w_imag, out=t)
+    np.add(t, v1r, out=t)
+    np.subtract(v0r, t, out=d[:, 1, :, 0])
+    np.multiply(v1r, w_imag, out=t)
+    np.subtract(t, v1i, out=t)
+    np.add(v0i, t, out=d[:, 1, :, 1])
 
 
 def analyze(f: StepFunction) -> Spectrum:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,7 @@ def weak_scan_inputs(vs, p):
         "few-magnitudes": np.array([1, 2, 3, 0, 1j, -2])[np.arange(size) * 7 % 6],
         "tied": tied,
         "all-zero": np.zeros(size, dtype=np.complex128),
+        "all-equal": np.full(size, 3.0 - 4.0j),
         "single-nonzero": single_nonzero_values(size, p),
     }
 
@@ -164,6 +167,15 @@ class TestWeakLevelScan:
             report = norm_report(f, p)
             assert report.weak_p_power.hex() == oracle_best.hex(), name
             assert report.levels == tuple(oracle_profile[:REPORT_LEVELS]), name
+
+    @pytest.mark.parametrize("value", [0.0, 2.5, -1j])
+    def test_single_cell_matches_level_loop(self, value):
+        # The run-start mask on one cell; the scan reads only f.values.
+        f = SimpleNamespace(values=np.array([value], dtype=np.complex128))
+        best, levels, measure = _weak_level_scan(f, 0.5)
+        oracle_best, oracle_profile = loop_weak_level_scan(f, 0.5)
+        assert best.hex() == oracle_best.hex()
+        assert list(zip(levels.tolist(), measure.tolist())) == oracle_profile
 
 
 class TestHardyNorm:

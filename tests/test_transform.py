@@ -19,6 +19,7 @@ from vilenkin_lab.transform import (
     Spectrum,
     StepFunction,
     _run_stages,
+    _stage_matrices,
     analyze,
     condexp,
     convolve,
@@ -39,6 +40,28 @@ def random_function(vs, seed):
 
 def random_spectrum(vs, seed):
     return Spectrum(vs, XorShift64Star(seed).complex_uniforms(vs.size))
+
+
+def dense_block_values(vs):
+    # Integer value M[i] on [M[i], M[i+1]): the dense block spectrum, whose
+    # rounding noise shows any fused multiply-add in a stage.
+    out = np.zeros(vs.size, dtype=np.complex128)
+    for i in range(vs.N):
+        out[vs.M[i] : vs.M[i + 1]] = vs.M[i]
+    return out
+
+
+def einsum_stages(flat, vs, conjugate):
+    # One dense einsum per stage, the reference _run_stages must match bitwise.
+    mats = _stage_matrices(vs)
+    a = flat
+    for j in range(vs.N):
+        mat = mats[j].conj() if conjugate else mats[j]
+        high = vs.M[j]
+        mj = vs.m[j]
+        low = vs.size // (high * mj)
+        a = np.einsum("kd,hdl->hkl", mat, a.reshape(high, mj, low)).reshape(-1)
+    return a
 
 
 class TestAnalyze:
@@ -104,7 +127,7 @@ class TestCoefficientOrder:
         values = _run_stages(s.coeffs[order], vs, conjugate=True)
         assert synthesize(s).values.tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("gens", [(2,) * 16, (3, 4, 5) * 3])
+    @pytest.mark.parametrize("gens", [(2,) * 16, (3, 4, 5) * 3, (2,) * 17])
     def test_first_analyze_peak_memory(self, gens):
         # A fresh structure builds no per-cell index table: the transient
         # peak stays a small multiple of the array itself.
@@ -117,6 +140,33 @@ class TestCoefficientOrder:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * f.values.nbytes
+
+
+class TestStageLoop:
+    # The radix-2 tail runs as blocked butterflies; they must round exactly
+    # as the dense einsum stage does.
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            (2,) * 5,
+            (2,) * 16,
+            (2,) * 17,
+            (3, 5) + (2,) * 13,
+            (4,) + (2,) * 15,
+            (2, 3, 2, 3),
+            (5,),
+            (7, 3),
+        ],
+    )
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_bitwise_equal_to_einsum_stages(self, gens, conjugate):
+        vs = VilenkinStructure.from_m(gens)
+        dense = dense_block_values(vs)
+        # -dense carries -0.0 imaginary parts, which einsum returns as +0.0.
+        for flat in (random_function(vs, 74).values, dense, -dense):
+            got = _run_stages(flat, vs, conjugate)
+            assert got.tobytes() == einsum_stages(flat, vs, conjugate).tobytes()
 
 
 class TestSynthesize:
