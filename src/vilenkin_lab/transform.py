@@ -7,15 +7,18 @@ digit factorization, one radix-m_j stage per coordinate, giving cost
 O(M[N] * sum_j m_j) instead of the O(M[N]^2) direct summation, which is
 kept as :func:`naive_analyze` for cross-checking.
 
-Each stage is a dense ``einsum`` against its stage matrix, except the
-trailing run of radix-2 stages that act inside blocks of at most
-``_BLOCK`` cells: those run block by block while the block is in cache, as
-real add/multiply butterflies that round each operation exactly as the
-dense stage's sum of products does, so their output is bit-identical to
-it (a test compares the two byte for byte).  The butterflies keep the
-unsnapped root w = exp(i*pi) of the root tables, whose imaginary part is
-about 1.2e-16: snapping it to -1 would move stored records, so it waits
-for the benchmark change of ROADMAP item 5.
+Every stage in the trailing run of radix-2 stages (all of them on Walsh)
+runs as a real add/multiply butterfly on separate real and imaginary
+planes, tile by tile while the tile is in cache: the stages acting across
+blocks wider than ``_BLOCK`` cells on column slabs, the rest on chunks of
+whole blocks, transposed once halfway so that no stage pairs neighbouring
+cells.  Each butterfly rounds every operation exactly as the dense stage's
+sum of products does, so the output is bit-identical to it (a test compares
+the two byte for byte).  Stages of any other radix, and radix-2 stages
+before the last stage of another radix, are a dense ``einsum`` against their
+stage matrix.  The butterflies keep the unsnapped root w = exp(i*pi) of the
+root tables, whose imaginary part is about 1.2e-16: snapping it to -1 would
+move stored records, so it waits for the benchmark change of ROADMAP item 5.
 
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
@@ -109,65 +112,100 @@ def _stage_matrices(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-# Cells per cache block of the radix-2 tail in _run_stages.
-_BLOCK = 2**14
+# Cells per cache tile of the radix-2 stages in _run_stages.
+_BLOCK = 2**15
 
 
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.ndarray:
     mats = _stage_matrices(vs)
-    # Stages from tail on are radix 2 and act inside contiguous blocks of
-    # vs.size // vs.M[tail] <= _BLOCK cells.
-    tail = vs.N
-    while tail > 0 and vs.m[tail - 1] == 2 and vs.size // vs.M[tail - 1] <= _BLOCK:
-        tail -= 1
-    # einsum accumulates onto +0.0 and so never returns -0.0; adding +0.0
-    # does the same for an input that goes straight into the butterflies.
-    a = flat + 0.0 if tail == 0 else flat
-    for j in range(tail):
+    # Stages from r0 on are radix 2 and run as butterflies; the rest as einsum.
+    r0 = vs.N
+    while r0 > 0 and vs.m[r0 - 1] == 2:
+        r0 -= 1
+    a = flat
+    for j in range(r0):
         mat = mats[j].conj() if conjugate else mats[j]
         high = vs.M[j]
         mj = vs.m[j]
         low = vs.size // (high * mj)
         a = np.einsum("kd,hdl->hkl", mat, a.reshape(high, mj, low)).reshape(-1)
-    if tail == vs.N:
+    if r0 == vs.N:
         return a
-    # Each chunk of whole blocks runs through every tail stage while in
-    # cache, ping-ponging between two buffers, the last stage writing out.
+    # Each tile is read from a and written back to out once all its stages
+    # are done, so the einsum result is updated in place and the caller's
+    # array is never written.  The read adds +0.0: einsum accumulates onto
+    # +0.0 and so never returns -0.0, and neither may the butterflies.
+    out = a if r0 else np.empty_like(flat)
+    w_imag = [(mats[j][1, 1].conj() if conjugate else mats[j][1, 1]).imag for j in range(vs.N)]
+    # Stages from tail on act inside blocks of width <= _BLOCK cells and run
+    # on chunks of whole blocks; stages r0..tail-1 act across the rows of
+    # (M[r0], rows, width) and run on column slabs of rows x cols cells.
+    tail = r0
+    while vs.size // vs.M[tail] > _BLOCK:
+        tail += 1
     width = vs.size // vs.M[tail]
-    cells = _BLOCK // width * width
-    out = np.empty_like(a)
-    bufs = (np.empty(cells, dtype=np.complex128), np.empty(cells, dtype=np.complex128))
-    scratch = np.empty(cells // 2)
-    for start in range(0, vs.size, cells):
-        src = a[start : start + cells]
-        n = len(src)
-        for i, j in enumerate(range(tail, vs.N)):
-            dst = out[start : start + n] if j == vs.N - 1 else bufs[i % 2][:n]
-            w = mats[j][1, 1].conj() if conjugate else mats[j][1, 1]
-            _butterfly(src, dst, w.imag, vs.size // vs.M[j + 1], scratch[: n // 2])
-            src = dst
+    rows = vs.M[tail] // vs.M[r0]
+    cols = min(width, max(_BLOCK // rows, 1))
+    per = max(_BLOCK // width, 1)
+    cells = min(per, vs.M[tail]) * width
+    planes = np.empty((2, 2, max(rows * cols, cells)))
+    scratch = np.empty((2, planes.shape[2] // 2))
+    if tail > r0:
+        src = a.view(np.float64).reshape(vs.M[r0], rows, width, 2)
+        dst = out.view(np.float64).reshape(vs.M[r0], rows, width, 2)
+        stages = [(vs.M[tail] // vs.M[j + 1] * cols, w_imag[j]) for j in range(r0, tail)]
+        x, y = planes[:, :, : rows * cols]
+        for h in range(vs.M[r0]):
+            for c in range(0, width, cols):
+                np.add(src[h, :, c : c + cols].transpose(2, 0, 1), 0.0, out=x.reshape(2, rows, cols))
+                done, _ = _butterflies(x, y, scratch, stages)
+                np.copyto(dst[h, :, c : c + cols].transpose(2, 0, 1), done.reshape(2, rows, cols))
+        a = out
+    # Block (hi, lo) is transposed to (lo, hi) halfway, so that no stage
+    # pairs cells closer than min(hi, lo) apart.
+    half = (width.bit_length() - 1) // 2
+    hi = 2**half
+    lo = width // hi
+    first = [(vs.size // vs.M[j + 1], w_imag[j]) for j in range(tail, tail + half)]
+    second = [(vs.size // vs.M[j + 1] * hi, w_imag[j]) for j in range(tail + half, vs.N)]
+    src = a.view(np.float64).reshape(vs.M[tail], width, 2)
+    dst = out.view(np.float64).reshape(vs.M[tail], width, 2)
+    for b in range(0, vs.M[tail], per):
+        g = min(per, vs.M[tail] - b)
+        x = planes[0, :, : g * width]
+        y = planes[1, :, : g * width]
+        np.add(src[b : b + g].transpose(2, 0, 1), 0.0, out=x.reshape(2, g, width))
+        x, y = _butterflies(x, y, scratch, first)
+        np.copyto(y.reshape(2, g, lo, hi), x.reshape(2, g, hi, lo).transpose(0, 1, 3, 2))
+        x, _ = _butterflies(y, x, scratch, second)
+        back = x.reshape(2, g, lo, hi).transpose(0, 1, 3, 2)
+        np.copyto(dst[b : b + g].transpose(2, 0, 1).reshape(2, g, hi, lo), back)
     return out
 
 
-def _butterfly(
-    src: np.ndarray, dst: np.ndarray, w_imag: float, low: int, scratch: np.ndarray
-) -> None:
-    # One radix-2 stage, matrix [[1, 1], [1, w]] with w.real == -1, on
-    # float64 views (blocks, digit, low, re/im).  einsum forms each product
-    # as re*re - im*im and re*im + im*re, then adds it onto the running sum;
-    # one ufunc per operation rounds each step once, exactly as it does.  A
-    # complex np.multiply by w may fuse multiply-adds and round differently.
-    s = src.view(np.float64).reshape(-1, 2, low, 2)
-    d = dst.view(np.float64).reshape(-1, 2, low, 2)
-    t = scratch.reshape(-1, low)
-    v0r, v0i, v1r, v1i = s[:, 0, :, 0], s[:, 0, :, 1], s[:, 1, :, 0], s[:, 1, :, 1]
-    np.add(s[:, 0], s[:, 1], out=d[:, 0])
-    np.multiply(v1i, w_imag, out=t)
-    np.add(t, v1r, out=t)
-    np.subtract(v0r, t, out=d[:, 1, :, 0])
-    np.multiply(v1r, w_imag, out=t)
-    np.subtract(t, v1i, out=t)
-    np.add(v0i, t, out=d[:, 1, :, 1])
+def _butterflies(
+    x: np.ndarray, y: np.ndarray, scratch: np.ndarray, stages: list[tuple[int, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    # Radix-2 stages, matrix [[1, 1], [1, w]] with w.real == -1, on the
+    # (re, im) planes x, each stage pairing cells `low` apart and writing
+    # into the other buffer; returns (result, spare).  einsum forms each
+    # product as re*re - im*im and re*im + im*re, then adds it onto the
+    # running sum; one ufunc per operation rounds each step once, exactly as
+    # it does.  A complex np.multiply by w may fuse multiply-adds and round
+    # differently.
+    t = scratch[:, : x.shape[1] // 2]
+    for low, w_imag in stages:
+        s = x.reshape(2, -1, 2, low)
+        d = y.reshape(2, -1, 2, low)
+        p = t.reshape(2, -1, low)
+        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
+        np.multiply(s[::-1, :, 1], w_imag, out=p)
+        np.add(p[0], s[0, :, 1], out=p[0])
+        np.subtract(p[1], s[1, :, 1], out=p[1])
+        np.subtract(s[0, :, 0], p[0], out=d[0, :, 1])
+        np.add(s[1, :, 0], p[1], out=d[1, :, 1])
+        x, y = y, x
+    return x, y
 
 
 def analyze(f: StepFunction) -> Spectrum:
@@ -275,15 +313,24 @@ def condexp(s: Spectrum, level: int) -> StepFunction:
 
 
 def _block_maximum(f: StepFunction) -> StepFunction:
-    # Pyramid of block means from the finest level down, each level's
-    # magnitude spread over its block and folded into the running maximum.
+    # Pyramid of block-mean magnitudes from the finest level down; the
+    # running maximum is then carried back up at each level's resolution,
+    # and only the last step touches every cell.
     vs = f.vs
-    best = np.abs(f.values)
     means = f.values
+    mags = []
     for level in range(vs.N - 1, -1, -1):
         means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
-        blocks = best.reshape(vs.M[level], -1)
-        np.maximum(blocks, np.abs(means)[:, None], out=blocks)
+        mags.append(np.abs(means))
+    run = mags.pop()
+    for level in range(1, vs.N):
+        mag = mags.pop()
+        blocks = mag.reshape(vs.M[level - 1], vs.m[level - 1])
+        np.maximum(blocks, run[:, None], out=blocks)
+        run = mag
+    best = np.abs(f.values)
+    blocks = best.reshape(vs.M[vs.N - 1], vs.m[vs.N - 1])
+    np.maximum(blocks, run[:, None], out=blocks)
     return StepFunction(vs, best.astype(np.complex128))
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vilenkin_lab import transform
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import dirichlet_kernel, fejer_kernel
 from vilenkin_lab.rng import XorShift64Star
@@ -18,6 +19,7 @@ from vilenkin_lab.transform import (
     FejerWeight,
     Spectrum,
     StepFunction,
+    _block_maximum,
     _run_stages,
     _stage_matrices,
     analyze,
@@ -143,8 +145,18 @@ class TestCoefficientOrder:
 
 
 class TestStageLoop:
-    # The radix-2 tail runs as blocked butterflies; they must round exactly
+    # The radix-2 stages run as tiled butterflies; they must round exactly
     # as the dense einsum stage does.
+
+    @staticmethod
+    def assert_matches_einsum(vs, conjugate):
+        dense = dense_block_values(vs)
+        # -dense carries -0.0 imaginary parts, which einsum returns as +0.0.
+        for flat in (random_function(vs, 74).values, dense, -dense):
+            before = flat.tobytes()
+            got = _run_stages(flat, vs, conjugate)
+            assert got.tobytes() == einsum_stages(flat, vs, conjugate).tobytes()
+            assert flat.tobytes() == before
 
     @pytest.mark.parametrize(
         "gens",
@@ -157,16 +169,57 @@ class TestStageLoop:
             (2, 3, 2, 3),
             (5,),
             (7, 3),
+            (3,) + (2,) * 15,
+            (2,),
+            (2, 2),
         ],
     )
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_bitwise_equal_to_einsum_stages(self, gens, conjugate):
+        self.assert_matches_einsum(VilenkinStructure.from_m(gens), conjugate)
+
+    @pytest.mark.parametrize(
+        "gens", [(2,) * 12, (3,) + (2,) * 10, (3, 5) + (2,) * 4, (2,) * 5]
+    )
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_bitwise_equal_with_small_tiles(self, monkeypatch, gens, conjugate):
+        # 64-cell tiles run column slabs, the mid-block transpose and a
+        # partial last chunk on structures of at most 2^12 cells.
+        monkeypatch.setattr(transform, "_BLOCK", 2**6)
+        self.assert_matches_einsum(VilenkinStructure.from_m(gens), conjugate)
+
+    def test_odd_block_width_is_transposed(self, monkeypatch):
+        # Width 2^13 splits as 2^6 x 2^7: after the transpose no stage pairs
+        # cells closer than 2^6 apart, where the last stage would pair
+        # neighbours without it.
+        lows = []
+        butterflies = transform._butterflies
+
+        def spy(x, y, scratch, stages):
+            lows.extend(low for low, _ in stages)
+            return butterflies(x, y, scratch, stages)
+
+        monkeypatch.setattr(transform, "_butterflies", spy)
+        vs = VilenkinStructure.from_m((3, 5) + (2,) * 13)
+        _run_stages(random_function(vs, 75).values, vs, conjugate=False)
+        chunks = -(-vs.M[2] // (transform._BLOCK // 2**13))
+        assert len(lows) == 13 * chunks
+        assert min(lows) == 2**6
+
+    @pytest.mark.parametrize("gens", [(2,) * 17, (3,) + (2,) * 16])
+    def test_peak_memory_is_one_array_plus_tiles(self, gens):
+        # Tiles are written back into one output array, the einsum result
+        # when there is one: no second full-size buffer or input copy.
         vs = VilenkinStructure.from_m(gens)
-        dense = dense_block_values(vs)
-        # -dense carries -0.0 imaginary parts, which einsum returns as +0.0.
-        for flat in (random_function(vs, 74).values, dense, -dense):
-            got = _run_stages(flat, vs, conjugate)
-            assert got.tobytes() == einsum_stages(flat, vs, conjugate).tobytes()
+        flat = random_function(vs, 76).values
+        _run_stages(flat, vs, conjugate=False)
+        tracemalloc.start()
+        try:
+            _run_stages(flat, vs, conjugate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= flat.nbytes + 64 * transform._BLOCK
 
 
 class TestSynthesize:
@@ -369,6 +422,21 @@ class TestMaximalFunction:
             means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
             best = np.maximum(best, np.repeat(np.abs(means), vs.size // vs.M[level]))
         assert maximal_function(s).values.tobytes() == best.astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize("gens", [(2,) * 17, (2, 3, 4, 5, 2, 3, 4, 5, 3, 4), (5,)])
+    def test_bitwise_equal_to_full_resolution_loop(self, gens):
+        # Oracle: every level's block-mean magnitude folded into a full-size
+        # running maximum, one pass over all cells per level.
+        vs = VilenkinStructure.from_m(gens)
+        f = random_function(vs, 65)
+        best = np.abs(f.values)
+        means = f.values
+        for level in range(vs.N - 1, -1, -1):
+            means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
+            blocks = best.reshape(vs.M[level], -1)
+            np.maximum(blocks, np.abs(means)[:, None], out=blocks)
+        assert _block_maximum(f).values.tobytes() == best.astype(np.complex128).tobytes()
+
 
 class TestFejerWeight:
     def test_quarter_exponent(self):
