@@ -8,26 +8,16 @@ diverge along lacunary subsequences.
 
 from .errors import CapacityError, ResolutionError
 from .structure import (
-    GroupPoint,
     VilenkinStructure,
-    add_points,
-    basis_point,
-    cell_to_point,
     cylinder_cells,
-    digits_to_index,
     index_to_digits,
     leading_position,
-    point_to_cell,
-    sub_points,
-    zero_point,
 )
 from .transform import (
     FejerWeight,
     Spectrum,
     StepFunction,
     analyze,
-    condexp,
-    convolve,
     fejer_mean,
     maximal_function,
     partial_sum,
@@ -35,12 +25,10 @@ from .transform import (
     weighted_maximal_fejer,
 )
 from .kernels import (
-    character,
     dirichlet_kernel,
     fejer_kernel,
     fejer_lower_bound_cells,
     lacunary_index,
-    rademacher,
     verify_fejer_lower_bounds,
 )
 from .norms import (
@@ -48,7 +36,6 @@ from .norms import (
     AtomicDecomposition,
     CylinderInterval,
     NormReport,
-    assemble_from_atoms,
     hardy_norm,
     lp_quasinorm,
     modulus_of_continuity,

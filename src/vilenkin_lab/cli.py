@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .acceptance import run_all
 from .errors import CapacityError
-from .experiments import load_config, run_experiment
+from .experiments import OUTPUT_FORMATS, load_config, run_experiment
 from .reporting import write_records
 from . import frozen
 
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")
     run_p.add_argument("config", help="path to the experiment config")
     run_p.add_argument("--out", help="output path (default: config output.path)")
-    run_p.add_argument("--format", choices=("csv", "json"), help="output format")
+    run_p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
     run_p.add_argument(
         "--cells-cap", type=int, default=None,
         help="cell budget override (env VILENKIN_CELL_CAP, default 2^22)",

@@ -35,7 +35,7 @@ from .norms import (
     modulus_of_continuity,
     weak_lp_quasinorm,
 )
-from .structure import VilenkinStructure, zero_point
+from .structure import VilenkinStructure
 from .transform import Spectrum, StepFunction, fejer_mean, synthesize
 
 
@@ -104,7 +104,7 @@ def _critical_example(
             tuple(w for _, w, _ in scales),
             tuple(critical_atom(j, p, vs) for j, _, _ in scales),
             p,
-            tuple(CylinderInterval(zero_point(vs), j) for j, _, _ in scales),
+            tuple(CylinderInterval(0, j) for j, _, _ in scales),
         ),
     )
 

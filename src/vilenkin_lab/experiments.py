@@ -41,13 +41,7 @@ from .norms import AtomCertificate, hardy_norm, lp_quasinorm, modulus_of_continu
 from .reporting import ExperimentRecord, config_hash
 from .rng import XorShift64Star
 from .serialize import load_function, save_function
-from .structure import (
-    VilenkinStructure,
-    cell_to_point,
-    character_column,
-    cylinder_cells,
-    leading_position,
-)
+from .structure import VilenkinStructure, character_column, cylinder_cells, leading_position
 from .transform import (
     FejerWeight,
     Spectrum,
@@ -61,6 +55,10 @@ from .transform import (
 
 DEFAULT_CELL_CAP = 2**22
 ENV_CELL_CAP = "VILENKIN_CELL_CAP"
+CONFIG_KEYS = frozenset(
+    {"experiment", "structure", "resolution", "p_values", "parameters", "seed", "output"}
+)
+OUTPUT_FORMATS = ("csv", "json")
 
 def _dense_p(parameters: dict) -> float:
     return float(parameters.get("p", 0.25))
@@ -88,6 +86,9 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         raw = json.loads(Path(source).read_text(encoding="utf-8"))
     else:
         raw = dict(source)
+    unknown = sorted(raw.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(CONFIG_KEYS)}")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValueError(
@@ -97,11 +98,26 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     structure = raw.get("structure")
     if not isinstance(structure, dict) or not ({"m", "pattern"} & structure.keys()):
         raise ValueError("config needs structure.m or structure.pattern")
-    p_values = tuple(float(p) for p in raw.get("p_values", ()))
+    generators = "m" if "m" in structure else "pattern"
+    unknown = sorted(structure.keys() - ({"m"} if generators == "m" else {"pattern", "repeat_to"}))
+    if unknown:
+        raise ValueError(f"unknown structure keys {unknown}; accepted: m, or pattern with repeat_to")
+    if not isinstance(structure[generators], (list, tuple)):
+        raise ValueError(f"structure.{generators} must be a list, got {structure[generators]!r}")
+    p_values = raw.get("p_values", [])
+    if not isinstance(p_values, (list, tuple)):
+        raise ValueError(f"p_values must be a list, got {p_values!r}")
+    p_values = tuple(float(p) for p in p_values)
     for p in p_values:
         if not 0 < p <= 1:
             raise ValueError(f"p value {p} outside (0, 1]")
-    parameters = dict(raw.get("parameters", {}))
+    parameters = raw.get("parameters", {})
+    if not isinstance(parameters, dict):
+        raise ValueError(f"parameters must be an object, got {parameters!r}")
+    parameters = dict(parameters)
+    resolution, seed = raw.get("resolution"), raw.get("seed", 1)
+    if not (resolution is None or isinstance(resolution, int)) or not isinstance(seed, int):
+        raise ValueError(f"resolution and seed must be integers, got {resolution!r} and {seed!r}")
     unknown = sorted(parameters.keys() - declared.keys)
     if unknown:
         raise ValueError(
@@ -117,13 +133,18 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ValueError(f"output must be an object with path and format, got {output!r}")
+    unknown = sorted(output.keys() - {"path", "format"})
+    if unknown:
+        raise ValueError(f"unknown output keys {unknown}; accepted: path, format")
+    if output.get("format", "csv") not in OUTPUT_FORMATS:
+        raise ValueError(f"output format {output['format']!r} not in {OUTPUT_FORMATS}")
     return ExperimentConfig(
         experiment=experiment,
         structure=structure,
-        resolution=raw.get("resolution"),
+        resolution=resolution,
         p_values=p_values,
         parameters=parameters,
-        seed=int(raw.get("seed", 1)),
+        seed=seed,
         output_path=output.get("path"),
         output_format=output.get("format", "csv"),
         raw=raw,
@@ -177,7 +198,7 @@ def family_smoothed_indicator(
 ) -> Spectrum:
     """Cylinder indicator smoothed by the Fejer window of order M[window_level]."""
     values = np.zeros(vs.size, dtype=np.complex128)
-    cells = cylinder_cells(cell_to_point(base_cell, vs), base_depth, vs)
+    cells = cylinder_cells(base_cell, base_depth, vs)
     values[cells.start : cells.stop] = 1.0
     return fejer_coefficients(analyze(StepFunction(vs, values)), vs.M[window_level])
 
@@ -296,7 +317,8 @@ def dirichlet_errors(vs: VilenkinStructure) -> list[float]:
     for j in range(vs.N + 1):
         kernel = dirichlet_kernel(vs.M[j], vs)
         expected = np.zeros(vs.size)
-        expected[: vs.size // vs.M[j]] = vs.M[j]
+        cells = cylinder_cells(0, j, vs)
+        expected[cells.start : cells.stop] = vs.M[j]
         errors.append(float(np.abs(kernel.values - expected).max()))
     return errors
 

@@ -1,4 +1,4 @@
-"""Rademacher functions, characters, Dirichlet and Fejer kernels.
+"""Dirichlet and Fejer kernels and the Fejer-kernel lower-bound catalogue.
 
 Kernels are materialized as step functions at full resolution so pointwise
 claims about them can be verified cell by cell.  The module also builds
@@ -14,38 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .structure import (
-    GroupPoint,
-    VilenkinStructure,
-    add_points,
-    basis_point,
-    cylinder_cells,
-    index_to_digits,
-    root_tables,
-)
+from .structure import VilenkinStructure, cylinder_cells
 from .transform import Spectrum, StepFunction, fejer_mean, partial_sum
 
 # Slack on the worst margin of the lower-bound check: the kernel is
 # synthesized in floating point, the bounds are exact.
 BOUND_SLACK = 1e-9
-
-
-def rademacher(k: int, x: GroupPoint, vs: VilenkinStructure) -> complex:
-    """Value of the k-th generalized Rademacher function at ``x``."""
-    if not 0 <= k < vs.N:
-        raise ResolutionError(f"coordinate {k} not below resolution {vs.N}")
-    return complex(root_tables(vs)[k][x.digits[k] % vs.m[k]])
-
-
-def character(n: int, x: GroupPoint, vs: VilenkinStructure) -> complex:
-    """Value of the n-th character at ``x`` (product of Rademacher powers)."""
-    if not 0 <= n < vs.size:
-        raise ResolutionError(f"character index {n} not below M[N] = {vs.size}")
-    value = 1 + 0j
-    for k, nk in enumerate(index_to_digits(n, vs)):
-        if nk:
-            value *= complex(root_tables(vs)[k][(nk * x.digits[k]) % vs.m[k]])
-    return value
 
 
 def _all_ones(vs: VilenkinStructure) -> Spectrum:
@@ -79,9 +53,10 @@ def lacunary_index(level: int, vs: VilenkinStructure) -> int:
 class LowerBoundCell:
     """One catalogued cylinder with its guaranteed kernel lower bound.
 
-    The cylinder has depth 2*s + 1 and passes through the point with digit
-    ``digit_low`` at coordinate 2*k and ``digit_high`` at coordinate 2*s.
-    On it, ``index * |fejer_kernel(index)|`` is at least ``bound``.
+    The cylinder has depth 2*s + 1 and passes through the cell ``base``,
+    whose digits are ``digit_low`` at coordinate 2*k, ``digit_high`` at
+    coordinate 2*s and 0 elsewhere.  On it, ``index * |fejer_kernel(index)|``
+    is at least ``bound``.
     """
 
     k: int
@@ -89,7 +64,7 @@ class LowerBoundCell:
     digit_low: int
     digit_high: int
     depth: int
-    base: GroupPoint
+    base: int
     cells: range
     bound: float
 
@@ -114,9 +89,7 @@ def fejer_lower_bound_cells(level: int, vs: VilenkinStructure) -> list[LowerBoun
             depth = 2 * s + 1
             for dk in range(1, vs.m[2 * k]):
                 for ds in range(1, vs.m[2 * s]):
-                    base = add_points(
-                        basis_point(2 * k, dk, vs), basis_point(2 * s, ds, vs), vs
-                    )
+                    base = dk * vs.cell_weight(2 * k) + ds * vs.cell_weight(2 * s)
                     out.append(
                         LowerBoundCell(
                             k=k,

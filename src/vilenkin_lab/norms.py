@@ -20,15 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionError
-from .structure import GroupPoint, VilenkinStructure, cylinder_cells
-from .transform import (
-    Spectrum,
-    StepFunction,
-    _block_maximum,
-    analyze,
-    maximal_function,
-    partial_sum,
-)
+from .structure import VilenkinStructure, cylinder_cells
+from .transform import Spectrum, StepFunction, _block_maximum, maximal_function
 
 
 def lp_quasinorm(f: StepFunction, p: float) -> float:
@@ -96,9 +89,9 @@ def modulus_of_continuity(s: Spectrum, level: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class CylinderInterval:
-    """A cylinder given by a base point and a depth; measure 1 / M[depth]."""
+    """A cylinder given by a base cell id and a depth; measure 1 / M[depth]."""
 
-    base: GroupPoint
+    base: int
     depth: int
 
     def measure(self, vs: VilenkinStructure) -> float:
@@ -182,31 +175,6 @@ class AtomicDecomposition:
             raise ValueError("coefficient and atom counts differ")
         if self.intervals and len(self.intervals) != len(self.atoms):
             raise ValueError("interval and atom counts differ")
-
-    def coefficient_estimate(self) -> float:
-        """(sum |mu_k|^p)^(1/p), the scale the Hardy norm is compared to."""
-        return float(
-            sum(abs(c) ** self.p for c in self.coefficients) ** (1.0 / self.p)
-        )
-
-
-def assemble_from_atoms(d: AtomicDecomposition, level: int) -> StepFunction:
-    """Level-``level`` martingale term: sum of mu_k times the level-M[level]
-    partial sum of each atom.
-
-    An empty decomposition has no structure to build on and raises.
-    """
-    if not d.atoms:
-        raise ValueError("empty decomposition has no structure to assemble on")
-    vs = d.atoms[0].vs
-    if not 0 <= level <= vs.N:
-        raise ResolutionError(f"level {level} not in [0, {vs.N}]")
-    total = np.zeros(vs.size, dtype=np.complex128)
-    for idx, (mu, atom) in enumerate(zip(d.coefficients, d.atoms)):
-        if atom.vs != vs:
-            raise ValueError(f"atom {idx} lives on a different structure")
-        total += mu * partial_sum(analyze(atom), vs.M[level]).values
-    return StepFunction(vs, total)
 
 
 REPORT_LEVELS = 16  # weak-level profile entries a NormReport keeps

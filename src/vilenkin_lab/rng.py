@@ -51,30 +51,17 @@ class XorShift64Star:
         self._state = x
         return (x * _MULT) & _MASK
 
-    def uniform(self) -> float:
-        """Next double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` doubles in [0, 1)."""
-        return self._doubles(count, 2.0**-53, 0.0, np.float64)
-
     def complex_uniforms(self, count: int) -> np.ndarray:
         """Complex samples with real and imaginary parts uniform on [-1, 1).
 
         Sample i takes doubles 2i (real part) and 2i + 1 (imaginary part) of
         the stream, each mapped by u -> 2u - 1.
         """
-        # 2u - 1 with u = k * 2^-53 is k * 2^-52 - 1 bit for bit: scaling
-        # by a power of two is exact, so only the subtraction rounds.
-        return self._doubles(2 * count, 2.0**-52, -1.0, np.complex128)
-
-    def _doubles(self, n: int, scale: float, shift: float, dtype: type) -> np.ndarray:
-        """``(output >> 11) * scale + shift`` for the next ``n`` outputs, read as ``dtype``."""
-        if n < 0:
+        if count < 0:
             raise ValueError("cannot draw a negative number of samples")
-        if n == 0:
-            return np.empty(0, dtype)
+        if count == 0:
+            return np.empty(0, np.complex128)
+        n = 2 * count
         length = min(_LANE_LENGTH, n)
         lanes = -(-n // length)
         starts = np.empty(lanes, dtype=np.uint64)
@@ -99,9 +86,11 @@ class XorShift64Star:
         self._state = int(states[(n - 1) % length, (n - 1) // length])
         out = np.multiply(states.T, _MULT, out=np.empty((lanes, length), dtype=np.uint64))
         out >>= 11
-        u = out.reshape(-1)[:n] * scale
-        u += shift
-        return u.view(dtype)
+        # 2u - 1 with u = k * 2^-53 is k * 2^-52 - 1 bit for bit: scaling
+        # by a power of two is exact, so only the subtraction rounds.
+        u = out.reshape(-1)[:n] * 2.0**-52
+        u -= 1.0
+        return u.view(np.complex128)
 
 
 def _jump(states: np.ndarray, steps: int) -> np.ndarray:

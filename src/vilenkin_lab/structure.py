@@ -1,4 +1,4 @@
-"""Bounded Vilenkin group arithmetic.
+"""Bounded Vilenkin groups: scale tables, digit expansions and cells.
 
 A group is described by a generating sequence ``m = (m_0, m_1, ...)`` of
 integers >= 2.  The scale table ``M`` satisfies ``M[0] = 1`` and
@@ -15,6 +15,8 @@ Two mixed-radix digit conventions coexist and must not be confused:
   cell id of a point ``x`` is ``sum_j x_j * (M[N] // M[j+1])``, digit 0
   carrying the largest weight, which makes every cylinder a contiguous
   range of cell ids.
+
+A point of the group is named only by the id of its depth-N cell.
 
 All operations here are pure; a :class:`VilenkinStructure` is immutable and
 freely shareable across threads.
@@ -82,23 +84,6 @@ class VilenkinStructure:
         return self.M[self.N] // self.M[j + 1]
 
 
-@dataclass(frozen=True)
-class GroupPoint:
-    """A point of the group as its digit vector, one digit per coordinate."""
-
-    digits: tuple[int, ...]
-
-
-def _check_point(x: GroupPoint, vs: VilenkinStructure) -> None:
-    if len(x.digits) != vs.N:
-        raise ValueError(
-            f"point has {len(x.digits)} digits, structure expects {vs.N}"
-        )
-    for k, d in enumerate(x.digits):
-        if not 0 <= d < vs.m[k]:
-            raise ValueError(f"digit {d} at position {k} not in [0, {vs.m[k]})")
-
-
 def index_to_digits(n: int, vs: VilenkinStructure) -> tuple[int, ...]:
     """Expand an integer in the generalized number system of ``vs``.
 
@@ -110,18 +95,6 @@ def index_to_digits(n: int, vs: VilenkinStructure) -> tuple[int, ...]:
     if n >= vs.size:
         raise ResolutionError(f"index {n} >= M[{vs.N}] = {vs.size}")
     return tuple((n // vs.M[j]) % vs.m[j] for j in range(vs.N))
-
-
-def digits_to_index(digits: Sequence[int], vs: VilenkinStructure) -> int:
-    """Inverse of :func:`index_to_digits`; validates every digit."""
-    if len(digits) > vs.N:
-        raise ResolutionError(f"{len(digits)} digits exceed resolution {vs.N}")
-    total = 0
-    for j, d in enumerate(digits):
-        if not 0 <= d < vs.m[j]:
-            raise ValueError(f"digit {d} at position {j} not in [0, {vs.m[j]})")
-        total += d * vs.M[j]
-    return total
 
 
 def leading_position(n: int, vs: VilenkinStructure) -> int:
@@ -142,73 +115,21 @@ def leading_position(n: int, vs: VilenkinStructure) -> int:
     return pos
 
 
-def zero_point(vs: VilenkinStructure) -> GroupPoint:
-    return GroupPoint((0,) * vs.N)
+def cylinder_cells(cell: int, depth: int, vs: VilenkinStructure) -> range:
+    """Contiguous cell-id range of the depth-``depth`` cylinder through ``cell``.
 
-
-def basis_point(position: int, value: int, vs: VilenkinStructure) -> GroupPoint:
-    """Point with digit ``value`` at ``position`` and zeros elsewhere.
-
-    ``value`` must lie in [1, m[position]).
+    The cylinder holds the cells that share the first ``depth`` digits of
+    ``cell``; those digits carry the weights that are multiples of
+    M[N] // M[depth], so the range is the width-aligned block containing
+    ``cell``.  It holds M[N] // M[depth] cells, so its measure is
+    1 / M[depth].
     """
-    if not 0 <= position < vs.N:
-        raise ResolutionError(f"position {position} not below resolution {vs.N}")
-    if not 1 <= value < vs.m[position]:
-        raise ValueError(
-            f"digit {value} at position {position} not in [1, {vs.m[position]})"
-        )
-    digits = [0] * vs.N
-    digits[position] = value
-    return GroupPoint(tuple(digits))
-
-
-def add_points(x: GroupPoint, y: GroupPoint, vs: VilenkinStructure) -> GroupPoint:
-    """Coordinatewise modular addition (no carries)."""
-    _check_point(x, vs)
-    _check_point(y, vs)
-    return GroupPoint(
-        tuple((a + b) % mk for a, b, mk in zip(x.digits, y.digits, vs.m))
-    )
-
-
-def sub_points(x: GroupPoint, y: GroupPoint, vs: VilenkinStructure) -> GroupPoint:
-    """Coordinatewise modular subtraction (no borrows)."""
-    _check_point(x, vs)
-    _check_point(y, vs)
-    return GroupPoint(
-        tuple((a - b) % mk for a, b, mk in zip(x.digits, y.digits, vs.m))
-    )
-
-
-def point_to_cell(x: GroupPoint, vs: VilenkinStructure) -> int:
-    """Cell id of a point in the canonical (interval) order."""
-    _check_point(x, vs)
-    return sum(d * vs.cell_weight(j) for j, d in enumerate(x.digits))
-
-
-def cell_to_point(cell: int, vs: VilenkinStructure) -> GroupPoint:
-    """Point whose depth-N cell has id ``cell``."""
     if not 0 <= cell < vs.size:
         raise ValueError(f"cell id {cell} not in [0, {vs.size})")
-    digits = []
-    rem = cell
-    for j in range(vs.N):
-        w = vs.cell_weight(j)
-        digits.append(rem // w)
-        rem %= w
-    return GroupPoint(tuple(digits))
-
-
-def cylinder_cells(x: GroupPoint, depth: int, vs: VilenkinStructure) -> range:
-    """Contiguous cell-id range of the depth-``depth`` cylinder through ``x``.
-
-    The range holds M[N] // M[depth] cells, so its measure is 1 / M[depth].
-    """
-    _check_point(x, vs)
     if not 0 <= depth <= vs.N:
         raise ResolutionError(f"cylinder depth {depth} not in [0, {vs.N}]")
     width = vs.size // vs.M[depth]
-    start = sum(x.digits[j] * vs.cell_weight(j) for j in range(depth))
+    start = cell - cell % width
     return range(start, start + width)
 
 
@@ -216,8 +137,9 @@ def cylinder_cells(x: GroupPoint, depth: int, vs: VilenkinStructure) -> range:
 def cell_digit_table(vs: VilenkinStructure) -> np.ndarray:
     """Digit matrix of shape (N, M[N]): row j holds digit j of every cell.
 
-    An int64 table of N * M[N] entries, read only by the direct
-    ``convolve`` oracle; the fast paths read digits as array axes.
+    An int64 table of N * M[N] entries.  No fast path reads it (they read
+    digits as array axes); the benchmark tracer pins it by name, and the
+    tests' direct convolution oracle indexes it.
     """
     ids = np.arange(vs.size, dtype=np.int64)
     rows = np.empty((vs.N, vs.size), dtype=np.int64)
@@ -240,17 +162,6 @@ def root_tables(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
         t.setflags(write=False)
         tables.append(t)
     return tuple(tables)
-
-
-def rademacher_column(k: int, vs: VilenkinStructure) -> np.ndarray:
-    """Values of the k-th generalized Rademacher function on all cells."""
-    if not 0 <= k < vs.N:
-        raise ResolutionError(f"coordinate {k} not below resolution {vs.N}")
-    # Cell ids are C order over vs.m, so digit k of a cell is the middle
-    # axis of the (M[k], m[k], rest) view.
-    col = np.empty(vs.size, dtype=np.complex128)
-    col.reshape(vs.M[k], vs.m[k], -1)[...] = root_tables(vs)[k][:, None]
-    return col
 
 
 def character_column(n: int, vs: VilenkinStructure) -> np.ndarray:

@@ -18,7 +18,7 @@ the two byte for byte).  Stages of any other radix, and radix-2 stages
 before the last stage of another radix, are a dense ``einsum`` against their
 stage matrix.  The butterflies keep the unsnapped root w = exp(i*pi) of the
 root tables, whose imaginary part is about 1.2e-16: snapping it to -1 would
-move stored records, so it waits for the benchmark change of ROADMAP item 5.
+move stored records, so it waits for the benchmark change of ROADMAP item 1.
 
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
@@ -35,12 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResolutionError
-from .structure import (
-    VilenkinStructure,
-    cell_digit_table,
-    character_column,
-    root_tables,
-)
+from .structure import VilenkinStructure, character_column, root_tables
 
 
 @dataclass
@@ -57,10 +52,6 @@ class StepFunction:
                 f"expected {self.vs.size} cell values, got shape {arr.shape}"
             )
         self.values = arr
-
-    def integral(self) -> complex:
-        """Exact Haar integral: the mean of the cell values."""
-        return complex(self.values.mean())
 
     def _require_same(self, other: "StepFunction") -> None:
         if self.vs != other.vs:
@@ -240,15 +231,6 @@ def naive_analyze(f: StepFunction, indices: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def naive_synthesize(coeffs: np.ndarray, vs: VilenkinStructure) -> np.ndarray:
-    """Direct O(M^2) synthesis oracle: sum of coefficient * character."""
-    out = np.zeros(vs.size, dtype=np.complex128)
-    for n, c in enumerate(np.asarray(coeffs)):
-        if c != 0:
-            out += c * character_column(n, vs)
-    return out
-
-
 def partial_sum(s: Spectrum, n: int) -> StepFunction:
     """Partial sum with the first ``n`` coefficients; n = 0 gives zero."""
     vs = s.vs
@@ -274,42 +256,6 @@ def fejer_coefficients(s: Spectrum, n: int) -> Spectrum:
 def fejer_mean(s: Spectrum, n: int) -> StepFunction:
     """The n-th Fejer (arithmetic) mean of the partial sums."""
     return synthesize(fejer_coefficients(s, n))
-
-
-def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Group convolution (f * g)(x) = integral of f(t) g(x - t) dt.
-
-    Computed by the direct double sum with group subtraction, so it stays
-    independent of the transform; the coefficient product rule is a checked
-    property, not the implementation.
-    """
-    if f.vs != g.vs:
-        raise ValueError("convolution operands live on different structures")
-    vs = f.vs
-    digits = cell_digit_table(vs)
-    mods = np.array(vs.m, dtype=np.int64).reshape(vs.N, 1)
-    weights = np.array([vs.cell_weight(j) for j in range(vs.N)], dtype=np.int64)
-    out = np.empty(vs.size, dtype=np.complex128)
-    for x in range(vs.size):
-        xd = digits[:, x].reshape(vs.N, 1)
-        ids = weights @ ((xd - digits) % mods)
-        out[x] = (f.values * g.values[ids]).mean()
-    return StepFunction(vs, out)
-
-
-def condexp(s: Spectrum, level: int) -> StepFunction:
-    """Conditional expectation on the depth-``level`` cylinder algebra.
-
-    Implemented as the block average of the synthesized values; agreement
-    with the partial sum of order M[level] is a tested identity.
-    """
-    vs = s.vs
-    if not 0 <= level <= vs.N:
-        raise ResolutionError(f"level {level} not in [0, {vs.N}]")
-    values = synthesize(s).values
-    width = vs.size // vs.M[level]
-    means = values.reshape(vs.M[level], width).mean(axis=1)
-    return StepFunction(vs, np.repeat(means, width))
 
 
 def _block_maximum(f: StepFunction) -> StepFunction:

@@ -7,24 +7,29 @@ import pytest
 
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import (
-    character,
     dirichlet_kernel,
     fejer_kernel,
     fejer_lower_bound_cells,
     lacunary_index,
-    rademacher,
     verify_fejer_lower_bounds,
 )
 from vilenkin_lab.structure import (
-    GroupPoint,
     VilenkinStructure,
-    add_points,
     cell_digit_table,
-    cell_to_point,
     character_column,
     index_to_digits,
-    rademacher_column,
     root_tables,
+)
+
+from group_oracles import (
+    GroupPoint,
+    add_points,
+    basis_point,
+    cell_to_point,
+    character,
+    point_cylinder_cells,
+    rademacher,
+    rademacher_column,
     zero_point,
 )
 
@@ -195,7 +200,7 @@ class TestDirichletKernel:
         for n in range(1, mixed2323.size + 1):
             kernel = dirichlet_kernel(n, mixed2323)
             assert kernel.values[0] == pytest.approx(n)
-            assert kernel.integral() == pytest.approx(1)
+            assert kernel.values.mean() == pytest.approx(1)
 
     def test_closed_form_at_scale_orders(self, mixed2323, walsh6):
         for vs in (mixed2323, walsh6):
@@ -243,7 +248,7 @@ class TestFejerKernel:
 
     def test_integral_one(self, mixed2323):
         for n in (1, 2, 5, 17, 36):
-            assert fejer_kernel(n, mixed2323).integral() == pytest.approx(1)
+            assert fejer_kernel(n, mixed2323).values.mean() == pytest.approx(1)
 
 
 class TestLacunaryIndex:
@@ -273,7 +278,7 @@ class TestLowerBoundCatalogue:
         entry = cat[0]
         assert (entry.k, entry.s) == (0, 2)
         assert entry.depth == 5
-        assert entry.base.digits == (1, 0, 0, 0, 1)
+        assert entry.base == 17  # digits (1, 0, 0, 0, 1)
         assert entry.bound == pytest.approx(4.0)
 
     def test_enumeration_at_four(self):
@@ -314,3 +319,18 @@ class TestLowerBoundCatalogue:
         assert not check.ok
         assert check.worst_margin == pytest.approx(-1.0)
         assert check.entries == 1 and check.cells_checked == len(cat[0].cells)
+
+    @pytest.mark.parametrize(
+        "gens, level",
+        [((2,) * 5, 3), ((2,) * 7, 4), ((3, 2, 4, 2, 3), 3), ((2, 3, 2, 3, 2, 3, 2), 4)],
+        ids=["walsh5", "walsh7", "3x2x4x2x3", "2x3x2x3x2x3x2"],
+    )
+    def test_cells_match_digit_vector_model(self, gens, level):
+        # each entry's base cell and range, rebuilt from its two basis points
+        vs = VilenkinStructure.from_m(gens)
+        cat = fejer_lower_bound_cells(level, vs)
+        assert cat
+        for e in cat:
+            x = add_points(basis_point(2 * e.k, e.digit_low, vs), basis_point(2 * e.s, e.digit_high, vs), vs)
+            assert cell_to_point(e.base, vs) == x
+            assert e.cells == point_cylinder_cells(x, e.depth, vs)

@@ -125,11 +125,33 @@ class TestConfigLoading:
             {"experiment": "gram", "structure": {"pattern": [2], "repeat_to": 4},
              "parameters": {"functions": 0}},
             {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 1}},
+            # misspelt keys and malformed values
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "paramters": {"bound_level": 3}},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6, "repeat_too": 11},
+             "resolution": 6},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "output": {"fromat": "json"}},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "output": {"format": "xml"}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "p_values": 0.5},
+            {"experiment": "gram", "structure": {"m": 5}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "smoothed-indicator", "base_cell": 64}},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": 5},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6}, "seed": [1]},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "resolution": "6"},
         ],
         ids=["no-function-path", "missing-function-file", "output-not-object",
              "function-path-without-from-file", "2a-empty-ranges", "2a-shallow-default-ranges",
              "2b-empty-modulus-range", "kernels-empty-catalogue", "kernel-scan-empty-levels",
-             "maximal-bound-no-seeds", "gram-no-functions", "convergence-no-scales"],
+             "maximal-bound-no-seeds", "gram-no-functions", "convergence-no-scales",
+             "misspelt-top-level-key", "misspelt-structure-key", "misspelt-output-key",
+             "unknown-output-format", "p-values-not-list", "m-not-list", "base-cell-past-last-cell",
+             "parameters-not-object", "seed-not-integer", "resolution-not-integer"],
     )
     def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist

