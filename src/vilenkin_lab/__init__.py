@@ -10,7 +10,6 @@ from .errors import CapacityError, ResolutionError
 from .structure import (
     VilenkinStructure,
     cylinder_cells,
-    index_to_digits,
     leading_position,
 )
 from .transform import (

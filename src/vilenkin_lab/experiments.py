@@ -49,7 +49,7 @@ from .transform import (
     analyze,
     fejer_coefficients,
     fejer_mean,
-    iter_fejer_means,
+    fejer_mean_blocks,
     synthesize,
 )
 
@@ -81,6 +81,11 @@ class ExperimentConfig:
         return config_hash(self.raw)
 
 
+def _is_integer(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(source: dict | str | Path) -> ExperimentConfig:
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -104,6 +109,10 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         raise ValueError(f"unknown structure keys {unknown}; accepted: m, or pattern with repeat_to")
     if not isinstance(structure[generators], (list, tuple)):
         raise ValueError(f"structure.{generators} must be a list, got {structure[generators]!r}")
+    if not all(_is_integer(v) for v in structure[generators]):
+        raise ValueError(f"structure.{generators} must hold integers, got {structure[generators]!r}")
+    if "repeat_to" in structure and not _is_integer(structure["repeat_to"]):
+        raise ValueError(f"structure.repeat_to must be an integer, got {structure['repeat_to']!r}")
     p_values = raw.get("p_values", [])
     if not isinstance(p_values, (list, tuple)):
         raise ValueError(f"p_values must be a list, got {p_values!r}")
@@ -116,7 +125,7 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         raise ValueError(f"parameters must be an object, got {parameters!r}")
     parameters = dict(parameters)
     resolution, seed = raw.get("resolution"), raw.get("seed", 1)
-    if not (resolution is None or isinstance(resolution, int)) or not isinstance(seed, int):
+    if not (resolution is None or _is_integer(resolution)) or not _is_integer(seed):
         raise ValueError(f"resolution and seed must be integers, got {resolution!r} and {seed!r}")
     unknown = sorted(parameters.keys() - declared.keys)
     if unknown:
@@ -138,6 +147,8 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         raise ValueError(f"unknown output keys {unknown}; accepted: path, format")
     if output.get("format", "csv") not in OUTPUT_FORMATS:
         raise ValueError(f"output format {output['format']!r} not in {OUTPUT_FORMATS}")
+    if output.get("path") is not None and not isinstance(output["path"], str):
+        raise ValueError(f"output.path must be a string, got {output['path']!r}")
     return ExperimentConfig(
         experiment=experiment,
         structure=structure,
@@ -159,7 +170,7 @@ def build_structure(cfg: ExperimentConfig, cap: int | None = None) -> VilenkinSt
         depth = spec.get("repeat_to", cfg.resolution)
         if depth is None:
             raise ValueError("pattern structure needs repeat_to or resolution")
-        vs = VilenkinStructure.from_pattern(spec["pattern"], int(depth))
+        vs = VilenkinStructure.from_pattern(spec["pattern"], depth)
     if cfg.resolution is not None and cfg.resolution != vs.N:
         raise ValueError(f"structure has resolution {vs.N} but resolution says {cfg.resolution}")
     limit = int(cap if cap is not None else os.environ.get(ENV_CELL_CAP) or DEFAULT_CELL_CAP)
@@ -581,15 +592,18 @@ def run_kernel_scan(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
 
 def max_weighted_ratio(spec: Spectrum, p: float, n_max: int) -> float:
     """max over n <= n_max of ||sigma_n f||_p / (weight_p(n) * ||f||_{H_p}); 0 for f = 0."""
-    vs = spec.vs
     denom = hardy_norm(spec, p)
     if denom == 0:
         return 0.0
     weight = FejerWeight.for_p(p)
     best = 0.0
-    for n, sigma in iter_fejer_means(spec, n_max):
-        val = lp_quasinorm(StepFunction(vs, sigma), p) / (weight.at(n) * denom)
-        best = max(best, val)
+    for first, sigma in fejer_mean_blocks(spec, n_max):
+        # lp_quasinorm of each row: the array power and the mean per block,
+        # the root per row with the scalar power, which the array power can
+        # miss by an ulp
+        means = np.mean(np.abs(sigma) ** p, axis=1)
+        for n, mean in enumerate(means, first):
+            best = max(best, float(mean ** (1.0 / p)) / (weight.at(n) * denom))
     return best
 
 

@@ -84,19 +84,6 @@ class VilenkinStructure:
         return self.M[self.N] // self.M[j + 1]
 
 
-def index_to_digits(n: int, vs: VilenkinStructure) -> tuple[int, ...]:
-    """Expand an integer in the generalized number system of ``vs``.
-
-    Returns digits (d_0, ..., d_{N-1}) with n = sum_j d_j * M[j] and
-    d_j in [0, m[j]).
-    """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n >= vs.size:
-        raise ResolutionError(f"index {n} >= M[{vs.N}] = {vs.size}")
-    return tuple((n // vs.M[j]) % vs.m[j] for j in range(vs.N))
-
-
 def leading_position(n: int, vs: VilenkinStructure) -> int:
     """Position of the highest nonzero digit of ``n`` (requires n >= 1).
 
@@ -164,18 +151,50 @@ def root_tables(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def character_column(n: int, vs: VilenkinStructure) -> np.ndarray:
-    """Values of the n-th character on all cells, in cell order.
+@lru_cache(maxsize=32)
+def root_powers(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
+    """Per-coordinate (m_j, m_j) tables: entry [d, t] of table j is the j-th
+    Rademacher function raised to the digit d, at digit t, looked up in
+    :func:`root_tables` as exp(2*pi*i*(d*t mod m_j)/m_j)."""
+    tables = []
+    for j, mj in enumerate(vs.m):
+        k = np.arange(mj)
+        t = root_tables(vs)[j][np.outer(k, k) % mj]
+        t.setflags(write=False)
+        tables.append(t)
+    return tuple(tables)
 
-    The character is the product over coordinates of the k-th Rademacher
-    function raised to the k-th digit of ``n``.
+
+def character_rows(first: int, count: int, vs: VilenkinStructure) -> np.ndarray:
+    """Values of characters first, ..., first + count - 1 on all cells, one
+    row per character, in cell order.
+
+    The n-th character is the product over coordinates of the j-th
+    Rademacher function raised to the j-th digit of ``n``, multiplied onto
+    1 in ascending j.  After the multiplies for coordinates up to j a value
+    depends only on the first j + 1 digits of its cell, so each multiply
+    acts on those M[j+1] prefixes and the rows grow to all cells as the
+    digits are taken.  A digit 0 multiplies by 1 + 0j, which returns every
+    value unchanged: x * (1 + 0j) differs from x only where x has a -0.0
+    part, and no product of root-table entries has one (the entries have
+    none, and a product part rounds to -0.0 only from a -0.0 factor part or
+    a zero value).
     """
-    if not 0 <= n < vs.size:
-        raise ResolutionError(f"character index {n} not below M[N] = {vs.size}")
-    col = np.ones(vs.size, dtype=np.complex128)
-    roots = root_tables(vs)
-    for j, nj in enumerate(index_to_digits(n, vs)):
-        if nj:
-            view = col.reshape(vs.M[j], vs.m[j], -1)
-            view *= roots[j][(nj * np.arange(vs.m[j])) % vs.m[j]][:, None]
-    return col
+    if count < 1 or not 0 <= first <= vs.size - count:
+        raise ResolutionError(f"characters {first}..{first + count - 1} not in [0, M[N] = {vs.size})")
+    digits = np.arange(first, first + count)[:, None] // np.array(vs.M[:-1]) % np.array(vs.m)
+    rows = np.ones((count, 1), dtype=np.complex128)
+    for j, powers in enumerate(root_powers(vs)):
+        grown = np.empty((count, vs.M[j], vs.m[j]), dtype=np.complex128)
+        # C order runs the inner loop along the prefixes, not along digit j
+        np.multiply(
+            rows[:, None, :], powers[digits[:, j], :, None],
+            out=grown.transpose(0, 2, 1), order="C",
+        )
+        rows = grown.reshape(count, -1)
+    return rows
+
+
+def character_column(n: int, vs: VilenkinStructure) -> np.ndarray:
+    """Values of the n-th character on all cells, in cell order."""
+    return character_rows(n, 1, vs)[0]

@@ -20,6 +20,14 @@ stage matrix.  The butterflies keep the unsnapped root w = exp(i*pi) of the
 root tables, whose imaginary part is about 1.2e-16: snapping it to -1 would
 move stored records, so it waits for the benchmark change of ROADMAP item 1.
 
+The Fejer means of a whole sweep come from :func:`fejer_mean_blocks`, one
+block of max(_BLOCK // M[N], 1) orders at a time: a block of characters
+from ``character_rows``, scaled by their coefficients, then the partial
+sums and their running sum added row by row in ascending order, carried
+from block to block, and divided by the orders.  It equals the one-order
+recurrence byte for byte (the tests keep that recurrence as the oracle);
+:func:`iter_fejer_means` yields the same means one row at a time.
+
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
 inputs in ascending digit), so results do not depend on scheduling.
@@ -35,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResolutionError
-from .structure import VilenkinStructure, character_column, root_tables
+from .structure import VilenkinStructure, character_column, character_rows, root_powers
 
 
 @dataclass
@@ -95,9 +103,8 @@ def _stage_matrices(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
     # Analysis stage for coordinate j: entry [k, d] = exp(-2*pi*i*k*d/m_j),
     # built by root-table lookup for determinism.
     mats = []
-    for j, mj in enumerate(vs.m):
-        k = np.arange(mj)
-        mat = root_tables(vs)[j][np.outer(k, k) % mj].conj()
+    for table in root_powers(vs):
+        mat = table.conj()
         mat.setflags(write=False)
         mats.append(mat)
     return tuple(mats)
@@ -308,24 +315,44 @@ class FejerWeight:
         return (n + 1.0) ** self.exponent * math.log(n + 1.0) ** self.log_power
 
 
-def iter_fejer_means(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, values of the n-th Fejer mean) for n = 1..n_max.
+def fejer_mean_blocks(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, block) for the Fejer means of orders 1..n_max, where row
+    i of the block holds the values of the (first + i)-th mean.
 
-    Runs the recurrence S_n = S_{n-1} + coefficient * character and the
-    running sum of partial sums, costing O(n_max * M[N]) overall; the
-    accumulation order is fixed (ascending n).
+    A block holds max(_BLOCK // M[N], 1) orders.  Its rows are the
+    recurrence S_n = S_{n-1} + coefficient * character, then the running
+    sum of partial sums, added row by row in ascending n and carried from
+    the last row of one block into the first of the next.  A zero
+    coefficient adds zeros, which leave the sums as they were, as skipping
+    the order does: the sums start at +0.0, so they never hold a -0.0 part,
+    the one value that adding +0.0 would change.  Each running sum is
+    divided by its order as a complex number, as dividing by the integer n
+    does.  The result is byte for byte the one-order-at-a-time recurrence,
+    at O(n_max * M[N]) cost overall.
     """
     vs = s.vs
     if not 1 <= n_max <= vs.size:
         raise ResolutionError(f"sweep bound {n_max} not in [1, {vs.size}]")
-    partial = np.zeros(vs.size, dtype=np.complex128)
-    total = np.zeros(vs.size, dtype=np.complex128)
-    for n in range(1, n_max + 1):
-        c = s.coeffs[n - 1]
-        if c != 0:
-            partial = partial + c * character_column(n - 1, vs)
-        total = total + partial
-        yield n, total / n
+    rows = max(_BLOCK // vs.size, 1)
+    partial = total = np.zeros(vs.size, dtype=np.complex128)
+    for first in range(0, n_max, rows):
+        count = min(rows, n_max - first)
+        terms = character_rows(first, count, vs)
+        np.multiply(s.coeffs[first : first + count, None], terms, out=terms)
+        sums = np.empty_like(terms)
+        for i in range(count):
+            partial = np.add(partial, terms[i], out=terms[i])
+            total = np.add(total, partial, out=sums[i])
+        n = np.arange(first + 1, first + count + 1, dtype=np.complex128)
+        yield first + 1, sums / n[:, None]
+
+
+def iter_fejer_means(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, values of the n-th Fejer mean) for n = 1..n_max, each a row
+    of a :func:`fejer_mean_blocks` block."""
+    for first, block in fejer_mean_blocks(s, n_max):
+        for n, sigma in enumerate(block, first):
+            yield n, sigma
 
 
 def weighted_maximal_fejer(s: Spectrum, p: float, n_max: int) -> StepFunction:

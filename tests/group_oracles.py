@@ -5,8 +5,9 @@ here keeps the group's own description instead: a point is its digit
 vector, addition is digitwise modulo m_j, and a character is evaluated at a
 point as a product of Rademacher values.  The direct oracles (synthesis by
 summing characters, convolution by the double sum with group subtraction,
-conditional expectation by block means, assembly from atoms) share nothing
-with the staged transform beyond the root tables.
+conditional expectation by block means, assembly from atoms, the Fejer
+means one order at a time) share nothing with the staged transform beyond
+the root tables.
 """
 
 from __future__ import annotations
@@ -16,15 +17,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from vilenkin_lab.errors import ResolutionError
-from vilenkin_lab.norms import AtomicDecomposition
+from vilenkin_lab.norms import AtomicDecomposition, hardy_norm, lp_quasinorm
 from vilenkin_lab.structure import (
     VilenkinStructure,
     cell_digit_table,
     character_column,
-    index_to_digits,
     root_tables,
 )
-from vilenkin_lab.transform import Spectrum, StepFunction, analyze, partial_sum, synthesize
+from vilenkin_lab.transform import (
+    FejerWeight,
+    Spectrum,
+    StepFunction,
+    analyze,
+    partial_sum,
+    synthesize,
+)
+
+
+def index_to_digits(n: int, vs: VilenkinStructure) -> tuple[int, ...]:
+    """Expand an integer in the generalized number system of ``vs``.
+
+    Returns digits (d_0, ..., d_{N-1}) with n = sum_j d_j * M[j] and
+    d_j in [0, m[j]).
+    """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    if n >= vs.size:
+        raise ResolutionError(f"index {n} >= M[{vs.N}] = {vs.size}")
+    return tuple((n // vs.M[j]) % vs.m[j] for j in range(vs.N))
 
 
 @dataclass(frozen=True)
@@ -133,6 +153,37 @@ def naive_synthesize(coeffs: np.ndarray, vs: VilenkinStructure) -> np.ndarray:
         if c != 0:
             out += c * character_column(n, vs)
     return out
+
+
+def fejer_recurrence(s: Spectrum, n_max: int):
+    """Yield (n, values of the n-th Fejer mean) for n = 1..n_max, one order
+    at a time: S_n = S_{n-1} + coefficient * character, skipped for a zero
+    coefficient, and the running sum of partial sums divided by n."""
+    vs = s.vs
+    if not 1 <= n_max <= vs.size:
+        raise ResolutionError(f"sweep bound {n_max} not in [1, {vs.size}]")
+    partial = np.zeros(vs.size, dtype=np.complex128)
+    total = np.zeros(vs.size, dtype=np.complex128)
+    for n in range(1, n_max + 1):
+        c = s.coeffs[n - 1]
+        if c != 0:
+            partial = partial + c * character_column(n - 1, vs)
+        total = total + partial
+        yield n, total / n
+
+
+def per_order_weighted_ratio(s: Spectrum, p: float, n_max: int) -> float:
+    """max over n <= n_max of ||sigma_n f||_p / (weight_p(n) * ||f||_{H_p}),
+    0 for f = 0, with each sigma_n from :func:`fejer_recurrence` normed by
+    ``lp_quasinorm`` on its own."""
+    denom = hardy_norm(s, p)
+    if denom == 0:
+        return 0.0
+    weight = FejerWeight.for_p(p)
+    best = 0.0
+    for n, sigma in fejer_recurrence(s, n_max):
+        best = max(best, lp_quasinorm(StepFunction(s.vs, sigma), p) / (weight.at(n) * denom))
+    return best
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:

@@ -17,7 +17,7 @@ from vilenkin_lab.structure import (
     VilenkinStructure,
     cell_digit_table,
     character_column,
-    index_to_digits,
+    character_rows,
     root_tables,
 )
 
@@ -27,6 +27,7 @@ from group_oracles import (
     basis_point,
     cell_to_point,
     character,
+    index_to_digits,
     point_cylinder_cells,
     rademacher,
     rademacher_column,
@@ -157,6 +158,23 @@ class TestColumnsFromAxes:
         vs = VilenkinStructure.from_m(gens)
         for n in range(vs.size):
             assert character_column(n, vs).tobytes() == self.table_character(n, vs).tobytes()
+
+    @pytest.mark.parametrize("gens", AXIS_STRUCTURES + [(2,) * 8, (3, 5, 2, 4)])
+    def test_character_rows_bitwise_equal_to_columns(self, gens):
+        # Blocks of every height, the one-row character_column included,
+        # against the table formula, which skips the zero digits that the
+        # rows multiply by 1 + 0j.
+        vs = VilenkinStructure.from_m(gens)
+        columns = [self.table_character(n, vs).tobytes() for n in range(vs.size)]
+        for count in (1, 2, 3, 7, 64, vs.size):
+            for first in range(0, vs.size, count):
+                rows = character_rows(first, min(count, vs.size - first), vs)
+                assert [row.tobytes() for row in rows] == columns[first : first + count]
+
+    def test_character_rows_range_validation(self, mixed2323):
+        for first, count in ((0, 0), (-1, 2), (35, 2), (0, 37)):
+            with pytest.raises(ResolutionError):
+                character_rows(first, count, mixed2323)
 
     @pytest.mark.parametrize("gens", AXIS_STRUCTURES)
     def test_rademacher_column_bitwise_equal_to_digit_table(self, gens):

@@ -144,6 +144,14 @@ class TestConfigLoading:
             {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6}, "seed": [1]},
             {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
              "resolution": "6"},
+            {"experiment": "gram", "structure": {"m": [2, 3.5]}},
+            {"experiment": "gram", "structure": {"m": [2, True, 3]}},
+            {"experiment": "kernels", "structure": {"pattern": [2.0], "repeat_to": 6}},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6.7}},
+            {"experiment": "gram", "structure": {"pattern": [3], "repeat_to": True}},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6}, "seed": True},
+            {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+             "output": {"path": 5}},
         ],
         ids=["no-function-path", "missing-function-file", "output-not-object",
              "function-path-without-from-file", "2a-empty-ranges", "2a-shallow-default-ranges",
@@ -151,7 +159,9 @@ class TestConfigLoading:
              "maximal-bound-no-seeds", "gram-no-functions", "convergence-no-scales",
              "misspelt-top-level-key", "misspelt-structure-key", "misspelt-output-key",
              "unknown-output-format", "p-values-not-list", "m-not-list", "base-cell-past-last-cell",
-             "parameters-not-object", "seed-not-integer", "resolution-not-integer"],
+             "parameters-not-object", "seed-not-integer", "resolution-not-integer",
+             "m-entry-not-integer", "m-entry-boolean", "pattern-entry-float", "repeat-to-not-integer",
+             "repeat-to-boolean", "seed-boolean", "output-path-not-string"],
     )
     def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist
@@ -160,6 +170,16 @@ class TestConfigLoading:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_string_output_path_exits_2_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "bad.json", {
+            "experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
+            "output": {"path": 5},
+        })
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output.path must be a string")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
         "experiment, parameters, p_values, error",

@@ -7,7 +7,6 @@ from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.structure import (
     VilenkinStructure,
     cylinder_cells,
-    index_to_digits,
     leading_position,
 )
 
@@ -16,6 +15,7 @@ from group_oracles import (
     add_points,
     basis_point,
     cell_to_point,
+    index_to_digits,
     point_cylinder_cells,
     zero_point,
 )

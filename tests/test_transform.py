@@ -17,6 +17,7 @@ from vilenkin_lab.transform import (
     _stage_matrices,
     analyze,
     fejer_mean,
+    fejer_mean_blocks,
     iter_fejer_means,
     maximal_function,
     naive_analyze,
@@ -25,7 +26,20 @@ from vilenkin_lab.transform import (
     weighted_maximal_fejer,
 )
 
-from group_oracles import condexp, convolve, naive_synthesize
+from vilenkin_lab.counterexamples import critical_atom
+from vilenkin_lab.experiments import (
+    family_character_polynomial,
+    family_damped_critical,
+    max_weighted_ratio,
+)
+
+from group_oracles import (
+    condexp,
+    convolve,
+    fejer_recurrence,
+    naive_synthesize,
+    per_order_weighted_ratio,
+)
 
 
 def random_function(vs, seed):
@@ -469,6 +483,114 @@ class TestWeightedMaximal:
         for n, sigma in iter_fejer_means(s, 20):
             direct = fejer_mean(s, n).values
             assert np.abs(sigma - direct).max() < 1e-10
+
+
+SWEEP_STRUCTURES = [(2,) * 8, (2,) * 10, (2, 3, 2, 3), (3, 5, 2, 4), (2, 3, 4, 5, 2)]
+
+
+def zero_runs_spectrum(vs):
+    """A random spectrum with zero runs at the first two and the last three
+    rows of each block under the current block budget, and at the last order."""
+    rows = max(transform._BLOCK // vs.size, 1)
+    coeffs = XorShift64Star(vs.size).complex_uniforms(vs.size)
+    for start in range(0, vs.size, rows):
+        coeffs[start : start + 2] = 0
+        coeffs[max(start - 3, 0) : start] = 0
+    coeffs[-1] = 0
+    return Spectrum(vs, coeffs)
+
+
+def sweep_inputs(vs):
+    """The critical atom, the damped critical spectrum and the zero-run spectrum."""
+    return {
+        "atom": analyze(critical_atom(2, 0.25, vs)),
+        "damped": family_damped_critical(vs, vs.N - 1, 0.25),
+        "zero-runs": zero_runs_spectrum(vs),
+    }
+
+
+def assert_sweep_matches_recurrence(s, n_max):
+    got = list(iter_fejer_means(s, n_max))
+    want = list(fejer_recurrence(s, n_max))
+    assert [n for n, _ in got] == [n for n, _ in want] == list(range(1, n_max + 1))
+    for (n, sigma), (_, expected) in zip(got, want):
+        assert sigma.tobytes() == expected.tobytes(), f"order {n}"
+
+
+class TestBlockedSweep:
+    # The blocked sweep must give the one-order recurrence byte for byte:
+    # its carry between blocks, its zero rows and its complex divisor each
+    # round exactly as the recurrence does.
+
+    @pytest.mark.parametrize("gens", SWEEP_STRUCTURES)
+    def test_every_mean_bitwise_equal_to_recurrence(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        for s in sweep_inputs(vs).values():
+            assert_sweep_matches_recurrence(s, vs.size)
+
+    @pytest.mark.parametrize("gens", [(2,) * 8, (2, 3, 2, 3), (3, 5, 2, 4)])
+    def test_partial_sweeps(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        rows = max(transform._BLOCK // vs.size, 1)
+        s = zero_runs_spectrum(vs)
+        for n_max in {1, 2, min(rows + 5, vs.size), vs.size - 3}:
+            assert_sweep_matches_recurrence(s, n_max)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("gens", [(2,) * 6, (2, 3, 2, 3), (3, 5, 2, 4)])
+    def test_small_blocks(self, gens, block, monkeypatch):
+        # A budget under M[N] cells gives one-row blocks; the others give
+        # blocks of a few rows, most of them not dividing M[N].  The inputs
+        # are built before the budget changes, since the stages read it too.
+        vs = VilenkinStructure.from_m(gens)
+        inputs = sweep_inputs(vs)
+        for budget in (block * vs.size, vs.size // 2):
+            monkeypatch.setattr(transform, "_BLOCK", budget)
+            for s in (inputs["atom"], inputs["damped"], zero_runs_spectrum(vs)):
+                assert_sweep_matches_recurrence(s, vs.size)
+            assert_sweep_matches_recurrence(inputs["zero-runs"], vs.size - 1)
+
+    def test_one_row_blocks_at_the_block_budget(self):
+        vs = VilenkinStructure.from_pattern((2,), 15)
+        assert vs.size >= transform._BLOCK
+        coeffs = np.zeros(vs.size, dtype=np.complex128)
+        coeffs[[0, 2, 3, 6]] = XorShift64Star(15).complex_uniforms(4)
+        assert_sweep_matches_recurrence(Spectrum(vs, coeffs), 7)
+
+    def test_blocks_hold_the_yielded_rows(self, mixed2323, monkeypatch):
+        s = random_spectrum(mixed2323, 73)
+        monkeypatch.setattr(transform, "_BLOCK", 7 * mixed2323.size)
+        blocks = list(fejer_mean_blocks(s, 30))
+        assert [first for first, _ in blocks] == [1, 8, 15, 22, 29]
+        assert [len(block) for _, block in blocks] == [7, 7, 7, 7, 2]
+        stacked = np.concatenate([block for _, block in blocks])
+        assert stacked.tobytes() == np.array([sigma for _, sigma in iter_fejer_means(s, 30)]).tobytes()
+
+    @pytest.mark.parametrize("n_max", [0, 37])
+    def test_sweep_bound_validation(self, mixed2323, n_max):
+        s = random_spectrum(mixed2323, 74)
+        with pytest.raises(ResolutionError):
+            next(iter_fejer_means(s, n_max))
+        with pytest.raises(ResolutionError):
+            next(fejer_mean_blocks(s, n_max))
+
+    @pytest.mark.parametrize("p", [0.25, 1 / 3, 0.5])
+    @pytest.mark.parametrize("gens", [(2,) * 8, (2, 3, 2, 3), (3, 5, 2, 4)])
+    def test_max_weighted_ratio_bitwise_equal_to_per_order_norms(self, gens, p):
+        vs = VilenkinStructure.from_m(gens)
+        for name, s in sweep_inputs(vs).items():
+            for n_max in (vs.size, vs.size - 3):
+                got = max_weighted_ratio(s, p, n_max)
+                assert got > 0, name
+                assert got == per_order_weighted_ratio(s, p, n_max), name
+
+    @pytest.mark.parametrize("seed, p", [(1012, 0.25), (1001, 1 / 3)])
+    def test_max_weighted_ratio_roots_with_the_scalar_power(self, seed, p):
+        # Random spectra of criterion 12's family whose largest ratio moves by
+        # an ulp, on AVX-512 hosts, if the 1/p root takes the array power.
+        vs = VilenkinStructure.from_pattern((2,), 8)
+        s = family_character_polynomial(vs, vs.N, XorShift64Star(seed))
+        assert max_weighted_ratio(s, p, vs.size) == per_order_weighted_ratio(s, p, vs.size)
 
 
 class TestStepFunctionArithmetic:
