@@ -13,7 +13,9 @@ records byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -41,12 +43,13 @@ from .norms import AtomCertificate, hardy_norm, lp_quasinorm, modulus_of_continu
 from .reporting import ExperimentRecord, config_hash
 from .rng import XorShift64Star
 from .serialize import load_function, save_function
-from .structure import VilenkinStructure, character_column, cylinder_cells, leading_position
+from .structure import VilenkinStructure, cylinder_cells, leading_position
 from .transform import (
     FejerWeight,
     Spectrum,
     StepFunction,
     analyze,
+    character_blocks,
     fejer_coefficients,
     fejer_mean,
     fejer_mean_blocks,
@@ -61,7 +64,7 @@ CONFIG_KEYS = frozenset(
 OUTPUT_FORMATS = ("csv", "json")
 
 def _dense_p(parameters: dict) -> float:
-    return float(parameters.get("p", 0.25))
+    return _param(parameters, "p", 0.25, float)
 
 
 @dataclass
@@ -84,6 +87,25 @@ class ExperimentConfig:
 def _is_integer(value) -> bool:
     # JSON true and false load as bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
+def _param(params: dict, key: str, default, kind: type = int, lo=-math.inf, hi=math.inf):
+    """``params[key]``, or ``default`` when it is absent, as ``kind``.
+
+    An int parameter takes a JSON integer only and a float one any JSON
+    number; neither takes a bool.  A value outside [lo, hi] is a config
+    error too.
+    """
+    value = params.get(key, default)
+    if not (_is_integer(value) if kind is int else _is_number(value)):
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{key} = {value} not in [{lo}, {hi}]")
+    return kind(value)
 
 
 def load_config(source: dict | str | Path) -> ExperimentConfig:
@@ -114,8 +136,8 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     if "repeat_to" in structure and not _is_integer(structure["repeat_to"]):
         raise ValueError(f"structure.repeat_to must be an integer, got {structure['repeat_to']!r}")
     p_values = raw.get("p_values", [])
-    if not isinstance(p_values, (list, tuple)):
-        raise ValueError(f"p_values must be a list, got {p_values!r}")
+    if not isinstance(p_values, (list, tuple)) or not all(_is_number(p) for p in p_values):
+        raise ValueError(f"p_values must be a list of numbers, got {p_values!r}")
     p_values = tuple(float(p) for p in p_values)
     for p in p_values:
         if not 0 < p <= 1:
@@ -139,6 +161,9 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         raise ValueError("family from-file needs parameters.function_path")
     if "function_path" in parameters and parameters.get("family") != "from-file":
         raise ValueError("parameters.function_path is read only with family from-file")
+    named = {key: parameters[key] for key in ("family", "function_path", "dump_function") if key in parameters}
+    if not all(isinstance(value, str) for value in named.values()):
+        raise ValueError(f"parameters {sorted(named)} must be strings, got {named}")
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ValueError(f"output must be an object with path and format, got {output!r}")
@@ -224,17 +249,17 @@ def build_family(cfg: ExperimentConfig, vs: VilenkinStructure, rng: XorShift64St
     params = cfg.parameters
     name = params.get("family", "character-polynomial")
     if name == "character-polynomial":
-        return family_character_polynomial(vs, int(params.get("band", 2)), rng)
+        return family_character_polynomial(vs, _param(params, "band", 2, lo=0, hi=vs.N), rng)
     if name == "smoothed-indicator":
         return family_smoothed_indicator(
             vs,
-            int(params.get("base_depth", 2)),
-            int(params.get("window_level", 4)),
-            int(params.get("base_cell", 0)),
+            _param(params, "base_depth", 2),
+            _param(params, "window_level", 4, lo=0, hi=vs.N),
+            _param(params, "base_cell", 0),
         )
     if name == "damped-critical":
-        depth = int(params.get("depth", vs.N - 1))
-        return family_damped_critical(vs, depth, float(params.get("damping", 0.25)))
+        depth = _param(params, "depth", vs.N - 1, lo=0, hi=vs.N - 1)
+        return family_damped_critical(vs, depth, _param(params, "damping", 0.25, float))
     if name == "from-file":
         obj = load_function(params["function_path"])
         if obj.vs != vs:
@@ -260,8 +285,8 @@ def relative_roundoff_ok(rel: float) -> bool:
 def gram_error(vs: VilenkinStructure) -> float:
     """Largest entry of the character Gram matrix minus the identity."""
     mat = np.empty((vs.size, vs.size), dtype=np.complex128)
-    for n in range(vs.size):
-        mat[n] = character_column(n, vs)
+    for offset, rows in character_blocks(np.arange(vs.size), vs):
+        mat[offset : offset + len(rows)] = rows
     gram = mat @ mat.conj().T
     gram /= vs.size
     gram.flat[:: vs.size + 1] -= 1.0
@@ -280,24 +305,16 @@ def parseval_worst_rel(vs: VilenkinStructure, rng: XorShift64Star, count: int) -
     return worst_rel
 
 
-def _at_least_one(params: dict, key: str, default: int) -> int:
-    """A count that asks for nothing (below 1) is a config error."""
-    count = int(params.get(key, default))
-    if count < 1:
-        raise ValueError(f"{key} must be >= 1, got {count}")
-    return count
-
-
 def _levels(params: dict, name: str, lo: int, hi: int) -> list[int]:
     """Levels ``<name>_lo`` to ``<name>_hi`` inclusive; an empty range is a config error."""
-    lo, hi = int(params.get(f"{name}_lo", lo)), int(params.get(f"{name}_hi", hi))
+    lo, hi = _param(params, f"{name}_lo", lo), _param(params, f"{name}_hi", hi)
     if lo > hi:
         raise ValueError(f"{name}_lo..{name}_hi is the empty range {lo}..{hi}")
     return list(range(lo, hi + 1))
 
 
 def run_gram(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
-    count = _at_least_one(cfg.parameters, "functions", 100)
+    count = _param(cfg.parameters, "functions", 100, lo=1)
     if vs.size > 4096:
         raise CapacityError(
             f"gram experiment materializes a {vs.size}x{vs.size} matrix; "
@@ -335,7 +352,7 @@ def dirichlet_errors(vs: VilenkinStructure) -> list[float]:
 
 
 def run_kernels(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
-    level = int(cfg.parameters.get("bound_level", (vs.N + 1) // 2))
+    level = _param(cfg.parameters, "bound_level", (vs.N + 1) // 2)
     catalogue = fejer_lower_bound_cells(level, vs)
     if not catalogue:
         raise ValueError(f"bound_level {level} gives an empty lower-bound catalogue")
@@ -389,8 +406,11 @@ def scale_sweep(spec: Spectrum, p: float) -> list[float]:
 
 
 def scale_sweep_gates(rel: list[float]) -> tuple[float, float]:
-    """The top-scale gap and the largest ratio of a gap to its running minimum."""
-    return rel[-1], max(v / min(rel[: i + 1]) for i, v in enumerate(rel))
+    """The top-scale gap and the largest ratio of a gap to its running
+    minimum.  Once a gap is 0 the minimum stays 0: a later gap of 0 reads
+    ratio 1.0 (no backslide), a later positive gap inf."""
+    mins = itertools.accumulate(rel, min)
+    return rel[-1], max(v / low if low else (math.inf if v else 1.0) for v, low in zip(rel, mins))
 
 
 def scale_sweep_ok(final: float, backslide: float) -> bool:
@@ -402,8 +422,10 @@ def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
         raise ValueError(f"the scale sweep runs k = 2..N and is empty at resolution {vs.N}")
     rng = XorShift64Star(cfg.seed)
     spec = build_family(cfg, vs, rng)
+    if not spec.coeffs.any():
+        raise ValueError("the test function is 0, so its relative Fejer gaps are undefined")
     f = synthesize(spec)
-    points = int(cfg.parameters.get("grid_points", 25))
+    points = _param(cfg.parameters, "grid_points", 25, lo=0)
     records = []
     messages = []
     for p in cfg.p_values or (0.25, 0.5):
@@ -499,7 +521,7 @@ def weak_divergence_ok(worst_stat: float) -> bool:
 def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
     p = _dense_p(params)
-    depth = int(params.get("depth", 10))
+    depth = _param(params, "depth", 10)
     modulus_levels = _levels(params, "modulus", 1, min(8, depth - 2))
     divergence_levels = _levels(params, "divergence", 3, min(8, depth - 2))
     ex = build_critical_example(p, depth, vs)
@@ -543,7 +565,7 @@ def sparse_divergence_ok(worst_stat: float) -> bool:
 
 def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
-    depth = int(params.get("depth", 3))
+    depth = _param(params, "depth", 3)
     modulus_levels = _levels(params, "modulus", 5, 16)
     # the builder rejects depth < 1, so the divergence levels 1..depth are never empty
     ex = build_sparse_critical_example(depth, vs)
@@ -646,16 +668,16 @@ def ratio_cv_ok(cv: float) -> bool:
 
 def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
-    seeds = _at_least_one(params, "seeds", 10)
+    seeds = _param(params, "seeds", 10, lo=1)
     records = []
     messages = []
     for p in cfg.p_values or (0.25, 0.5):
         maxima, _ = seed_maxima(
             vs, p, first_seed=cfg.seed, seeds=seeds,
-            randoms=int(params.get("random_functions", 3)),
-            atom_scale=int(params.get("atom_scale", 2)),
-            damping=float(params.get("damping", 0.25)),
-            n_max=int(params.get("n_max", vs.size)),
+            randoms=_param(params, "random_functions", 3, lo=0),
+            atom_scale=_param(params, "atom_scale", 2, lo=0),
+            damping=_param(params, "damping", 0.25, float),
+            n_max=_param(params, "n_max", vs.size),
         )
         for s, best in enumerate(maxima):
             records.append(_rec(cfg, {"p": p, "seed": s}, {"max_ratio": best}))

@@ -25,6 +25,8 @@ def structure_to_dict(vs: VilenkinStructure) -> dict:
 
 
 def structure_from_dict(d: dict) -> VilenkinStructure:
+    if not isinstance(d, dict) or not isinstance(d.get("m"), list):
+        raise ValueError(f"structure must be an object with a list m, got {d!r}")
     return VilenkinStructure.from_m(d["m"])
 
 
@@ -43,16 +45,18 @@ def function_to_dict(obj: FunctionLike) -> dict:
 
 
 def function_from_dict(d: dict) -> FunctionLike:
+    """Inverse of :func:`function_to_dict`; any other shape is a ``ValueError``."""
+    if not isinstance(d, dict) or d.keys() != {"structure", "kind", "data"}:
+        raise ValueError("a function must be an object with exactly structure, kind and data")
+    kinds = {"values": StepFunction, "coeffs": Spectrum}
+    if d["kind"] not in kinds:
+        raise ValueError(f"unknown kind {d['kind']!r}")
     vs = structure_from_dict(d["structure"])
-    pairs = np.asarray(d["data"], dtype=np.float64)
-    if pairs.shape != (vs.size, 2):
-        raise ValueError(f"expected {vs.size} [re, im] pairs, got {pairs.shape}")
+    pairs = np.asarray(d["data"])
+    if pairs.shape != (vs.size, 2) or pairs.dtype.kind not in "iuf":
+        raise ValueError(f"expected {vs.size} [re, im] pairs of numbers, got {pairs.dtype} of shape {pairs.shape}")
     data = pairs[:, 0] + 1j * pairs[:, 1]
-    if d["kind"] == "values":
-        return StepFunction(vs, data)
-    if d["kind"] == "coeffs":
-        return Spectrum(vs, data)
-    raise ValueError(f"unknown kind {d['kind']!r}")
+    return kinds[d["kind"]](vs, data)
 
 
 def save_function(obj: FunctionLike, path: str | Path) -> None:

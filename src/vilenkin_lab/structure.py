@@ -52,12 +52,13 @@ class VilenkinStructure:
     @classmethod
     def from_m(cls, m: Sequence[int]) -> "VilenkinStructure":
         """Build a structure from an explicit generating sequence."""
-        seq = tuple(int(v) for v in m)
+        seq = tuple(m)
         if not seq:
             raise ValueError("generating sequence must be non-empty")
         for k, v in enumerate(seq):
-            if v < 2:
-                raise ValueError(f"generator m[{k}] = {v} must be >= 2")
+            if not isinstance(v, (int, np.integer)) or v < 2:
+                raise ValueError(f"generator m[{k}] = {v!r} must be an integer >= 2")
+        seq = tuple(int(v) for v in seq)
         scales = [1]
         for v in seq:
             scales.append(scales[-1] * v)
@@ -66,7 +67,7 @@ class VilenkinStructure:
     @classmethod
     def from_pattern(cls, pattern: Sequence[int], depth: int) -> "VilenkinStructure":
         """Repeat ``pattern`` cyclically until ``depth`` coordinates exist."""
-        pat = tuple(int(v) for v in pattern)
+        pat = tuple(pattern)
         if not pat:
             raise ValueError("pattern must be non-empty")
         if depth < 1:
@@ -165,9 +166,9 @@ def root_powers(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def character_rows(first: int, count: int, vs: VilenkinStructure) -> np.ndarray:
-    """Values of characters first, ..., first + count - 1 on all cells, one
-    row per character, in cell order.
+def character_rows(indices: np.ndarray, vs: VilenkinStructure) -> np.ndarray:
+    """Values of the characters ``indices`` (a 1-D int array, in any order,
+    repeats allowed) on all cells, one row per index, in cell order.
 
     The n-th character is the product over coordinates of the j-th
     Rademacher function raised to the j-th digit of ``n``, multiplied onto
@@ -180,9 +181,11 @@ def character_rows(first: int, count: int, vs: VilenkinStructure) -> np.ndarray:
     none, and a product part rounds to -0.0 only from a -0.0 factor part or
     a zero value).
     """
-    if count < 1 or not 0 <= first <= vs.size - count:
-        raise ResolutionError(f"characters {first}..{first + count - 1} not in [0, M[N] = {vs.size})")
-    digits = np.arange(first, first + count)[:, None] // np.array(vs.M[:-1]) % np.array(vs.m)
+    idx = np.asarray(indices)
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= vs.size:
+        raise ResolutionError(f"character indices must be non-empty and in [0, M[N] = {vs.size})")
+    count = len(idx)
+    digits = idx[:, None] // np.array(vs.M[:-1]) % np.array(vs.m)
     rows = np.ones((count, 1), dtype=np.complex128)
     for j, powers in enumerate(root_powers(vs)):
         grown = np.empty((count, vs.M[j], vs.m[j]), dtype=np.complex128)
@@ -193,8 +196,3 @@ def character_rows(first: int, count: int, vs: VilenkinStructure) -> np.ndarray:
         )
         rows = grown.reshape(count, -1)
     return rows
-
-
-def character_column(n: int, vs: VilenkinStructure) -> np.ndarray:
-    """Values of the n-th character on all cells, in cell order."""
-    return character_rows(n, 1, vs)[0]

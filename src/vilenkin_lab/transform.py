@@ -20,13 +20,14 @@ stage matrix.  The butterflies keep the unsnapped root w = exp(i*pi) of the
 root tables, whose imaginary part is about 1.2e-16: snapping it to -1 would
 move stored records, so it waits for the benchmark change of ROADMAP item 1.
 
-The Fejer means of a whole sweep come from :func:`fejer_mean_blocks`, one
-block of max(_BLOCK // M[N], 1) orders at a time: a block of characters
-from ``character_rows``, scaled by their coefficients, then the partial
-sums and their running sum added row by row in ascending order, carried
-from block to block, and divided by the orders.  It equals the one-order
-recurrence byte for byte (the tests keep that recurrence as the oracle);
-:func:`iter_fejer_means` yields the same means one row at a time.
+Every direct sum over characters takes them from :func:`character_blocks`,
+blocks of max(_BLOCK // M[N], 1) rows of ``character_rows``.
+:func:`naive_analyze` takes the mean of ``f`` against each conjugated row.
+:func:`fejer_mean_blocks` scales each row by its coefficient, adds the
+partial sums and their running sum row by row in ascending order, carries
+them from block to block, and divides by the orders.  It equals the
+one-order recurrence byte for byte (the tests keep that recurrence as the
+oracle); :func:`iter_fejer_means` yields the same means one row at a time.
 
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
@@ -37,13 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ResolutionError
-from .structure import VilenkinStructure, character_column, character_rows, root_powers
+from .structure import VilenkinStructure, character_rows, root_powers
 
 
 @dataclass
@@ -98,31 +98,29 @@ class Spectrum:
         self.coeffs = arr
 
 
-@lru_cache(maxsize=32)
-def _stage_matrices(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
-    # Analysis stage for coordinate j: entry [k, d] = exp(-2*pi*i*k*d/m_j),
-    # built by root-table lookup for determinism.
-    mats = []
-    for table in root_powers(vs):
-        mat = table.conj()
-        mat.setflags(write=False)
-        mats.append(mat)
-    return tuple(mats)
-
-
-# Cells per cache tile of the radix-2 stages in _run_stages.
+# Cells per cache tile of the radix-2 stages in _run_stages, and per block
+# of characters in character_blocks.
 _BLOCK = 2**15
 
 
+def character_blocks(indices: np.ndarray, vs: VilenkinStructure) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (offset, character_rows(indices[offset : offset + rows], vs))
+    for blocks of rows = max(_BLOCK // M[N], 1) indices, in order."""
+    rows = max(_BLOCK // vs.size, 1)
+    for offset in range(0, len(indices), rows):
+        yield offset, character_rows(indices[offset : offset + rows], vs)
+
+
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.ndarray:
-    mats = _stage_matrices(vs)
+    # Synthesis stage j multiplies by root_powers(vs)[j], analysis by its conjugate.
+    powers = root_powers(vs)
     # Stages from r0 on are radix 2 and run as butterflies; the rest as einsum.
     r0 = vs.N
     while r0 > 0 and vs.m[r0 - 1] == 2:
         r0 -= 1
     a = flat
     for j in range(r0):
-        mat = mats[j].conj() if conjugate else mats[j]
+        mat = powers[j].conj() if conjugate else powers[j]
         high = vs.M[j]
         mj = vs.m[j]
         low = vs.size // (high * mj)
@@ -134,7 +132,7 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
     # array is never written.  The read adds +0.0: einsum accumulates onto
     # +0.0 and so never returns -0.0, and neither may the butterflies.
     out = a if r0 else np.empty_like(flat)
-    w_imag = [(mats[j][1, 1].conj() if conjugate else mats[j][1, 1]).imag for j in range(vs.N)]
+    w_imag = [(powers[j][1, 1].conj() if conjugate else powers[j][1, 1]).imag for j in range(vs.N)]
     # Stages from tail on act inside blocks of width <= _BLOCK cells and run
     # on chunks of whole blocks; stages r0..tail-1 act across the rows of
     # (M[r0], rows, width) and run on column slabs of rows x cols cells.
@@ -209,7 +207,7 @@ def _butterflies(
 def analyze(f: StepFunction) -> Spectrum:
     """Character coefficients of ``f`` via the factorized fast transform."""
     vs = f.vs
-    packed = _run_stages(f.values, vs, conjugate=False)
+    packed = _run_stages(f.values, vs, conjugate=True)
     # Stage j leaves coefficient digit j on axis j of packed.reshape(vs.m);
     # the index sum_j k_j * M[j] is C order over the reversed axes.
     coeffs = packed.reshape(vs.m).transpose().reshape(-1)
@@ -221,20 +219,21 @@ def synthesize(s: Spectrum) -> StepFunction:
     """Step function with the given coefficients (inverse of analyze)."""
     vs = s.vs
     packed = s.coeffs.reshape(vs.m[::-1]).transpose().reshape(-1)
-    return StepFunction(vs, _run_stages(packed, vs, conjugate=True))
+    return StepFunction(vs, _run_stages(packed, vs, conjugate=False))
 
 
 def naive_analyze(f: StepFunction, indices: np.ndarray | None = None) -> np.ndarray:
     """Direct O(M^2) coefficient computation, the oracle for ``analyze``.
 
-    Each requested coefficient is the mean of ``f`` against the conjugated
-    character column; no factorization across coefficients is used.
+    Each requested coefficient is the mean of ``f`` against its conjugated
+    character row, taken a block of rows at a time; no factorization across
+    coefficients is used.
     """
     vs = f.vs
     idx = np.arange(vs.size) if indices is None else np.asarray(indices)
     out = np.empty(len(idx), dtype=np.complex128)
-    for pos, n in enumerate(idx):
-        out[pos] = (f.values * character_column(int(n), vs).conj()).mean()
+    for offset, rows in character_blocks(idx, vs):
+        out[offset : offset + len(rows)] = (f.values * rows.conj()).mean(axis=1)
     return out
 
 
@@ -319,7 +318,7 @@ def fejer_mean_blocks(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray
     """Yield (first, block) for the Fejer means of orders 1..n_max, where row
     i of the block holds the values of the (first + i)-th mean.
 
-    A block holds max(_BLOCK // M[N], 1) orders.  Its rows are the
+    The blocks are those of :func:`character_blocks`.  Their rows are the
     recurrence S_n = S_{n-1} + coefficient * character, then the running
     sum of partial sums, added row by row in ascending n and carried from
     the last row of one block into the first of the next.  A zero
@@ -333,11 +332,9 @@ def fejer_mean_blocks(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray
     vs = s.vs
     if not 1 <= n_max <= vs.size:
         raise ResolutionError(f"sweep bound {n_max} not in [1, {vs.size}]")
-    rows = max(_BLOCK // vs.size, 1)
     partial = total = np.zeros(vs.size, dtype=np.complex128)
-    for first in range(0, n_max, rows):
-        count = min(rows, n_max - first)
-        terms = character_rows(first, count, vs)
+    for first, terms in character_blocks(np.arange(n_max), vs):
+        count = len(terms)
         np.multiply(s.coeffs[first : first + count, None], terms, out=terms)
         sums = np.empty_like(terms)
         for i in range(count):

@@ -7,7 +7,8 @@ point as a product of Rademacher values.  The direct oracles (synthesis by
 summing characters, convolution by the double sum with group subtraction,
 conditional expectation by block means, assembly from atoms, the Fejer
 means one order at a time) share nothing with the staged transform beyond
-the root tables.
+the root tables; their character columns come from the digit table, not
+from ``character_rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from vilenkin_lab.norms import AtomicDecomposition, hardy_norm, lp_quasinorm
 from vilenkin_lab.structure import (
     VilenkinStructure,
     cell_digit_table,
-    character_column,
     root_tables,
 )
 from vilenkin_lab.transform import (
@@ -133,6 +133,19 @@ def character(n: int, x: GroupPoint, vs: VilenkinStructure) -> complex:
         if nk:
             value *= complex(root_tables(vs)[k][(nk * x.digits[k]) % vs.m[k]])
     return value
+
+
+def character_column(n: int, vs: VilenkinStructure) -> np.ndarray:
+    """Values of the n-th character on all cells, by digit-table lookup: the
+    root of each nonzero index digit at every cell's digit, multiplied onto
+    1 in ascending coordinate.  ``structure.character_rows`` must give the
+    same bits (it also multiplies by the 1 + 0j of each zero digit)."""
+    col = np.ones(vs.size, dtype=np.complex128)
+    digits = cell_digit_table(vs)
+    for j, nj in enumerate(index_to_digits(n, vs)):
+        if nj:
+            col = col * root_tables(vs)[j][(nj * digits[j]) % vs.m[j]]
+    return col
 
 
 def rademacher_column(k: int, vs: VilenkinStructure) -> np.ndarray:

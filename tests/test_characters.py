@@ -16,7 +16,6 @@ from vilenkin_lab.kernels import (
 from vilenkin_lab.structure import (
     VilenkinStructure,
     cell_digit_table,
-    character_column,
     character_rows,
     root_tables,
 )
@@ -27,6 +26,7 @@ from group_oracles import (
     basis_point,
     cell_to_point,
     character,
+    character_column,
     index_to_digits,
     point_cylinder_cells,
     rademacher,
@@ -141,40 +141,52 @@ AXIS_STRUCTURES = [(5,), (7, 3), (2, 3, 2, 3), (7, 2, 7), (3, 2, 5, 4, 2), (2, 3
 
 
 class TestColumnsFromAxes:
-    # The columns read cell digits as array axes; the formulas below index
-    # the digit table instead, and the two must agree bit for bit.
+    # The rows read cell digits as array axes; the oracle character_column
+    # indexes the digit table instead, and the two must agree bit for bit.
 
     @staticmethod
-    def table_character(n, vs):
-        col = np.ones(vs.size, dtype=np.complex128)
-        digits = cell_digit_table(vs)
-        for j, nj in enumerate(index_to_digits(n, vs)):
-            if nj:
-                col = col * root_tables(vs)[j][(nj * digits[j]) % vs.m[j]]
-        return col
+    def row(n, vs):
+        return character_rows(np.array([n]), vs)[0]
 
     @pytest.mark.parametrize("gens", AXIS_STRUCTURES)
     def test_character_column_bitwise_equal_to_digit_table(self, gens):
         vs = VilenkinStructure.from_m(gens)
         for n in range(vs.size):
-            assert character_column(n, vs).tobytes() == self.table_character(n, vs).tobytes()
+            assert self.row(n, vs).tobytes() == character_column(n, vs).tobytes()
 
     @pytest.mark.parametrize("gens", AXIS_STRUCTURES + [(2,) * 8, (3, 5, 2, 4)])
     def test_character_rows_bitwise_equal_to_columns(self, gens):
-        # Blocks of every height, the one-row character_column included,
-        # against the table formula, which skips the zero digits that the
+        # Blocks of consecutive indices of every height, one row included,
+        # against the table oracle, which skips the zero digits that the
         # rows multiply by 1 + 0j.
         vs = VilenkinStructure.from_m(gens)
-        columns = [self.table_character(n, vs).tobytes() for n in range(vs.size)]
+        columns = [character_column(n, vs).tobytes() for n in range(vs.size)]
         for count in (1, 2, 3, 7, 64, vs.size):
             for first in range(0, vs.size, count):
-                rows = character_rows(first, min(count, vs.size - first), vs)
+                rows = character_rows(np.arange(first, min(first + count, vs.size)), vs)
                 assert [row.tobytes() for row in rows] == columns[first : first + count]
 
+    @pytest.mark.parametrize("gens", [(7, 3), (2, 3, 2, 3), (3, 5, 2, 4), (2,) * 8])
+    def test_character_rows_of_any_index_array(self, gens):
+        # Unsorted, repeated and strided index arrays give the oracle's row
+        # for each entry, in the order given.
+        vs = VilenkinStructure.from_m(gens)
+        rng = np.random.default_rng(vs.size)
+        for idx in (
+            rng.permutation(vs.size),
+            rng.integers(vs.size, size=2 * vs.size),
+            np.array([vs.size - 1] * 3 + [0, 0]),
+            np.arange(vs.size)[::-3],
+            np.arange(vs.size)[1::5],
+        ):
+            rows = character_rows(idx, vs)
+            assert rows.shape == (len(idx), vs.size)
+            assert [row.tobytes() for row in rows] == [character_column(int(n), vs).tobytes() for n in idx]
+
     def test_character_rows_range_validation(self, mixed2323):
-        for first, count in ((0, 0), (-1, 2), (35, 2), (0, 37)):
+        for idx in ([], [-1], [0, 36], [3, 40, 2], [-5, 7]):
             with pytest.raises(ResolutionError):
-                character_rows(first, count, mixed2323)
+                character_rows(np.array(idx, dtype=np.int64), mixed2323)
 
     @pytest.mark.parametrize("gens", AXIS_STRUCTURES)
     def test_rademacher_column_bitwise_equal_to_digit_table(self, gens):
@@ -186,8 +198,7 @@ class TestColumnsFromAxes:
     @pytest.mark.parametrize("gens", [(5,), (2, 3, 2, 3)])
     def test_columns_are_fresh_writable_arrays(self, gens):
         vs = VilenkinStructure.from_m(gens)
-        for make, arg in ((character_column, vs.size - 1), (character_column, 0),
-                          (rademacher_column, vs.N - 1)):
+        for make, arg in ((self.row, vs.size - 1), (self.row, 0), (rademacher_column, vs.N - 1)):
             col = make(arg, vs)
             expected = col.copy()
             assert col.flags.writeable

@@ -152,6 +152,41 @@ class TestConfigLoading:
             {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6}, "seed": True},
             {"experiment": "kernels", "structure": {"pattern": [2], "repeat_to": 6},
              "output": {"path": 5}},
+            # parameters read as numbers take JSON numbers only, integers where
+            # they count, never a bool
+            {"experiment": "counterexample-2a", "structure": {"pattern": [2], "repeat_to": 12},
+             "parameters": {"depth": 10.7}},
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"seeds": 2.9, "random_functions": 1}},
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"random_functions": 1.5}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "p_values": [True]},
+            {"experiment": "counterexample-2a", "structure": {"pattern": [2], "repeat_to": 12},
+             "parameters": {"p": "0.25"}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "damped-critical", "damping": True}},
+            {"experiment": "kernel-scan", "structure": {"pattern": [2], "repeat_to": 8},
+             "parameters": {"level_lo": 2.0}},
+            {"experiment": "gram", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"functions": True}},
+            {"experiment": "counterexample-2a", "structure": {"pattern": [2], "repeat_to": 12},
+             "parameters": {"depth": 10, "dump_function": 5}},
+            # levels outside the structure, and a zero test function
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"band": 99}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"band": -1}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "smoothed-indicator", "window_level": 99}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "damped-critical", "depth": 40}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "damped-critical", "depth": 6}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "damped-critical", "depth": -3}},
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"atom_scale": -1}},
         ],
         ids=["no-function-path", "missing-function-file", "output-not-object",
              "function-path-without-from-file", "2a-empty-ranges", "2a-shallow-default-ranges",
@@ -161,7 +196,12 @@ class TestConfigLoading:
              "unknown-output-format", "p-values-not-list", "m-not-list", "base-cell-past-last-cell",
              "parameters-not-object", "seed-not-integer", "resolution-not-integer",
              "m-entry-not-integer", "m-entry-boolean", "pattern-entry-float", "repeat-to-not-integer",
-             "repeat-to-boolean", "seed-boolean", "output-path-not-string"],
+             "repeat-to-boolean", "seed-boolean", "output-path-not-string",
+             "2a-depth-float", "seeds-float", "random-functions-float", "p-values-boolean",
+             "2a-p-string", "damping-boolean", "level-lo-float-integral", "functions-boolean",
+             "dump-function-not-string", "band-past-resolution", "band-negative",
+             "window-level-past-resolution", "damped-depth-past-resolution",
+             "damped-depth-at-resolution", "damped-depth-negative", "atom-scale-negative"],
     )
     def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist
@@ -438,13 +478,84 @@ class TestFamilies:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
 
 
+class TestConvergenceLevels:
+    def test_constant_function_reads_no_backslide(self, tmp_path):
+        # band 0 is a constant: every Fejer gap is 0, and 0 over a running
+        # minimum of 0 reads 1.0
+        cfg = load_config({
+            "experiment": "convergence",
+            "structure": {"pattern": [2], "repeat_to": 6},
+            "p_values": [0.5],
+            "parameters": {"band": 0, "grid_points": 5},
+        })
+        result = run_experiment(cfg)
+        assert result.exit_code == 0, result.messages
+        summary = [r for r in result.records if r.index["block"] == "summary"]
+        assert [(r.values["final_gap_rel"], r.values["backslide"]) for r in summary] == [(0.0, 1.0)]
+
+    def test_scale_sweep_gates_over_a_zero_minimum(self):
+        from vilenkin_lab.experiments import scale_sweep_gates
+
+        assert scale_sweep_gates([0.5, 0.25, 0.5]) == (0.5, 2.0)
+        assert scale_sweep_gates([0.0, 0.0]) == (0.0, 1.0)
+        assert scale_sweep_gates([0.5, 0.0, 0.0]) == (0.0, 1.0)
+        # a gap that comes back after reaching 0 fails the backslide gate
+        assert scale_sweep_gates([0.5, 0.0, 1e-3]) == (1e-3, float("inf"))
+
+    def test_zero_function_from_file_exits_2(self, tmp_path, capsys):
+        import numpy as np
+        from vilenkin_lab.serialize import save_function
+
+        vs = VilenkinStructure.from_pattern((2,), 6)
+        path = tmp_path / "zero.json"
+        save_function(Spectrum(vs, np.zeros(vs.size)), path)
+        cfg = write_config(tmp_path, "ff.json", {
+            "experiment": "convergence",
+            "structure": {"pattern": [2], "repeat_to": 6},
+            "p_values": [0.5],
+            "parameters": {"family": "from-file", "function_path": str(path)},
+        })
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "test function is 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"kind": "coeffs", "data": [[0.0, 0.0]] * 64},
+            {"structure": {"m": [2] * 6}, "data": [[0.0, 0.0]] * 64},
+            {"structure": {"m": [2] * 5 + [2.7]}, "kind": "coeffs", "data": [[1.0, 0.0]] * 64},
+            {"structure": [2] * 6, "kind": "coeffs", "data": [[1.0, 0.0]] * 64},
+            {"structure": {"m": [2] * 6}, "kind": "coeffs", "data": [["1", "0"]] * 64},
+        ],
+        ids=["top-level-list", "no-structure", "no-kind", "m-entry-float", "structure-not-object",
+             "data-strings"],
+    )
+    def test_malformed_function_file_exits_2(self, payload, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, "ff.json", {
+            "experiment": "convergence",
+            "structure": {"pattern": [2], "repeat_to": 6},
+            "p_values": [0.5],
+            "parameters": {"family": "from-file", "function_path": str(path)},
+        })
+        out = tmp_path / "out.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGramError:
     @pytest.mark.parametrize("gens", [(2,) * 10, (3, 2, 5, 4, 2)])
     def test_equal_to_identity_difference_formula(self, gens):
         import numpy as np
         from vilenkin_lab.experiments import gram_error
-        from vilenkin_lab.structure import character_column
+        from group_oracles import character_column
 
+        # the digit-table oracle, not the character_rows blocks gram_error reads
         vs = VilenkinStructure.from_m(gens)
         mat = np.array([character_column(n, vs) for n in range(vs.size)])
         expected = float(np.abs((mat @ mat.conj().T) / vs.size - np.eye(vs.size)).max())

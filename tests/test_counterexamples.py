@@ -15,10 +15,10 @@ from vilenkin_lab.counterexamples import (
     weak_divergence_statistic,
 )
 from vilenkin_lab.norms import modulus_of_continuity, validate_atom, weak_lp_quasinorm
-from vilenkin_lab.structure import VilenkinStructure, character_column
+from vilenkin_lab.structure import VilenkinStructure
 from vilenkin_lab.transform import Spectrum, analyze, fejer_mean, partial_sum, synthesize
 
-from group_oracles import assemble_from_atoms, condexp
+from group_oracles import assemble_from_atoms, character_column, condexp
 
 
 @pytest.fixture(scope="module")

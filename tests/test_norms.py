@@ -18,10 +18,10 @@ from vilenkin_lab.norms import (
     weak_lp_quasinorm,
 )
 from vilenkin_lab.rng import XorShift64Star
-from vilenkin_lab.structure import VilenkinStructure, character_column
+from vilenkin_lab.structure import VilenkinStructure
 from vilenkin_lab.transform import Spectrum, StepFunction, analyze, synthesize
 
-from group_oracles import assemble_from_atoms
+from group_oracles import assemble_from_atoms, character_column
 
 
 @pytest.fixture(scope="module")

@@ -55,3 +55,39 @@ def test_length_mismatch_rejected(mixed232):
     d["data"] = d["data"][:-1]
     with pytest.raises(ValueError):
         function_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: list(d.values()),
+        lambda d: {k: v for k, v in d.items() if k != "structure"},
+        lambda d: {k: v for k, v in d.items() if k != "kind"},
+        lambda d: {k: v for k, v in d.items() if k != "data"},
+        lambda d: {**d, "extra": 1},
+        lambda d: {**d, "structure": {"m": [2, 2.7]}},
+        lambda d: {**d, "structure": {"m": [2, True]}},
+        lambda d: {**d, "structure": {"n": [2, 2]}},
+        lambda d: {**d, "structure": {"m": 4}},
+        lambda d: {**d, "data": [["0", "1"]] * 4},
+        lambda d: {**d, "data": [[0.0, 1.0]] * 3 + [[0.0]]},
+        lambda d: {**d, "data": [[None, 1.0]] * 4},
+    ],
+    ids=["top-level-list", "no-structure", "no-kind", "no-data", "extra-key", "m-entry-float",
+         "m-entry-bool", "no-m", "m-not-list", "data-strings", "data-ragged", "data-null"],
+)
+def test_malformed_dict_raises_value_error(mutate):
+    vs = VilenkinStructure.from_m((2, 2))
+    d = function_to_dict(Spectrum(vs, np.zeros(vs.size)))
+    function_from_dict(d)
+    with pytest.raises(ValueError):
+        function_from_dict(mutate(d))
+
+
+def test_from_m_takes_integers_only():
+    assert VilenkinStructure.from_m([np.int64(3), 2]).m == (3, 2)
+    for m in ([2, 2.7], [2, 2.0], [3, True], [2, "3"]):
+        with pytest.raises(ValueError):
+            VilenkinStructure.from_m(m)
+    with pytest.raises(ValueError):
+        VilenkinStructure.from_pattern([2.0], 3)

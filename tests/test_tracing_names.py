@@ -24,6 +24,14 @@ BARE_NAMES = (
 )
 
 
+# (module, name) in tracing.TRACED deleted from the library on purpose: the
+# tracer skips them, so their metrics read 0 until ROADMAP item 1's
+# benchmark change retargets them to the name given here.
+RETIRED = {
+    ("structure", "character_column"): ("structure.character_rows", "transform.character_blocks"),
+}
+
+
 def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -65,3 +73,18 @@ def test_every_bare_module_read_is_guarded():
     }
     assert read
     assert read <= {(module, dotted.split(".")[0]) for module, dotted in BARE_NAMES}
+
+
+def test_every_traced_name_resolves_or_is_retired():
+    # Tracer.install skips a traced name it cannot find, without a word.
+    traced = {(module, attr) for module, attr, _ in load_tracing().TRACED}
+    for module, attr in sorted(traced - RETIRED.keys()):
+        obj = importlib.import_module(f"vilenkin_lab.{module}")
+        assert getattr(obj, attr, None) is not None, f"traced {module}.{attr} is gone"
+    for (module, attr), retarget in RETIRED.items():
+        assert (module, attr) in traced, f"{module}.{attr} is no longer traced: drop it here"
+        obj = importlib.import_module(f"vilenkin_lab.{module}")
+        assert getattr(obj, attr, None) is None, f"{module}.{attr} is back: drop it here"
+        for name in retarget:
+            retarget_module, retarget_attr = name.split(".")
+            assert hasattr(importlib.import_module(f"vilenkin_lab.{retarget_module}"), retarget_attr), name

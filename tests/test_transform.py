@@ -7,14 +7,13 @@ from vilenkin_lab import transform
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import dirichlet_kernel, fejer_kernel
 from vilenkin_lab.rng import XorShift64Star
-from vilenkin_lab.structure import VilenkinStructure, cell_digit_table, character_column
+from vilenkin_lab.structure import VilenkinStructure, cell_digit_table, root_powers
 from vilenkin_lab.transform import (
     FejerWeight,
     Spectrum,
     StepFunction,
     _block_maximum,
     _run_stages,
-    _stage_matrices,
     analyze,
     fejer_mean,
     fejer_mean_blocks,
@@ -34,6 +33,7 @@ from vilenkin_lab.experiments import (
 )
 
 from group_oracles import (
+    character_column,
     condexp,
     convolve,
     fejer_recurrence,
@@ -59,12 +59,25 @@ def dense_block_values(vs):
     return out
 
 
+def spy_blocks(monkeypatch):
+    """Record the length of every block of characters transform builds."""
+    lengths = []
+    rows = transform.character_rows
+
+    def spy(indices, vs):
+        lengths.append(len(indices))
+        return rows(indices, vs)
+
+    monkeypatch.setattr(transform, "character_rows", spy)
+    return lengths
+
+
 def einsum_stages(flat, vs, conjugate):
-    # One dense einsum per stage, the reference _run_stages must match bitwise.
-    mats = _stage_matrices(vs)
+    # One dense einsum per stage against root_powers, conjugated for
+    # analysis: the reference _run_stages must match bitwise.
     a = flat
     for j in range(vs.N):
-        mat = mats[j].conj() if conjugate else mats[j]
+        mat = root_powers(vs)[j].conj() if conjugate else root_powers(vs)[j]
         high = vs.M[j]
         mj = vs.m[j]
         low = vs.size // (high * mj)
@@ -112,6 +125,39 @@ class TestAnalyze:
         assert np.abs(gram - np.eye(mixed232.size)).max() < 1e-12
 
 
+class TestNaiveAnalyze:
+    # The direct transform takes its characters a block of rows at a time;
+    # each coefficient must still be the 1-D mean against its own column.
+
+    @staticmethod
+    def per_coefficient(f, idx):
+        return np.array([(f.values * character_column(int(n), f.vs).conj()).mean() for n in idx])
+
+    @pytest.mark.parametrize("gens", [(2,) * 8, (2, 3, 2, 3), (3, 5, 2, 4), (7, 3)])
+    def test_bitwise_equal_to_per_coefficient_means(self, gens, monkeypatch):
+        vs = VilenkinStructure.from_m(gens)
+        f = random_function(vs, 18)
+        rng = np.random.default_rng(vs.size)
+        monkeypatch.setattr(transform, "_BLOCK", 3 * vs.size)
+        blocks = spy_blocks(monkeypatch)
+        for idx in (None, rng.permutation(vs.size)[:50], np.arange(1, vs.size, 5), [vs.size - 1, 0, 0, 5]):
+            blocks.clear()
+            want = self.per_coefficient(f, range(vs.size) if idx is None else idx)
+            assert naive_analyze(f, idx).tobytes() == want.tobytes()
+            assert len(blocks) > 1 and max(blocks) == 3
+            assert sum(blocks) == len(want)
+
+    def test_bitwise_equal_at_the_default_block(self):
+        # Criterion 4's 2^12 analysis runs blocks of 8 rows.
+        vs = VilenkinStructure.from_pattern((2,), 12)
+        f = random_function(vs, 19)
+        idx = np.arange(3, vs.size, 37)
+        assert naive_analyze(f, idx).tobytes() == self.per_coefficient(f, idx).tobytes()
+
+    def test_empty_index_array(self, mixed232):
+        assert naive_analyze(random_function(mixed232, 20), []).shape == (0,)
+
+
 class TestCoefficientOrder:
     # The coefficient order is a transpose of the stage output's axes; the
     # digit-table gather/scatter it replaced must give the same bits.
@@ -129,10 +175,10 @@ class TestCoefficientOrder:
         order = self.table_order(vs)
         f = random_function(vs, 71)
         coeffs = np.empty(vs.size, dtype=np.complex128)
-        coeffs[order] = _run_stages(f.values, vs, conjugate=False)
+        coeffs[order] = _run_stages(f.values, vs, conjugate=True)
         assert analyze(f).coeffs.tobytes() == (coeffs / vs.size).tobytes()
         s = random_spectrum(vs, 72)
-        values = _run_stages(s.coeffs[order], vs, conjugate=True)
+        values = _run_stages(s.coeffs[order], vs, conjugate=False)
         assert synthesize(s).values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("gens", [(2,) * 16, (3, 4, 5) * 3, (2,) * 17])
@@ -207,7 +253,7 @@ class TestStageLoop:
 
         monkeypatch.setattr(transform, "_butterflies", spy)
         vs = VilenkinStructure.from_m((3, 5) + (2,) * 13)
-        _run_stages(random_function(vs, 75).values, vs, conjugate=False)
+        _run_stages(random_function(vs, 75).values, vs, conjugate=True)
         chunks = -(-vs.M[2] // (transform._BLOCK // 2**13))
         assert len(lows) == 13 * chunks
         assert min(lows) == 2**6
@@ -218,10 +264,10 @@ class TestStageLoop:
         # when there is one: no second full-size buffer or input copy.
         vs = VilenkinStructure.from_m(gens)
         flat = random_function(vs, 76).values
-        _run_stages(flat, vs, conjugate=False)
+        _run_stages(flat, vs, conjugate=True)
         tracemalloc.start()
         try:
-            _run_stages(flat, vs, conjugate=False)
+            _run_stages(flat, vs, conjugate=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -544,10 +590,13 @@ class TestBlockedSweep:
         # are built before the budget changes, since the stages read it too.
         vs = VilenkinStructure.from_m(gens)
         inputs = sweep_inputs(vs)
+        blocks = spy_blocks(monkeypatch)
         for budget in (block * vs.size, vs.size // 2):
             monkeypatch.setattr(transform, "_BLOCK", budget)
             for s in (inputs["atom"], inputs["damped"], zero_runs_spectrum(vs)):
+                blocks.clear()
                 assert_sweep_matches_recurrence(s, vs.size)
+                assert len(blocks) == -(-vs.size // max(budget // vs.size, 1)) > 1
             assert_sweep_matches_recurrence(inputs["zero-runs"], vs.size - 1)
 
     def test_one_row_blocks_at_the_block_budget(self):
