@@ -3,11 +3,10 @@
 
 Each criterion returns a :class:`CriterionResult` with a pass flag and a
 one-line detail string; nothing here mutates state, so criteria can run in
-any order.  A :class:`Workspace` memoizes the expensive shared objects
-(structures, the two example martingales) across criteria.  The statistics
-and gate predicates live in :mod:`vilenkin_lab.experiments`, next to the
-runners that record them, so a criterion and a runner never disagree about
-what a gate means.
+any order.  A :class:`Workspace` memoizes the three critical examples that
+criteria 6 to 9 share.  The statistics and gate predicates live in
+:mod:`vilenkin_lab.experiments`, next to the runners that record them, so a
+criterion and a runner never disagree about what a gate means.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from . import frozen
 from .counterexamples import (
-    CriticalExample,
     build_critical_example,
     build_sparse_critical_example,
     kernel_halfnorm_scan,
@@ -72,32 +70,21 @@ class CriterionResult:
         return f"[{self.number:2d}] {status} {self.name} ({self.seconds:.2f}s) {self.detail}"
 
 
+def _walsh(depth: int) -> VilenkinStructure:
+    return VilenkinStructure.from_pattern((2,), depth)
+
+
+_MIXED = VilenkinStructure.from_m((2, 3, 2, 3))
+
+
 class Workspace:
-    """Lazily built shared fixtures for the criterion runners, and the
-    speed-up the transform performance gate demands."""
+    """The three critical examples criteria 6 to 9 share, each built on
+    first use: ``dense_example(p)`` for p = 1/4 and 1/3, and
+    ``sparse_example()``."""
 
-    def __init__(self, min_speedup: float = frozen.MIN_SPEEDUP) -> None:
-        self.min_speedup = min_speedup
-        self._cache: dict = {}
-
-    def _get(self, key, builder: Callable):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def walsh(self, depth: int) -> VilenkinStructure:
-        return self._get(("walsh", depth), lambda: VilenkinStructure.from_pattern((2,), depth))
-
-    def mixed(self) -> VilenkinStructure:
-        return self._get("mixed", lambda: VilenkinStructure.from_m((2, 3, 2, 3)))
-
-    def dense_example(self, p: float) -> CriticalExample:
-        return self._get(
-            ("dense", p), lambda: build_critical_example(p, 10, self.walsh(11))
-        )
-
-    def sparse_example(self) -> CriticalExample:
-        return self._get("sparse", lambda: build_sparse_critical_example(3, self.walsh(17)))
+    def __init__(self) -> None:
+        self.dense_example = functools.cache(lambda p: build_critical_example(p, 10, _walsh(11)))
+        self.sparse_example = functools.cache(lambda: build_sparse_critical_example(3, _walsh(17)))
 
 
 def _criterion(number: int, name: str, time_limit: float = np.inf):
@@ -119,7 +106,7 @@ def _criterion(number: int, name: str, time_limit: float = np.inf):
 
 @_criterion(1, "orthonormality-and-parseval", time_limit=5.0)
 def criterion_1(ws: Workspace) -> tuple[bool, str]:
-    structures = (ws.mixed(), ws.walsh(10))
+    structures = (_MIXED, _walsh(10))
     worst_gram = max(gram_error(vs) for vs in structures)
     worst_rel = max(parseval_worst_rel(vs, XorShift64Star(11), 100) for vs in structures)
     ok = roundoff_ok(worst_gram) and relative_roundoff_ok(worst_rel)
@@ -128,7 +115,7 @@ def criterion_1(ws: Workspace) -> tuple[bool, str]:
 
 @_criterion(2, "dirichlet-closed-form")
 def criterion_2(ws: Workspace) -> tuple[bool, str]:
-    worst = max(max(dirichlet_errors(vs)) for vs in (ws.mixed(), ws.walsh(10)))
+    worst = max(max(dirichlet_errors(vs)) for vs in (_MIXED, _walsh(10)))
     return roundoff_ok(worst), f"max_err={worst:.2e}"
 
 
@@ -137,7 +124,7 @@ def criterion_3(ws: Workspace) -> tuple[bool, str]:
     worst = np.inf
     cells = 0
     for level in (3, 4, 5, 6):
-        vs = ws.walsh(2 * level - 1)
+        vs = _walsh(2 * level - 1)
         check = verify_fejer_lower_bounds(level, vs)
         worst = min(worst, check.worst_margin)
         cells += check.cells_checked
@@ -149,7 +136,7 @@ def criterion_3(ws: Workspace) -> tuple[bool, str]:
 @_criterion(4, "fast-transform-vs-direct")
 def criterion_4(ws: Workspace) -> tuple[bool, str]:
     worst_rel = 0.0
-    for vs in (ws.mixed(), ws.walsh(10), ws.walsh(12)):
+    for vs in (_MIXED, _walsh(10), _walsh(12)):
         rng = XorShift64Star(4000 + vs.size)
         f = StepFunction(vs, rng.complex_uniforms(vs.size))
         fast = analyze(f).coeffs
@@ -159,7 +146,7 @@ def criterion_4(ws: Workspace) -> tuple[bool, str]:
     if not relative_roundoff_ok(worst_rel):
         return False, f"agreement_rel={worst_rel:.2e}"
 
-    vs = ws.walsh(16)
+    vs = _walsh(16)
     rng = XorShift64Star(16)
     f = StepFunction(vs, rng.complex_uniforms(vs.size))
     fast_t = np.inf
@@ -172,17 +159,17 @@ def criterion_4(ws: Workspace) -> tuple[bool, str]:
     naive_analyze(f, sample)
     naive_est = (time.perf_counter() - t0) / len(sample) * vs.size
     speedup = naive_est / fast_t
-    ok = speedup >= ws.min_speedup
+    ok = speedup >= frozen.MIN_SPEEDUP
     return ok, (
         f"agreement_rel={worst_rel:.2e} fast={fast_t * 1e3:.1f}ms "
         f"naive~{naive_est:.0f}s (extrapolated from 128 coeffs) "
-        f"speedup~{speedup:.0f}x (gate {ws.min_speedup:g}x)"
+        f"speedup~{speedup:.0f}x (gate {frozen.MIN_SPEEDUP:g}x)"
     )
 
 
 @_criterion(5, "fejer-coefficient-algebra")
 def criterion_5(ws: Workspace) -> tuple[bool, str]:
-    vs = ws.walsh(8)
+    vs = _walsh(8)
     rng = XorShift64Star(55)
     worst_law = 0.0
     worst_ident = 0.0
@@ -256,14 +243,14 @@ def criterion_9(ws: Workspace) -> tuple[bool, str]:
 
 @_criterion(10, "kernel-growth-scan")
 def criterion_10(ws: Workspace) -> tuple[bool, str]:
-    rows = kernel_halfnorm_scan(list(range(2, 8)), ws.walsh(15))
+    rows = kernel_halfnorm_scan(list(range(2, 8)), _walsh(15))
     worst = min(r.ratio for r in rows)
     return kernel_scan_ok(worst), f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN:g})"
 
 
 @_criterion(11, "fejer-convergence-surrogate")
 def criterion_11(ws: Workspace) -> tuple[bool, str]:
-    vs = ws.walsh(10)
+    vs = _walsh(10)
     band_spec = family_character_polynomial(vs, 2, XorShift64Star(111))
     smooth_spec = family_smoothed_indicator(vs, 2, 4, 3 * vs.size // 4)
     gates = [
@@ -283,7 +270,7 @@ def criterion_11(ws: Workspace) -> tuple[bool, str]:
 def criterion_12(ws: Workspace) -> tuple[bool, str]:
     # cv_random is the spread of the random spectra alone: the critical atom
     # reaches the maximum for every seed, so cv itself reads 0.
-    vs = ws.walsh(8)
+    vs = _walsh(8)
     details = []
     ok = True
     for p in (0.25, 0.5):
@@ -315,10 +302,8 @@ CRITERIA: tuple[Callable[[Workspace], CriterionResult], ...] = (
 )
 
 
-def run_all(
-    min_speedup: float = frozen.MIN_SPEEDUP, echo: Callable[[str], None] | None = None
-) -> list[CriterionResult]:
-    ws = Workspace(min_speedup)
+def run_all(echo: Callable[[str], None] | None = None) -> list[CriterionResult]:
+    ws = Workspace()
     results = []
     for fn in CRITERIA:
         result = fn(ws)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +57,6 @@ from .transform import (
 )
 
 DEFAULT_CELL_CAP = 2**22
-ENV_CELL_CAP = "VILENKIN_CELL_CAP"
 CONFIG_KEYS = frozenset(
     {"experiment", "structure", "resolution", "p_values", "parameters", "seed", "output"}
 )
@@ -96,8 +95,8 @@ def _is_number(value) -> bool:
 def _param(params: dict, key: str, default, kind: type = int, lo=-math.inf, hi=math.inf):
     """``params[key]``, or ``default`` when it is absent, as ``kind``.
 
-    An int parameter takes a JSON integer only and a float one any JSON
-    number; neither takes a bool.  A value outside [lo, hi] is a config
+    An int parameter takes a JSON integer only and a float one any finite
+    JSON number; neither takes a bool.  A value outside [lo, hi] is a config
     error too.
     """
     value = params.get(key, default)
@@ -105,6 +104,8 @@ def _param(params: dict, key: str, default, kind: type = int, lo=-math.inf, hi=m
         raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     if not lo <= value <= hi:
         raise ValueError(f"{key} = {value} not in [{lo}, {hi}]")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key} = {value} is not a finite number")
     return kind(value)
 
 
@@ -187,21 +188,27 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
     )
 
 
-def build_structure(cfg: ExperimentConfig, cap: int | None = None) -> VilenkinStructure:
+def build_structure(cfg: ExperimentConfig, cap: int = DEFAULT_CELL_CAP) -> VilenkinStructure:
     spec = cfg.structure
+    depth = len(spec["m"]) if "m" in spec else spec.get("repeat_to", cfg.resolution)
+    if depth is None:
+        raise ValueError("pattern structure needs repeat_to or resolution")
+    # every generator is >= 2, so M[N] >= 2^N: refuse before building the
+    # scale table, whose big integers take O(N^2) bits
+    if depth > cap.bit_length() - 1:
+        raise CapacityError(
+            f"structure has {depth} coordinates, so at least 2^{depth} cells, over the cap "
+            f"of {cap}; raise --cells-cap to allow it"
+        )
     if "m" in spec:
         vs = VilenkinStructure.from_m(spec["m"])
     else:
-        depth = spec.get("repeat_to", cfg.resolution)
-        if depth is None:
-            raise ValueError("pattern structure needs repeat_to or resolution")
         vs = VilenkinStructure.from_pattern(spec["pattern"], depth)
     if cfg.resolution is not None and cfg.resolution != vs.N:
         raise ValueError(f"structure has resolution {vs.N} but resolution says {cfg.resolution}")
-    limit = int(cap if cap is not None else os.environ.get(ENV_CELL_CAP) or DEFAULT_CELL_CAP)
-    if vs.size > limit:
+    if vs.size > cap:
         raise CapacityError(
-            f"structure needs {vs.size} cells, over the cap of {limit}; "
+            f"structure needs {vs.size} cells, over the cap of {cap}; "
             "raise --cells-cap to allow it"
         )
     return vs
@@ -241,8 +248,15 @@ def family_smoothed_indicator(
 
 def family_damped_critical(vs: VilenkinStructure, depth: int, damping: float) -> Spectrum:
     """Blockwise spectrum M[i] * damping^i, a fast-decaying relative of the
-    dense divergence family."""
-    return block_spectrum(vs, [(i, vs.M[i] * damping**i) for i in range(depth + 1)])
+    dense divergence family.  A damping that overflows a block value is a
+    config error."""
+    try:
+        blocks = [(i, vs.M[i] * damping**i) for i in range(depth + 1)]
+        if all(math.isfinite(value) for _, value in blocks):
+            return block_spectrum(vs, blocks)
+    except OverflowError:
+        pass
+    raise ValueError(f"damping = {damping} overflows a block value M[i] * damping^i")
 
 
 def build_family(cfg: ExperimentConfig, vs: VilenkinStructure, rng: XorShift64Star) -> Spectrum:
@@ -425,7 +439,7 @@ def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
     if not spec.coeffs.any():
         raise ValueError("the test function is 0, so its relative Fejer gaps are undefined")
     f = synthesize(spec)
-    points = _param(cfg.parameters, "grid_points", 25, lo=0)
+    points = _param(cfg.parameters, "grid_points", 25, lo=0, hi=vs.size)
     records = []
     messages = []
     for p in cfg.p_values or (0.25, 0.5):
@@ -728,5 +742,5 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, cap: int | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, cap: int = DEFAULT_CELL_CAP) -> ExperimentResult:
     return EXPERIMENTS[cfg.experiment].run(cfg, build_structure(cfg, cap))

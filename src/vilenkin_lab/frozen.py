@@ -44,5 +44,6 @@ BACKSLIDE_FACTOR_MAX = 2.0
 # the per-seed maxima over ten seeds stays below this.
 MAX_RATIO_CV_MAX = 0.10
 
-# Fast-vs-direct transform performance gate (coarse; relaxable by flag).
+# Fast-vs-direct transform performance gate: the estimated speed-up of
+# analyze over the direct transform at 2^16 cells stays at or above (coarse).
 MIN_SPEEDUP = 20.0

@@ -198,7 +198,6 @@ class _BoundComparisons(ast.NodeVisitor):
 def test_each_frozen_bound_is_compared_in_one_function():
     tree = ast.parse((SRC_DIR / "frozen.py").read_text(encoding="utf-8"))
     bounds = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
-    bounds.discard("MIN_SPEEDUP")  # also the CLI default; the check reads it from Workspace
     found = _BoundComparisons(bounds)
     for path in sorted(SRC_DIR.glob("*.py")):
         found.scope = path.stem

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,18 @@ class TestConfigLoading:
              "parameters": {"family": "damped-critical", "depth": -3}},
             {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
              "parameters": {"atom_scale": -1}},
+            # the order grid holds at most M[N] distinct orders
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"grid_points": 2**40}},
+            # a damping that is not finite, or overflows a block value M[i] * damping^i
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"damping": math.inf}},
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"damping": 10**400}},
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"damping": 1e300}},
+            {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
+             "parameters": {"family": "damped-critical", "damping": 1e300}},
         ],
         ids=["no-function-path", "missing-function-file", "output-not-object",
              "function-path-without-from-file", "2a-empty-ranges", "2a-shallow-default-ranges",
@@ -201,7 +214,9 @@ class TestConfigLoading:
              "2a-p-string", "damping-boolean", "level-lo-float-integral", "functions-boolean",
              "dump-function-not-string", "band-past-resolution", "band-negative",
              "window-level-past-resolution", "damped-depth-past-resolution",
-             "damped-depth-at-resolution", "damped-depth-negative", "atom-scale-negative"],
+             "damped-depth-at-resolution", "damped-depth-negative", "atom-scale-negative",
+             "grid-points-past-cells", "damping-infinite", "damping-past-float",
+             "maximal-bound-damping-overflows", "damped-critical-damping-overflows"],
     )
     def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist
@@ -307,6 +322,21 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv"),
                      "--cells-cap", "64"]) == 3
 
+    @pytest.mark.parametrize(
+        "structure",
+        [{"pattern": [2], "repeat_to": 20000}, {"m": [2] * 20000}],
+        ids=["pattern", "m"],
+    )
+    def test_many_coordinates_refused_before_building(self, structure, tmp_path, capsys):
+        # refused from N alone: 2^20000 cells has too many digits to print,
+        # and the scale table takes O(N^2) bits to build
+        cfg = write_config(tmp_path, "big.json", {"experiment": "gram", "structure": structure})
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: structure has 20000 coordinates"), err
+        assert not out.exists()
+
     def test_sparse_resolution_shortfall_is_capacity_exit(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", {
             "experiment": "counterexample-2b",
@@ -332,11 +362,6 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1 and payload["records"]
-
-    def test_env_cell_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VILENKIN_CELL_CAP", "64")
-        cfg = small_2a_config(tmp_path)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
 
     def test_function_dump_round_trips(self, tmp_path):
         dump = tmp_path / "martingale.json"
@@ -373,13 +398,10 @@ class TestShippedConfigs:
         write_records(result.records, out, "csv")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name]
 
-    def test_check_command_with_relaxed_gate(self, capsys, monkeypatch):
+    def test_check_command_exit_follows_verdicts(self, capsys, monkeypatch):
         # The gate suite itself runs in test_acceptance; here only the
-        # command's wiring: the speed-up reaches run_all, verdicts set the exit.
-        seen = []
-
-        def fake_run_all(min_speedup, echo):
-            seen.append(min_speedup)
+        # command's wiring: the verdicts set the exit.
+        def fake_run_all(echo):
             results = [CriterionResult(k, f"c{k}", True, "", 0.0) for k in (1, 2)]
             results[1].passed = passing
             for r in results:
@@ -388,13 +410,19 @@ class TestShippedConfigs:
 
         monkeypatch.setattr(cli, "run_all", fake_run_all)
         passing = True
-        assert main(["check", "--min-speedup", "1"]) == 0
-        assert seen == [1.0] and isinstance(seen[0], float)
+        assert main(["check"]) == 0
         assert "2/2 criteria passed" in capsys.readouterr().out
         passing = False
-        assert main(["check", "--min-speedup", "1"]) == 2
+        assert main(["check"]) == 2
         out = capsys.readouterr().out
         assert "FAIL c2" in out and "1/2 criteria passed" in out
+
+    def test_check_takes_no_speedup_option(self, capsys):
+        # the performance gate compares with frozen.MIN_SPEEDUP like every other bound
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--min-speedup", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --min-speedup" in capsys.readouterr().err
 
     def test_maximal_bound_without_small_p_rejected(self, tmp_path, capsys):
         # the computed 1/4 does not excuse the ignored 3/4
