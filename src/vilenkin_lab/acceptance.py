@@ -273,11 +273,11 @@ def criterion_12(ws: Workspace) -> tuple[bool, str]:
     vs = _walsh(8)
     details = []
     ok = True
-    for p in (0.25, 0.5):
-        maxima, random_maxima = seed_maxima(
-            vs, p, first_seed=1000, seeds=10, randoms=3, atom_scale=2, damping=0.25,
-            n_max=vs.size,
-        )
+    ps = (0.25, 0.5)
+    per_p = seed_maxima(
+        vs, ps, first_seed=1000, seeds=10, randoms=3, atom_scale=2, damping=0.25, n_max=vs.size
+    )
+    for p, (maxima, random_maxima) in zip(ps, per_p):
         cv = ratio_cv(maxima)
         ok = ok and ratio_cv_ok(cv)
         details.append(

@@ -55,6 +55,13 @@ def critical_atom(k: int, p: float, vs: VilenkinStructure) -> StepFunction:
     kernels of orders M[k+1] and M[k]; this passes the atom certificate
     with interval depth k for every admissible p.
     """
+    return _atom(k, p, vs, lambda n: dirichlet_kernel(n, vs))
+
+
+def _atom(
+    k: int, p: float, vs: VilenkinStructure, kernel: Callable[[int], StepFunction]
+) -> StepFunction:
+    """:func:`critical_atom` with the Dirichlet kernel of order n read from ``kernel(n)``."""
     if not 0 < p < 1:
         raise ValueError(f"atom exponent must lie in (0, 1), got {p}")
     if k + 1 > vs.N:
@@ -62,7 +69,7 @@ def critical_atom(k: int, p: float, vs: VilenkinStructure) -> StepFunction:
             f"atom at scale {k} needs resolution >= {k + 1}, have {vs.N}"
         )
     scale = vs.M[k] ** (1.0 / p - 1.0) / vs.lam
-    diff = dirichlet_kernel(vs.M[k + 1], vs) - dirichlet_kernel(vs.M[k], vs)
+    diff = kernel(vs.M[k + 1]) - kernel(vs.M[k])
     return scale * diff
 
 
@@ -94,7 +101,24 @@ def _critical_example(
     p: float, depth: int, vs: VilenkinStructure, scales: list[tuple[int, float, float]]
 ) -> CriticalExample:
     """Place ``critical_atom(j, p)`` with weight w at each ``(j, w, c)`` of
-    ``scales``; the spectrum carries c on block j."""
+    ``scales``; the spectrum carries c on block j.
+
+    Each Dirichlet kernel is synthesized once: the scales ascend, so the
+    upper kernel D_{M[j+1]} of one atom can only be the lower kernel of the
+    next, and it is the one kernel kept from atom to atom.
+    """
+    kept: dict[int, StepFunction] = {}
+
+    def kernel(n: int) -> StepFunction:
+        if n not in kept:
+            kept[n] = dirichlet_kernel(n, vs)
+        return kept[n]
+
+    atoms = []
+    for j, _, _ in scales:
+        for order in kept.keys() - {vs.M[j]}:
+            del kept[order]
+        atoms.append(_atom(j, p, vs, kernel))
     return CriticalExample(
         p,
         depth,
@@ -102,7 +126,7 @@ def _critical_example(
         block_spectrum(vs, [(j, c) for j, _, c in scales]),
         AtomicDecomposition(
             tuple(w for _, w, _ in scales),
-            tuple(critical_atom(j, p, vs) for j, _, _ in scales),
+            tuple(atoms),
             p,
             tuple(CylinderInterval(0, j) for j, _, _ in scales),
         ),
@@ -144,12 +168,28 @@ class ModulusRow:
     ratio_power: float
 
 
+def _tail_level(s: Spectrum, n: int) -> int:
+    """The first level j >= n whose block [M[j], M[j+1]) holds a non-zero
+    coefficient, or N when none does; the tail above M[n] is the tail above
+    M[j].  A level outside [0, N] is returned as it is."""
+    vs, j = s.vs, n
+    while 0 <= j < vs.N and not s.coeffs[vs.M[j] : vs.M[j + 1]].any():
+        j += 1
+    return j
+
+
 def _modulus_rows(
     ex: CriticalExample, ns: list[int], rate: Callable[[int], float]
 ) -> list[ModulusRow]:
+    # Levels whose tails hold the same coefficients share one Hardy norm;
+    # the memo lives for this call only.
+    omegas: dict[int, float] = {}
     rows = []
     for n in ns:
-        omega = modulus_of_continuity(ex.spectrum, n, ex.p)
+        j = _tail_level(ex.spectrum, n)
+        if j not in omegas:
+            omegas[j] = modulus_of_continuity(ex.spectrum, j, ex.p)
+        omega = omegas[j]
         bound = rate(n)
         ratio = omega / bound
         rows.append(

@@ -39,7 +39,7 @@ from .counterexamples import (
     weak_divergence_statistic,
 )
 from .kernels import dirichlet_kernel, verify_fejer_lower_bounds, fejer_lower_bound_cells
-from .norms import AtomCertificate, hardy_norm, lp_quasinorm, modulus_of_continuity, validate_atom
+from .norms import AtomCertificate, lp_quasinorm, modulus_of_continuity, validate_atom
 from .reporting import ExperimentRecord, config_hash
 from .rng import XorShift64Star
 from .serialize import load_function, save_function
@@ -53,6 +53,7 @@ from .transform import (
     fejer_coefficients,
     fejer_mean,
     fejer_mean_blocks,
+    maximal_function,
     synthesize,
 )
 
@@ -207,9 +208,11 @@ def build_structure(cfg: ExperimentConfig, cap: int = DEFAULT_CELL_CAP) -> Vilen
     if cfg.resolution is not None and cfg.resolution != vs.N:
         raise ValueError(f"structure has resolution {vs.N} but resolution says {cfg.resolution}")
     if vs.size > cap:
+        # the bit length, since a huge radix gives M[N] too many digits to print
+        bits = vs.size.bit_length()
         raise CapacityError(
-            f"structure needs {vs.size} cells, over the cap of {cap}; "
-            "raise --cells-cap to allow it"
+            f"structure has at least 2^{bits - 1} cells (a {bits}-bit count), over the cap "
+            f"of {cap}; raise --cells-cap to allow it"
         )
     return vs
 
@@ -626,47 +629,58 @@ def run_kernel_scan(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
     )
 
 
-def max_weighted_ratio(spec: Spectrum, p: float, n_max: int) -> float:
-    """max over n <= n_max of ||sigma_n f||_p / (weight_p(n) * ||f||_{H_p}); 0 for f = 0."""
-    denom = hardy_norm(spec, p)
-    if denom == 0:
-        return 0.0
-    weight = FejerWeight.for_p(p)
-    best = 0.0
+def max_weighted_ratio(spec: Spectrum, ps: tuple[float, ...], n_max: int) -> tuple[float, ...]:
+    """For each p of ``ps``, max over n <= n_max of
+    ||sigma_n f||_p / (weight_p(n) * ||f||_{H_p}); 0 for f = 0.
+
+    One sweep of the Fejer means and one maximal function serve every p.
+    """
+    mf = maximal_function(spec)
+    best = [0.0] * len(ps)
+    denoms = [lp_quasinorm(mf, p) for p in ps]
+    swept = [(i, p, FejerWeight.for_p(p), denom)
+             for i, (p, denom) in enumerate(zip(ps, denoms)) if denom != 0]
+    if not swept:
+        return tuple(best)
     for first, sigma in fejer_mean_blocks(spec, n_max):
-        # lp_quasinorm of each row: the array power and the mean per block,
-        # the root per row with the scalar power, which the array power can
-        # miss by an ulp
-        means = np.mean(np.abs(sigma) ** p, axis=1)
-        for n, mean in enumerate(means, first):
-            best = max(best, float(mean ** (1.0 / p)) / (weight.at(n) * denom))
-    return best
+        mags = np.abs(sigma)
+        for i, p, weight, denom in swept:
+            # lp_quasinorm of each row: the array power and the mean per
+            # block, the root per row with the scalar power, which the array
+            # power can miss by an ulp
+            means = np.mean(mags**p, axis=1)
+            for n, mean in enumerate(means, first):
+                best[i] = max(best[i], float(mean ** (1.0 / p)) / (weight.at(n) * denom))
+    return tuple(best)
 
 
 def seed_maxima(
-    vs: VilenkinStructure, p: float, first_seed: int, seeds: int, randoms: int,
+    vs: VilenkinStructure, ps: tuple[float, ...], first_seed: int, seeds: int, randoms: int,
     atom_scale: int, damping: float, n_max: int,
-) -> tuple[list[float], list[float]]:
-    """Per-seed maxima of :func:`max_weighted_ratio` over the sample family,
-    and the same maxima over the seed's random spectra alone.
+) -> list[tuple[list[float], list[float]]]:
+    """For each p of ``ps``: the per-seed maxima of :func:`max_weighted_ratio`
+    over the sample family, and the same maxima over the seed's random
+    spectra alone.
 
     Seed ``s`` draws ``randoms`` random spectra from ``first_seed + s``; the
     family adds the critical atom at ``atom_scale`` and the damped critical
-    spectrum, which do not depend on the seed.
+    spectrum, which do not depend on the seed.  Only the atom depends on p,
+    so every other spectrum is swept once for all of ``ps``.
     """
-    fixed = max(
-        max_weighted_ratio(analyze(critical_atom(atom_scale, p, vs)), p, n_max),
-        max_weighted_ratio(family_damped_critical(vs, vs.N - 1, damping), p, n_max),
-    )
-    random_maxima = []
+    atoms = [max_weighted_ratio(analyze(critical_atom(atom_scale, p, vs)), (p,), n_max)[0]
+             for p in ps]
+    damped = max_weighted_ratio(family_damped_critical(vs, vs.N - 1, damping), ps, n_max)
+    per_seed = []  # per seed, one ratio tuple (over ps) per random spectrum
     for s in range(seeds):
         rng = XorShift64Star(first_seed + s)
-        random_maxima.append(max(
-            (max_weighted_ratio(family_character_polynomial(vs, vs.N, rng), p, n_max)
-             for _ in range(randoms)),
-            default=0.0,
-        ))
-    return [max(r, fixed) for r in random_maxima], random_maxima
+        per_seed.append([max_weighted_ratio(family_character_polynomial(vs, vs.N, rng), ps, n_max)
+                         for _ in range(randoms)])
+    out = []
+    for i in range(len(ps)):
+        fixed = max(atoms[i], damped[i])
+        random_maxima = [max((ratios[i] for ratios in spectra), default=0.0) for spectra in per_seed]
+        out.append(([max(r, fixed) for r in random_maxima], random_maxima))
+    return out
 
 
 def ratio_cv(maxima: list[float]) -> float:
@@ -685,14 +699,15 @@ def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> Experimen
     seeds = _param(params, "seeds", 10, lo=1)
     records = []
     messages = []
-    for p in cfg.p_values or (0.25, 0.5):
-        maxima, _ = seed_maxima(
-            vs, p, first_seed=cfg.seed, seeds=seeds,
-            randoms=_param(params, "random_functions", 3, lo=0),
-            atom_scale=_param(params, "atom_scale", 2, lo=0),
-            damping=_param(params, "damping", 0.25, float),
-            n_max=_param(params, "n_max", vs.size),
-        )
+    ps = cfg.p_values or (0.25, 0.5)
+    per_p = seed_maxima(
+        vs, ps, first_seed=cfg.seed, seeds=seeds,
+        randoms=_param(params, "random_functions", 3, lo=0),
+        atom_scale=_param(params, "atom_scale", 2, lo=0),
+        damping=_param(params, "damping", 0.25, float),
+        n_max=_param(params, "n_max", vs.size),
+    )
+    for p, (maxima, _) in zip(ps, per_p):
         for s, best in enumerate(maxima):
             records.append(_rec(cfg, {"p": p, "seed": s}, {"max_ratio": best}))
         cv = ratio_cv(maxima)

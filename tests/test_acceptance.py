@@ -23,6 +23,7 @@ import pytest
 
 import vilenkin_lab
 from vilenkin_lab import experiments, frozen
+from vilenkin_lab.structure import VilenkinStructure
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "vilenkin_lab"
@@ -205,3 +206,32 @@ def test_each_frozen_bound_is_compared_in_one_function():
     assert {name: len(fns) for name, fns in found.where.items()} == dict.fromkeys(bounds, 1), (
         found.where
     )
+
+
+# criterion 12's sample family on Walsh 2^8: 10 seeds of 3 random spectra,
+# the critical atom at scale 2 and the damped critical spectrum
+CRITERION_12_FAMILY = dict(first_seed=1000, seeds=10, randoms=3, atom_scale=2, damping=0.25, n_max=256)
+
+
+def test_seed_maxima_for_two_p_equal_two_single_p_calls():
+    vs = VilenkinStructure.from_pattern((2,), 8)
+    both = experiments.seed_maxima(vs, (0.25, 0.5), **CRITERION_12_FAMILY)
+    assert both == [experiments.seed_maxima(vs, (p,), **CRITERION_12_FAMILY)[0] for p in (0.25, 0.5)]
+
+
+def test_seed_maxima_sweeps_each_spectrum_once_per_call(monkeypatch):
+    # 30 random spectra and the damped one for both p, the atom once per p;
+    # a second call sweeps as much again, so nothing is kept between calls
+    sweeps = []
+    blocks = experiments.fejer_mean_blocks
+
+    def counted(s, n_max):
+        sweeps.append(n_max)
+        return blocks(s, n_max)
+
+    monkeypatch.setattr(experiments, "fejer_mean_blocks", counted)
+    vs = VilenkinStructure.from_pattern((2,), 8)
+    for _ in range(2):
+        sweeps.clear()
+        experiments.seed_maxima(vs, (0.25, 0.5), **CRITERION_12_FAMILY)
+        assert len(sweeps) == 33

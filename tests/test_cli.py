@@ -337,6 +337,19 @@ class TestRunCommand:
         assert err.startswith("capacity error: structure has 20000 coordinates"), err
         assert not out.exists()
 
+    def test_huge_radix_refused_by_bit_length(self, tmp_path, capsys):
+        # two coordinates pass the coordinate check, but M[N] = 10^8000 has
+        # too many digits to print in decimal
+        cfg = write_config(tmp_path, "big.json",
+                           {"experiment": "gram", "structure": {"m": [10**4000, 10**4000]}})
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        bits = (10**8000).bit_length()
+        assert err.startswith(f"capacity error: structure has at least 2^{bits - 1} cells "
+                              f"(a {bits}-bit count), over the cap of 4194304"), err
+        assert not out.exists()
+
     def test_sparse_resolution_shortfall_is_capacity_exit(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", {
             "experiment": "counterexample-2b",
@@ -467,7 +480,7 @@ class TestFamilies:
 
         vs = VilenkinStructure.from_pattern((2,), 5)
         spec = Spectrum(vs, np.zeros(vs.size))
-        assert max_weighted_ratio(spec, 0.25, vs.size) == 0.0
+        assert max_weighted_ratio(spec, (0.25, 0.5), vs.size) == (0.0, 0.0)
 
     def test_from_file_family_round_trips_through_cli(self, tmp_path):
         # dump a construction, then feed it back as a convergence input

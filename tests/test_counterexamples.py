@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vilenkin_lab.errors import CapacityError
+from vilenkin_lab import counterexamples
+from vilenkin_lab.errors import CapacityError, ResolutionError
 from vilenkin_lab.kernels import dirichlet_kernel, lacunary_index
 from vilenkin_lab.counterexamples import (
     block_gap_norm,
@@ -267,6 +268,55 @@ class TestSparseIdentities:
         # single-block tail: constant until the block is swallowed at n = 5
         assert omegas[0] == pytest.approx(omegas[3])
         assert omegas[4] == pytest.approx(0.0)
+
+
+def dense_every_tail_distinct():
+    # blocks 0..7 of 2^8 all non-zero, so each level has its own tail
+    return build_critical_example(0.25, 7, VilenkinStructure.from_pattern((2,), 8)), range(0, 9)
+
+
+def sparse_shared_tails():
+    # blocks 4 and 8 of 2^9: levels 1..4 share one tail, 5..8 another, 9 is empty
+    return build_sparse_critical_example(2, VilenkinStructure.from_pattern((2,), 9)), range(1, 10)
+
+
+def dense_zero_tail():
+    # blocks 0..3 of 2^8: every level from 4 on has an all-zero tail
+    return build_critical_example(1 / 3, 3, VilenkinStructure.from_pattern((2,), 8)), range(0, 9)
+
+
+class TestModulusMemo:
+    @pytest.mark.parametrize(
+        "example", [dense_every_tail_distinct, sparse_shared_tails, dense_zero_tail],
+        ids=["dense", "sparse", "zero-tail"],
+    )
+    def test_rows_bitwise_equal_to_per_level_moduli(self, example):
+        ex, levels = example()
+        report = sparse_modulus_ratio_report if ex.p == 0.5 else modulus_ratio_report
+        rows = report(ex, list(levels))
+        assert [r.n for r in rows] == list(levels)
+        assert [r.omega for r in rows] == [modulus_of_continuity(ex.spectrum, n, ex.p) for n in levels]
+
+    def test_level_outside_the_structure_still_raises(self, dense_small):
+        for n in (-1, dense_small.vs.N + 1):
+            with pytest.raises(ResolutionError):
+                modulus_ratio_report(dense_small, [n])
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        # Criterion 8's sparse levels 5..16 on 2^17 have two distinct tails:
+        # blocks 8 and 16 above levels 5..8, block 16 alone above 9..16.
+        calls = []
+
+        def counted(s, level, p):
+            calls.append(level)
+            return modulus_of_continuity(s, level, p)
+
+        monkeypatch.setattr(counterexamples, "modulus_of_continuity", counted)
+        ex = build_sparse_critical_example(3, VilenkinStructure.from_pattern((2,), 17))
+        for _ in range(2):
+            calls.clear()
+            sparse_modulus_ratio_report(ex, list(range(5, 17)))
+            assert calls == [8, 16]
 
 
 class TestCalibrationRegression:

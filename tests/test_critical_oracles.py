@@ -14,6 +14,7 @@ import functools
 import numpy as np
 import pytest
 
+from vilenkin_lab import counterexamples
 from vilenkin_lab.counterexamples import (
     block_spectrum,
     build_critical_example,
@@ -84,6 +85,24 @@ def test_dense_equals_old_builder(p, vs):
     ex = build_critical_example(p, depth, vs)
     assert (ex.p, ex.depth) == (p, depth)
     assert_bitwise_equal(ex, old_dense(p, depth, vs))
+
+
+def test_each_dirichlet_kernel_synthesized_once(monkeypatch):
+    # Dense atom j is D_{M[j+1]} - D_{M[j]}: depth 10 needs the 12 orders
+    # M[0..11], each synthesized once; the sparse atoms share no order.
+    orders = []
+
+    def counted(n, vs):
+        orders.append(n)
+        return dirichlet_kernel(n, vs)
+
+    monkeypatch.setattr(counterexamples, "dirichlet_kernel", counted)
+    vs = VilenkinStructure.from_pattern((2,), 11)
+    build_critical_example(0.25, 10, vs)
+    assert sorted(orders) == list(vs.M[:12])
+    orders.clear()
+    build_sparse_critical_example(3, VilenkinStructure.from_pattern((2,), 17))
+    assert len(orders) == len(set(orders)) == 6
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -157,5 +176,5 @@ def test_maximal_bound_atom_ratio_equals_integer_oracle(p):
     # attains every seed's maximum.  Exact: 0.39149155272166 at p = 1/4 and
     # 0.32853430644103 at p = 1/2.
     vs = VilenkinStructure.from_pattern((2,), 8)
-    got = max_weighted_ratio(analyze(critical_atom(2, p, vs)), p, vs.size)
+    (got,) = max_weighted_ratio(analyze(critical_atom(2, p, vs)), (p,), vs.size)
     assert got == pytest.approx(exact_atom_weighted_ratio(2, p, vs.N), rel=1e-9)

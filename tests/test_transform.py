@@ -626,12 +626,16 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("p", [0.25, 1 / 3, 0.5])
     @pytest.mark.parametrize("gens", [(2,) * 8, (2, 3, 2, 3), (3, 5, 2, 4)])
     def test_max_weighted_ratio_bitwise_equal_to_per_order_norms(self, gens, p):
+        # One sweep for several p gives each p's ratio as its own sweep does,
+        # a repeated p included.
         vs = VilenkinStructure.from_m(gens)
+        ps = (p, 0.5, 0.25)
         for name, s in sweep_inputs(vs).items():
             for n_max in (vs.size, vs.size - 3):
-                got = max_weighted_ratio(s, p, n_max)
-                assert got > 0, name
-                assert got == per_order_weighted_ratio(s, p, n_max), name
+                want = tuple(per_order_weighted_ratio(s, q, n_max) for q in ps)
+                assert min(want) > 0, name
+                assert max_weighted_ratio(s, ps, n_max) == want, name
+                assert max_weighted_ratio(s, (p,), n_max) == want[:1], name
 
     @pytest.mark.parametrize("seed, p", [(1012, 0.25), (1001, 1 / 3)])
     def test_max_weighted_ratio_roots_with_the_scalar_power(self, seed, p):
@@ -639,7 +643,10 @@ class TestBlockedSweep:
         # an ulp, on AVX-512 hosts, if the 1/p root takes the array power.
         vs = VilenkinStructure.from_pattern((2,), 8)
         s = family_character_polynomial(vs, vs.N, XorShift64Star(seed))
-        assert max_weighted_ratio(s, p, vs.size) == per_order_weighted_ratio(s, p, vs.size)
+        ps = (p, 0.5)
+        want = tuple(per_order_weighted_ratio(s, q, vs.size) for q in ps)
+        assert max_weighted_ratio(s, ps, vs.size) == want
+        assert max_weighted_ratio(s, (p,), vs.size) == want[:1]
 
 
 class TestStepFunctionArithmetic:
