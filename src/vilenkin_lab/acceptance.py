@@ -3,15 +3,18 @@
 
 Each criterion returns a :class:`CriterionResult` with a pass flag and a
 one-line detail string; nothing here mutates state, so criteria can run in
-any order.  A :class:`Workspace` memoizes the three critical examples that
-criteria 6 to 9 share.  The statistics and gate predicates live in
+any order.  Criteria 6 to 10 and 12 gate the records of the shipped configs
+under ``configs/``, which a :class:`Workspace` runs once each; the others
+build their own small fixtures.  The statistics and gate predicates live in
 :mod:`vilenkin_lab.experiments`, next to the runners that record them, so a
-criterion and a runner never disagree about what a gate means.
+criterion and a runner never disagree about what a gate means, and what
+``check`` prints is what ``run`` writes.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -19,39 +22,29 @@ from typing import Callable
 import numpy as np
 
 from . import frozen
-from .counterexamples import (
-    build_critical_example,
-    build_sparse_critical_example,
-    kernel_halfnorm_scan,
-    modulus_ratio_report,
-    sparse_divergence_statistic,
-    sparse_modulus_ratio_report,
-    weak_divergence_statistic,
-)
 from .experiments import (
-    atom_certificates,
-    dense_law_error,
+    SHIPPED_DIR,
     dirichlet_errors,
     family_character_polynomial,
     family_smoothed_indicator,
     gram_error,
     kernel_scan_ok,
+    load_config,
     modulus_ok,
     parseval_worst_rel,
-    ratio_cv,
     ratio_cv_ok,
     relative_roundoff_ok,
     roundoff_ok,
+    run_experiment,
     scale_sweep,
     scale_sweep_gates,
     scale_sweep_ok,
-    seed_maxima,
     sparse_divergence_ok,
-    sparse_law_error,
     sparse_modulus_ok,
     weak_divergence_ok,
 )
 from .kernels import verify_fejer_lower_bounds
+from .reporting import ExperimentRecord
 from .rng import XorShift64Star
 from .structure import VilenkinStructure
 from .transform import StepFunction, analyze, fejer_mean, naive_analyze, synthesize
@@ -77,14 +70,36 @@ def _walsh(depth: int) -> VilenkinStructure:
 _MIXED = VilenkinStructure.from_m((2, 3, 2, 3))
 
 
+def _shipped_records(name: str, p: float | None = None) -> list[ExperimentRecord]:
+    """The records of ``configs/<name>.json``; with ``p``, of that dense
+    config run at exponent p in place of its own."""
+    raw = json.loads((SHIPPED_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    if p is not None:
+        raw["p_values"] = [p]
+        raw["parameters"]["p"] = p
+    return run_experiment(load_config(raw)).records
+
+
 class Workspace:
-    """The three critical examples criteria 6 to 9 share, each built on
-    first use: ``dense_example(p)`` for p = 1/4 and 1/3, and
-    ``sparse_example()``."""
+    """The shipped-config records criteria 6 to 10 and 12 read, each run on
+    first use: ``records(name)`` or ``records(name, p)`` as
+    :func:`_shipped_records`.  Only the records are kept, never an array."""
 
     def __init__(self) -> None:
-        self.dense_example = functools.cache(lambda p: build_critical_example(p, 10, _walsh(11)))
-        self.sparse_example = functools.cache(lambda: build_sparse_critical_example(3, _walsh(17)))
+        self.records = functools.cache(_shipped_records)
+
+
+def _column(records: list[ExperimentRecord], name: str) -> list[float]:
+    """The ``name`` value of each record that has one."""
+    return [r.values[name] for r in records if name in r.values]
+
+
+def _constructions(ws: Workspace) -> list[dict[str, float]]:
+    """The construction record of the dense example at the shipped p = 1/4
+    and at p = 1/3, and of the sparse example."""
+    runs = (ws.records("counterexample_2a"), ws.records("counterexample_2a", 1 / 3),
+            ws.records("counterexample_2b"))
+    return [r.values for records in runs for r in records if r.index["block"] == "construction"]
 
 
 def _criterion(number: int, name: str, time_limit: float = np.inf):
@@ -195,32 +210,21 @@ def criterion_5(ws: Workspace) -> tuple[bool, str]:
 
 @_criterion(6, "coefficient-laws-exact")
 def criterion_6(ws: Workspace) -> tuple[bool, str]:
-    errs = [dense_law_error(ws.dense_example(p)) for p in (0.25, 1 / 3)]
-    errs.append(sparse_law_error(ws.sparse_example()))
-    worst = max(errs)
+    worst = max(c["law_err"] for c in _constructions(ws))
     return roundoff_ok(worst), f"max_dev={worst:.2e}"
 
 
 @_criterion(7, "atom-certificates")
 def criterion_7(ws: Workspace) -> tuple[bool, str]:
-    checked = 0
-    for ex in (ws.dense_example(0.25), ws.dense_example(1 / 3), ws.sparse_example()):
-        for interval, cert in zip(ex.decomposition.intervals, atom_certificates(ex)):
-            checked += 1
-            if not cert.valid:
-                return False, (
-                    f"atom failed at depth {interval.depth}: mean_ok={cert.zero_mean_ok} "
-                    f"sup_ratio={cert.sup_ratio:.6f} support_ok={cert.support_ok}"
-                )
-    return True, f"atoms_checked={checked}"
+    constructions = _constructions(ws)
+    certified = sum(c["atoms_ok"] == 1.0 for c in constructions)
+    return certified == len(constructions), f"atoms_ok={certified}/{len(constructions)} constructions"
 
 
 @_criterion(8, "modulus-decay-gates")
 def criterion_8(ws: Workspace) -> tuple[bool, str]:
-    dense_rows = modulus_ratio_report(ws.dense_example(0.25), list(range(1, 9)))
-    dense_max = max(r.ratio_power for r in dense_rows)
-    sparse_rows = sparse_modulus_ratio_report(ws.sparse_example(), list(range(5, 17)))
-    sparse_max = max(r.ratio_power for r in sparse_rows)
+    dense_max = max(_column(ws.records("counterexample_2a"), "ratio_power"))
+    sparse_max = max(_column(ws.records("counterexample_2b"), "ratio_power"))
     ok = modulus_ok(dense_max) and sparse_modulus_ok(sparse_max)
     return ok, (
         f"dense_max={dense_max:.3f} (gate {frozen.MODULUS_RATIO_POWER_MAX:g}) "
@@ -230,10 +234,8 @@ def criterion_8(ws: Workspace) -> tuple[bool, str]:
 
 @_criterion(9, "divergence-gates", time_limit=60.0)
 def criterion_9(ws: Workspace) -> tuple[bool, str]:
-    dense = ws.dense_example(0.25)
-    dense_min = min(weak_divergence_statistic(dense, k) for k in range(3, 9))
-    sparse = ws.sparse_example()
-    sparse_min = min(sparse_divergence_statistic(sparse, k) for k in (1, 2, 3))
+    dense_min = min(_column(ws.records("counterexample_2a"), "weak_power"))
+    sparse_min = min(_column(ws.records("counterexample_2b"), "halfnorm_gap"))
     ok = weak_divergence_ok(dense_min) and sparse_divergence_ok(sparse_min)
     return ok, (
         f"dense_min={dense_min:.3f} (gate {frozen.WEAK_DIVERGENCE_MIN:g}) "
@@ -243,8 +245,7 @@ def criterion_9(ws: Workspace) -> tuple[bool, str]:
 
 @_criterion(10, "kernel-growth-scan")
 def criterion_10(ws: Workspace) -> tuple[bool, str]:
-    rows = kernel_halfnorm_scan(list(range(2, 8)), _walsh(15))
-    worst = min(r.ratio for r in rows)
+    worst = min(_column(ws.records("kernel_scan"), "ratio"))
     return kernel_scan_ok(worst), f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN:g})"
 
 
@@ -268,21 +269,14 @@ def criterion_11(ws: Workspace) -> tuple[bool, str]:
 
 @_criterion(12, "weighted-ratio-stability")
 def criterion_12(ws: Workspace) -> tuple[bool, str]:
-    # cv_random is the spread of the random spectra alone: the critical atom
-    # reaches the maximum for every seed, so cv itself reads 0.
-    vs = _walsh(8)
+    records = ws.records("maximal_bound")
     details = []
     ok = True
-    ps = (0.25, 0.5)
-    per_p = seed_maxima(
-        vs, ps, first_seed=1000, seeds=10, randoms=3, atom_scale=2, damping=0.25, n_max=vs.size
-    )
-    for p, (maxima, random_maxima) in zip(ps, per_p):
-        cv = ratio_cv(maxima)
+    for summary in [r for r in records if "cv" in r.values]:
+        p, cv = summary.index["p"], summary.values["cv"]
+        best = max(_column([r for r in records if r.index["p"] == p], "max_ratio"))
         ok = ok and ratio_cv_ok(cv)
-        details.append(
-            f"p={p:g}: max={max(maxima):.4f} cv={cv:.4%} cv_random={ratio_cv(random_maxima):.4%}"
-        )
+        details.append(f"p={p:g}: max={best:.4f} cv={cv:.4%}")
     return ok, "; ".join(details) + f" (gate {frozen.MAX_RATIO_CV_MAX:.0%})"
 
 

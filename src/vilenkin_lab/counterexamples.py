@@ -178,18 +178,28 @@ def _tail_level(s: Spectrum, n: int) -> int:
     return j
 
 
+def tail_modulus(s: Spectrum, p: float) -> Callable[[int], float]:
+    """``n -> modulus_of_continuity(s, n, p)`` with one Hardy norm per
+    distinct tail: levels whose tails hold the same coefficients share it.
+    The memo lives as long as the returned function."""
+    omegas: dict[int, float] = {}
+
+    def modulus(n: int) -> float:
+        j = _tail_level(s, n)
+        if j not in omegas:
+            omegas[j] = modulus_of_continuity(s, j, p)
+        return omegas[j]
+
+    return modulus
+
+
 def _modulus_rows(
     ex: CriticalExample, ns: list[int], rate: Callable[[int], float]
 ) -> list[ModulusRow]:
-    # Levels whose tails hold the same coefficients share one Hardy norm;
-    # the memo lives for this call only.
-    omegas: dict[int, float] = {}
+    modulus = tail_modulus(ex.spectrum, ex.p)
     rows = []
     for n in ns:
-        j = _tail_level(ex.spectrum, n)
-        if j not in omegas:
-            omegas[j] = modulus_of_continuity(ex.spectrum, j, ex.p)
-        omega = omegas[j]
+        omega = modulus(n)
         bound = rate(n)
         ratio = omega / bound
         rows.append(

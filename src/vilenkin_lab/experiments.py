@@ -36,10 +36,11 @@ from .counterexamples import (
     modulus_ratio_report,
     sparse_divergence_statistic,
     sparse_modulus_ratio_report,
+    tail_modulus,
     weak_divergence_statistic,
 )
 from .kernels import dirichlet_kernel, verify_fejer_lower_bounds, fejer_lower_bound_cells
-from .norms import AtomCertificate, lp_quasinorm, modulus_of_continuity, validate_atom
+from .norms import lp_quasinorm, validate_atom
 from .reporting import ExperimentRecord, config_hash
 from .rng import XorShift64Star
 from .serialize import load_function, save_function
@@ -62,6 +63,8 @@ CONFIG_KEYS = frozenset(
     {"experiment", "structure", "resolution", "p_values", "parameters", "seed", "output"}
 )
 OUTPUT_FORMATS = ("csv", "json")
+# the shipped configs, read from the source tree
+SHIPPED_DIR = Path(__file__).resolve().parents[2] / "configs"
 
 def _dense_p(parameters: dict) -> float:
     return _param(parameters, "p", 0.25, float)
@@ -447,10 +450,10 @@ def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
     messages = []
     for p in cfg.p_values or (0.25, 0.5):
         weight = FejerWeight.for_p(p) if p <= 0.5 else None
+        modulus = tail_modulus(spec, p)
         for n in _log_spaced_orders(vs, points):
             gap = lp_quasinorm(fejer_mean(spec, n) - f, p)
-            pos = leading_position(n, vs) if n < vs.size else vs.N
-            omega = modulus_of_continuity(spec, pos, p)
+            omega = modulus(leading_position(n, vs) if n < vs.size else vs.N)
             bound_term = weight.at(n) * omega if weight else float("nan")
             records.append(
                 _rec(
@@ -485,32 +488,15 @@ def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
     return ExperimentResult(records, 2 if messages else 0, messages)
 
 
-def dense_law_error(ex: CriticalExample) -> float:
-    """Max deviation of the dense spectrum from its law: M[i] on block i."""
-    vs = ex.vs
-    expected = block_spectrum(vs, [(i, vs.M[i]) for i in range(ex.depth + 1)])
-    return float(np.abs(ex.spectrum.coeffs - expected.coeffs).max())
-
-
-def sparse_law_error(ex: CriticalExample) -> float:
-    """Max deviation of the sparse spectrum from M[j] / M[i]^2 on block j = 2 M[i]."""
-    M = ex.vs.M
-    expected = block_spectrum(
-        ex.vs, [(2 * M[i], M[2 * M[i]] / (M[i] * M[i])) for i in range(1, ex.depth + 1)]
-    )
-    return float(np.abs(ex.spectrum.coeffs - expected.coeffs).max())
-
-
-def atom_certificates(ex: CriticalExample) -> list[AtomCertificate]:
-    """One certificate per atom of the example's decomposition, in order."""
-    d = ex.decomposition
-    return [validate_atom(a, d.p, iv) for a, iv in zip(d.atoms, d.intervals)]
-
-
 def _construction_record(
-    cfg: ExperimentConfig, law_err: float, ex, messages: list[str]
+    cfg: ExperimentConfig, ex: CriticalExample, law: list[tuple[int, float]], messages: list[str]
 ) -> ExperimentRecord:
-    atoms_ok = all(cert.valid for cert in atom_certificates(ex))
+    """The example's deviation from its coefficient ``law``, a value per
+    index block as :func:`block_spectrum` takes it, and whether every atom
+    of its decomposition passes its certificate."""
+    law_err = float(np.abs(ex.spectrum.coeffs - block_spectrum(ex.vs, law).coeffs).max())
+    d = ex.decomposition
+    atoms_ok = all(validate_atom(a, d.p, iv).valid for a, iv in zip(d.atoms, d.intervals))
     if not (roundoff_ok(law_err) and atoms_ok):
         messages.append(f"construction checks failed: law {law_err:.3e}, atoms {atoms_ok}")
     return _rec(cfg, {"block": "construction", "i": 0},
@@ -544,8 +530,8 @@ def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
     ex = build_critical_example(p, depth, vs)
 
     messages = []
-    # coefficient law and atom certificates are assertion-grade
-    records = [_construction_record(cfg, dense_law_error(ex), ex, messages)]
+    # the coefficient law, M[i] on block i, and the atom certificates are assertion-grade
+    records = [_construction_record(cfg, ex, [(i, vs.M[i]) for i in range(depth + 1)], messages)]
 
     rows = modulus_ratio_report(ex, modulus_levels)
     worst_ratio = _modulus_records(cfg, rows, records)
@@ -588,7 +574,10 @@ def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
     ex = build_sparse_critical_example(depth, vs)
 
     messages = []
-    records = [_construction_record(cfg, sparse_law_error(ex), ex, messages)]
+    # the coefficient law: M[j] / M[i]^2 on block j = 2 M[i]
+    M = vs.M
+    law = [(2 * M[i], M[2 * M[i]] / (M[i] * M[i])) for i in range(1, depth + 1)]
+    records = [_construction_record(cfg, ex, law, messages)]
 
     rows = sparse_modulus_ratio_report(ex, modulus_levels)
     worst_ratio = _modulus_records(cfg, rows, records)

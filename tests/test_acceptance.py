@@ -7,10 +7,12 @@ own PASS line and time limit from that run's output, visible with
 command's exit code and elapsed time and reruns a shipped config for
 byte-identical output.  The tests after it pin the gate predicates the
 criteria and the experiment runners share: each can fail, and each frozen
-bound has one of them.
+bound has one of them.  The last ones show that criteria 6 to 10 and 12
+read one run of each shipped config and fail on a record past its bound.
 """
 
 import ast
+import copy
 import math
 import os
 import re
@@ -22,8 +24,7 @@ from pathlib import Path
 import pytest
 
 import vilenkin_lab
-from vilenkin_lab import experiments, frozen
-from vilenkin_lab.structure import VilenkinStructure
+from vilenkin_lab import acceptance, experiments, frozen
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "vilenkin_lab"
@@ -208,13 +209,22 @@ def test_each_frozen_bound_is_compared_in_one_function():
     )
 
 
-# criterion 12's sample family on Walsh 2^8: 10 seeds of 3 random spectra,
-# the critical atom at scale 2 and the damped critical spectrum
-CRITERION_12_FAMILY = dict(first_seed=1000, seeds=10, randoms=3, atom_scale=2, damping=0.25, n_max=256)
+# criterion 12's sample family: the maximal_bound config's seeds, random
+# spectra, critical atom and damped critical spectrum
+MAXIMAL_BOUND = experiments.load_config(CONFIG_DIR / "maximal_bound.json")
+MAXIMAL_BOUND_VS = experiments.build_structure(MAXIMAL_BOUND)
+CRITERION_12_FAMILY = dict(
+    first_seed=MAXIMAL_BOUND.seed,
+    seeds=MAXIMAL_BOUND.parameters["seeds"],
+    randoms=MAXIMAL_BOUND.parameters["random_functions"],
+    atom_scale=MAXIMAL_BOUND.parameters["atom_scale"],
+    damping=MAXIMAL_BOUND.parameters["damping"],
+    n_max=MAXIMAL_BOUND_VS.size,
+)
 
 
 def test_seed_maxima_for_two_p_equal_two_single_p_calls():
-    vs = VilenkinStructure.from_pattern((2,), 8)
+    vs = MAXIMAL_BOUND_VS
     both = experiments.seed_maxima(vs, (0.25, 0.5), **CRITERION_12_FAMILY)
     assert both == [experiments.seed_maxima(vs, (p,), **CRITERION_12_FAMILY)[0] for p in (0.25, 0.5)]
 
@@ -230,8 +240,75 @@ def test_seed_maxima_sweeps_each_spectrum_once_per_call(monkeypatch):
         return blocks(s, n_max)
 
     monkeypatch.setattr(experiments, "fejer_mean_blocks", counted)
-    vs = VilenkinStructure.from_pattern((2,), 8)
     for _ in range(2):
         sweeps.clear()
-        experiments.seed_maxima(vs, (0.25, 0.5), **CRITERION_12_FAMILY)
+        experiments.seed_maxima(MAXIMAL_BOUND_VS, (0.25, 0.5), **CRITERION_12_FAMILY)
         assert len(sweeps) == 33
+
+
+# the (config, p) runs criteria 6 to 10 and 12 read, as Workspace.records keys
+SHIPPED_RUNS = (
+    ("counterexample_2a",), ("counterexample_2a", 1 / 3), ("counterexample_2b",),
+    ("kernel_scan",), ("maximal_bound",),
+)
+
+
+@pytest.fixture(scope="module")
+def shipped_records():
+    ws = acceptance.Workspace()
+    return {key: ws.records(*key) for key in SHIPPED_RUNS}
+
+
+def test_one_run_experiment_per_shipped_run(monkeypatch):
+    runs = []
+    run = acceptance.run_experiment
+
+    def counted(cfg):
+        runs.append((cfg.experiment, cfg.p_values))
+        return run(cfg)
+
+    monkeypatch.setattr(acceptance, "run_experiment", counted)
+    assert all(r.passed for r in acceptance.run_all())
+    assert sorted(runs) == [
+        ("counterexample-2a", (0.25,)), ("counterexample-2a", (1 / 3,)),
+        ("counterexample-2b", (0.5,)), ("kernel-scan", (0.5,)), ("maximal-bound", (0.25, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "number, key, column, value",
+    [
+        (6, ("counterexample_2b",), "law_err", frozen.ROUNDOFF_MAX),
+        (7, ("counterexample_2a", 1 / 3), "atoms_ok", 0.0),
+        (8, ("counterexample_2a",), "ratio_power", _above(frozen.MODULUS_RATIO_POWER_MAX)),
+        (8, ("counterexample_2b",), "ratio_power", _above(frozen.SPARSE_MODULUS_RATIO_POWER_MAX)),
+        (9, ("counterexample_2a",), "weak_power", _below(frozen.WEAK_DIVERGENCE_MIN)),
+        (9, ("counterexample_2b",), "halfnorm_gap", _below(frozen.SPARSE_DIVERGENCE_MIN)),
+        (10, ("kernel_scan",), "ratio", _below(frozen.KERNEL_SCAN_RATIO_MIN)),
+        (12, ("maximal_bound",), "cv", frozen.MAX_RATIO_CV_MAX),
+    ],
+    ids=["6-law", "7-atoms", "8-dense", "8-sparse", "9-dense", "9-sparse", "10-scan", "12-cv"],
+)
+def test_record_past_its_bound_fails_its_criterion(shipped_records, number, key, column, value):
+    criterion = acceptance.CRITERIA[number - 1]
+    ws = acceptance.Workspace()
+    ws.records = lambda *k: shipped_records[k]
+    assert criterion(ws).passed
+
+    records = copy.deepcopy(shipped_records)
+    gated = [r for r in records[key] if column in r.values]
+    gated[-1].values[column] = value
+    ws.records = lambda *k: records[k]
+    assert not criterion(ws).passed
+
+
+def test_random_spectra_alone_spread_past_the_cv_gate(shipped_records):
+    # The critical atom attains every seed's maximum, so the recorded cv
+    # is round-off and criterion 12 cannot fail on it (ROADMAP item 4); the
+    # random spectra alone spread past the gate.
+    per_p = experiments.seed_maxima(MAXIMAL_BOUND_VS, MAXIMAL_BOUND.p_values, **CRITERION_12_FAMILY)
+    for maxima, random_maxima in per_p:
+        assert len(set(maxima)) == 1
+        assert experiments.ratio_cv(random_maxima) > frozen.MAX_RATIO_CV_MAX
+    recorded = [r.values["cv"] for r in shipped_records[("maximal_bound",)] if "cv" in r.values]
+    assert len(recorded) == 2 and all(experiments.relative_roundoff_ok(cv) for cv in recorded)

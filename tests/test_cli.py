@@ -402,6 +402,9 @@ SHIPPED_CSV_SHA256 = {
 
 
 class TestShippedConfigs:
+    def test_every_shipped_config_has_a_digest(self):
+        assert sorted(path.stem for path in CONFIG_DIR.glob("*.json")) == sorted(SHIPPED_CSV_SHA256)
+
     @pytest.mark.parametrize("name", sorted(SHIPPED_CSV_SHA256))
     def test_quick_configs_pass(self, name, tmp_path):
         cfg = load_config(CONFIG_DIR / f"{name}.json")
