@@ -42,7 +42,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    results = run_all(echo=print)
+    try:
+        results = run_all(echo=print)
+    except (ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     failed = [r for r in results if not r.passed]
     total = sum(r.seconds for r in results)
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed in {total:.1f}s")

@@ -20,6 +20,17 @@ stage matrix.  The butterflies keep the unsnapped root w = exp(i*pi) of the
 root tables, whose imaginary part is about 1.2e-16: snapping it to -1 would
 move stored records, so it waits for the benchmark change of ROADMAP item 1.
 
+:func:`synthesize` runs only the stages a spectrum needs.  By Paley's lemma
+a spectrum supported below M[L] is constant on L-cylinders, the blocks of
+M[N] / M[L] consecutive cells.  So the least such L >= 1 is found from the
+top block down, the stages of the first L coordinates run on the M[L]
+coefficients, and each value is repeated over its block.  The bytes are
+those of the full synthesis: every stage above L sees input only at digit 0
+of its axis, where it multiplies by 1 and adds w * 0, and 1 * x + w * 0
+rounds to x; neither path returns -0.0 (einsum starts from +0.0, and the
+butterflies add +0.0 when they read a tile).  Partial sums, Fejer means,
+the kernels and the maximal function all synthesize this way.
+
 Every direct sum over characters takes them from :func:`character_blocks`,
 blocks of max(_BLOCK // M[N], 1) rows of ``character_rows``.
 :func:`naive_analyze` takes the mean of ``f`` against each conjugated row.
@@ -216,10 +227,27 @@ def analyze(f: StepFunction) -> Spectrum:
 
 
 def synthesize(s: Spectrum) -> StepFunction:
-    """Step function with the given coefficients (inverse of analyze)."""
+    """Step function with the given coefficients (inverse of analyze).
+
+    The spectrum's support level L is the least L >= 1 with every
+    coefficient from M[L] on zero (-0.0 counts as zero).  Such a spectrum
+    is constant on L-cylinders, which are the blocks of M[N] / M[L]
+    consecutive cells, so it is synthesized on the first L coordinates and
+    each value repeated over its block.  This is exact: every stage above
+    L sees input only at digit 0 of its axis, and 1 * x + w * 0 rounds to
+    x, while neither path returns -0.0.  Full support is the case L = N.
+    """
     vs = s.vs
-    packed = s.coeffs.reshape(vs.m[::-1]).transpose().reshape(-1)
-    return StepFunction(vs, _run_stages(packed, vs, conjugate=False))
+    level = vs.N
+    while level > 1 and not s.coeffs[vs.M[level - 1] : vs.M[level]].any():
+        level -= 1
+    coarse = VilenkinStructure.from_m(vs.m[:level])
+    packed = s.coeffs[: coarse.size].reshape(coarse.m[::-1]).transpose().reshape(-1)
+    values = _run_stages(packed, coarse, conjugate=False)
+    del packed  # the repeat below holds only the coarse values and the output
+    if level < vs.N:
+        values = np.repeat(values, vs.size // coarse.size)
+    return StepFunction(vs, values)
 
 
 def naive_analyze(f: StepFunction, indices: np.ndarray | None = None) -> np.ndarray:
@@ -267,12 +295,20 @@ def fejer_mean(s: Spectrum, n: int) -> StepFunction:
 def _block_maximum(f: StepFunction) -> StepFunction:
     # Pyramid of block-mean magnitudes from the finest level down; the
     # running maximum is then carried back up at each level's resolution,
-    # and only the last step touches every cell.
+    # and only the last step touches every cell.  A radix-2 mean is one add
+    # and the same division as ``mean``'s, so the bytes match; the longer
+    # sums of other radices keep ``mean``, whose summation order differs
+    # from a plain ascending sum.
     vs = f.vs
     means = f.values
     mags = []
     for level in range(vs.N - 1, -1, -1):
-        means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
+        blocks = means.reshape(vs.M[level], vs.m[level])
+        if vs.m[level] == 2:
+            means = blocks[:, 0] + blocks[:, 1]
+            means /= 2
+        else:
+            means = blocks.mean(axis=1)
         mags.append(np.abs(means))
     run = mags.pop()
     for level in range(1, vs.N):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from vilenkin_lab import cli
+from vilenkin_lab import acceptance, cli
 from vilenkin_lab.acceptance import CriterionResult
 from vilenkin_lab.cli import main
 from vilenkin_lab.experiments import (
@@ -432,6 +432,14 @@ class TestShippedConfigs:
         assert main(["check"]) == 2
         out = capsys.readouterr().out
         assert "FAIL c2" in out and "1/2 criteria passed" in out
+
+    def test_check_without_shipped_configs_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Outside a source checkout there is no configs/ folder to gate on.
+        monkeypatch.setattr(acceptance, "SHIPPED_DIR", tmp_path)
+        assert main(["check"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "counterexample_2a.json" in err[0]
 
     def test_check_takes_no_speedup_option(self, capsys):
         # the performance gate compares with frozen.MIN_SPEEDUP like every other bound

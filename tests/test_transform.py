@@ -196,6 +196,85 @@ class TestCoefficientOrder:
         assert peak <= 4 * f.values.nbytes
 
 
+def band_limited(coeffs, vs, level):
+    """``coeffs`` with every coefficient from M[level] on set to zero."""
+    out = coeffs.copy()
+    out[vs.M[level] :] = 0
+    return out
+
+
+class TestBandLimitedSynthesis:
+    # A spectrum supported below M[L] is synthesized on the first L
+    # coordinates and repeated over each L-cylinder; the full-structure
+    # stages on the permuted spectrum stay the oracle, byte for byte.
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            (2,) * 5,
+            (2,) * 17,
+            (3, 5) + (2,) * 13,
+            (4,) + (2,) * 15,
+            (2, 3, 2, 3),
+            (2, 3, 4, 5, 2, 3, 4, 5, 3, 4),
+            (3,) + (2,) * 15,
+            (7, 3),
+            (5,),
+            (2,),
+        ],
+    )
+    def test_bitwise_equal_to_full_structure_stages(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        order = TestCoefficientOrder.table_order(vs)
+        dense = dense_block_values(vs)
+        # -dense carries -0.0 parts, above M[L] too once band-limited.
+        for base in (random_spectrum(vs, 77).coeffs, dense, -dense):
+            for level in range(vs.N + 1):
+                coeffs = band_limited(base, vs, level)
+                got = synthesize(Spectrum(vs, coeffs)).values
+                want = _run_stages(coeffs[order], vs, conjugate=False)
+                assert got.tobytes() == want.tobytes(), f"L = {level}"
+
+    @pytest.mark.parametrize("gens", [(2,) * 10, (2, 3, 4, 5, 3), (3, 5) + (2,) * 4])
+    def test_stages_run_on_the_support_level_only(self, gens, monkeypatch):
+        sizes = []
+        run_stages = transform._run_stages
+
+        def spy(flat, vs, conjugate):
+            sizes.append(vs.size)
+            return run_stages(flat, vs, conjugate)
+
+        monkeypatch.setattr(transform, "_run_stages", spy)
+        vs = VilenkinStructure.from_m(gens)
+        base = random_spectrum(vs, 78).coeffs
+        for level in range(vs.N + 1):
+            sizes.clear()
+            synthesize(Spectrum(vs, band_limited(base, vs, level)))
+            assert sizes == [vs.M[max(level, 1)]], f"L = {level}"
+        # one nonzero coefficient in the top block is full support
+        sizes.clear()
+        top = np.zeros(vs.size, dtype=np.complex128)
+        top[-1] = 1.0
+        synthesize(Spectrum(vs, top))
+        assert sizes == [vs.size]
+
+    @pytest.mark.parametrize("gens", [(2,) * 17, (3,) + (2,) * 16])
+    @pytest.mark.parametrize("level", [1, 9, 15])
+    def test_peak_memory_is_the_output_plus_coarse_arrays(self, gens, level):
+        # No full-size temporary: not the permuted spectrum, not a mask of
+        # its zeros, not the full-structure stage output.
+        vs = VilenkinStructure.from_m(gens)
+        s = Spectrum(vs, band_limited(random_spectrum(vs, 79).coeffs, vs, level))
+        synthesize(s)
+        tracemalloc.start()
+        try:
+            synthesize(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= s.coeffs.nbytes + 2 * 16 * vs.M[level] + 4096
+
+
 class TestStageLoop:
     # The radix-2 stages run as tiled butterflies; they must round exactly
     # as the dense einsum stage does.
