@@ -3,12 +3,15 @@
 
 Each criterion returns a :class:`CriterionResult` with a pass flag and a
 one-line detail string; nothing here mutates state, so criteria can run in
-any order.  Criteria 6 to 10 and 12 gate the records of the shipped configs
-under ``configs/``, which a :class:`Workspace` runs once each; the others
-build their own small fixtures.  The statistics and gate predicates live in
-:mod:`vilenkin_lab.experiments`, next to the runners that record them, so a
-criterion and a runner never disagree about what a gate means, and what
-``check`` prints is what ``run`` writes.
+any order.  Each criterion takes ``records``, called as ``records(name)``
+or ``records(name, p)`` like :func:`_shipped_records`; :func:`run_all`
+passes one cache of that function, so criteria 6 to 10 and 12 gate one run
+of each shipped config under ``configs/`` they read, and only records are
+kept, never an array.  The others build their own small fixtures.  The
+statistics and gate predicates live in :mod:`vilenkin_lab.experiments`,
+next to the runners that record them, so a criterion and a runner never
+disagree about what a gate means, and what ``check`` prints is what
+``run`` writes.
 """
 
 from __future__ import annotations
@@ -80,13 +83,7 @@ def _shipped_records(name: str, p: float | None = None) -> list[ExperimentRecord
     return run_experiment(load_config(raw)).records
 
 
-class Workspace:
-    """The shipped-config records criteria 6 to 10 and 12 read, each run on
-    first use: ``records(name)`` or ``records(name, p)`` as
-    :func:`_shipped_records`.  Only the records are kept, never an array."""
-
-    def __init__(self) -> None:
-        self.records = functools.cache(_shipped_records)
+Records = Callable[..., list[ExperimentRecord]]
 
 
 def _column(records: list[ExperimentRecord], name: str) -> list[float]:
@@ -94,23 +91,23 @@ def _column(records: list[ExperimentRecord], name: str) -> list[float]:
     return [r.values[name] for r in records if name in r.values]
 
 
-def _constructions(ws: Workspace) -> list[dict[str, float]]:
+def _constructions(records: Records) -> list[dict[str, float]]:
     """The construction record of the dense example at the shipped p = 1/4
     and at p = 1/3, and of the sparse example."""
-    runs = (ws.records("counterexample_2a"), ws.records("counterexample_2a", 1 / 3),
-            ws.records("counterexample_2b"))
-    return [r.values for records in runs for r in records if r.index["block"] == "construction"]
+    runs = (records("counterexample_2a"), records("counterexample_2a", 1 / 3),
+            records("counterexample_2b"))
+    return [r.values for run in runs for r in run if r.index["block"] == "construction"]
 
 
 def _criterion(number: int, name: str, time_limit: float = np.inf):
-    """Turn ``body(ws) -> (ok, detail)`` into a timed criterion that also
+    """Turn ``body(records) -> (ok, detail)`` into a timed criterion that also
     fails when it takes ``time_limit`` seconds or more."""
 
-    def wrap(body: Callable[[Workspace], tuple[bool, str]]):
+    def wrap(body: Callable[[Records], tuple[bool, str]]):
         @functools.wraps(body)
-        def criterion(ws: Workspace) -> CriterionResult:
+        def criterion(records: Records) -> CriterionResult:
             start = time.perf_counter()
-            ok, detail = body(ws)
+            ok, detail = body(records)
             secs = time.perf_counter() - start
             return CriterionResult(number, name, ok and secs < time_limit, detail, secs)
 
@@ -120,7 +117,7 @@ def _criterion(number: int, name: str, time_limit: float = np.inf):
 
 
 @_criterion(1, "orthonormality-and-parseval", time_limit=5.0)
-def criterion_1(ws: Workspace) -> tuple[bool, str]:
+def criterion_1(records: Records) -> tuple[bool, str]:
     structures = (_MIXED, _walsh(10))
     worst_gram = max(gram_error(vs) for vs in structures)
     worst_rel = max(parseval_worst_rel(vs, XorShift64Star(11), 100) for vs in structures)
@@ -129,13 +126,13 @@ def criterion_1(ws: Workspace) -> tuple[bool, str]:
 
 
 @_criterion(2, "dirichlet-closed-form")
-def criterion_2(ws: Workspace) -> tuple[bool, str]:
+def criterion_2(records: Records) -> tuple[bool, str]:
     worst = max(max(dirichlet_errors(vs)) for vs in (_MIXED, _walsh(10)))
     return roundoff_ok(worst), f"max_err={worst:.2e}"
 
 
 @_criterion(3, "fejer-kernel-lower-bounds", time_limit=30.0)
-def criterion_3(ws: Workspace) -> tuple[bool, str]:
+def criterion_3(records: Records) -> tuple[bool, str]:
     worst = np.inf
     cells = 0
     for level in (3, 4, 5, 6):
@@ -149,7 +146,7 @@ def criterion_3(ws: Workspace) -> tuple[bool, str]:
 
 
 @_criterion(4, "fast-transform-vs-direct")
-def criterion_4(ws: Workspace) -> tuple[bool, str]:
+def criterion_4(records: Records) -> tuple[bool, str]:
     worst_rel = 0.0
     for vs in (_MIXED, _walsh(10), _walsh(12)):
         rng = XorShift64Star(4000 + vs.size)
@@ -183,7 +180,7 @@ def criterion_4(ws: Workspace) -> tuple[bool, str]:
 
 
 @_criterion(5, "fejer-coefficient-algebra")
-def criterion_5(ws: Workspace) -> tuple[bool, str]:
+def criterion_5(records: Records) -> tuple[bool, str]:
     vs = _walsh(8)
     rng = XorShift64Star(55)
     worst_law = 0.0
@@ -201,7 +198,7 @@ def criterion_5(ws: Workspace) -> tuple[bool, str]:
         worst_law = max(worst_law, float(np.abs(back - expected).max()))
 
         f = synthesize(spec)
-        lhs = (fejer_mean(spec, n) - f).values
+        lhs = (sigma - f).values
         rhs = (band / n) * (fejer_mean(spec, band) - f).values
         worst_ident = max(worst_ident, float(np.abs(lhs - rhs).max()))
     ok = roundoff_ok(worst_law) and roundoff_ok(worst_ident)
@@ -209,22 +206,22 @@ def criterion_5(ws: Workspace) -> tuple[bool, str]:
 
 
 @_criterion(6, "coefficient-laws-exact")
-def criterion_6(ws: Workspace) -> tuple[bool, str]:
-    worst = max(c["law_err"] for c in _constructions(ws))
+def criterion_6(records: Records) -> tuple[bool, str]:
+    worst = max(c["law_err"] for c in _constructions(records))
     return roundoff_ok(worst), f"max_dev={worst:.2e}"
 
 
 @_criterion(7, "atom-certificates")
-def criterion_7(ws: Workspace) -> tuple[bool, str]:
-    constructions = _constructions(ws)
+def criterion_7(records: Records) -> tuple[bool, str]:
+    constructions = _constructions(records)
     certified = sum(c["atoms_ok"] == 1.0 for c in constructions)
     return certified == len(constructions), f"atoms_ok={certified}/{len(constructions)} constructions"
 
 
 @_criterion(8, "modulus-decay-gates")
-def criterion_8(ws: Workspace) -> tuple[bool, str]:
-    dense_max = max(_column(ws.records("counterexample_2a"), "ratio_power"))
-    sparse_max = max(_column(ws.records("counterexample_2b"), "ratio_power"))
+def criterion_8(records: Records) -> tuple[bool, str]:
+    dense_max = max(_column(records("counterexample_2a"), "ratio_power"))
+    sparse_max = max(_column(records("counterexample_2b"), "ratio_power"))
     ok = modulus_ok(dense_max) and sparse_modulus_ok(sparse_max)
     return ok, (
         f"dense_max={dense_max:.3f} (gate {frozen.MODULUS_RATIO_POWER_MAX:g}) "
@@ -233,9 +230,9 @@ def criterion_8(ws: Workspace) -> tuple[bool, str]:
 
 
 @_criterion(9, "divergence-gates", time_limit=60.0)
-def criterion_9(ws: Workspace) -> tuple[bool, str]:
-    dense_min = min(_column(ws.records("counterexample_2a"), "weak_power"))
-    sparse_min = min(_column(ws.records("counterexample_2b"), "halfnorm_gap"))
+def criterion_9(records: Records) -> tuple[bool, str]:
+    dense_min = min(_column(records("counterexample_2a"), "weak_power"))
+    sparse_min = min(_column(records("counterexample_2b"), "halfnorm_gap"))
     ok = weak_divergence_ok(dense_min) and sparse_divergence_ok(sparse_min)
     return ok, (
         f"dense_min={dense_min:.3f} (gate {frozen.WEAK_DIVERGENCE_MIN:g}) "
@@ -244,13 +241,13 @@ def criterion_9(ws: Workspace) -> tuple[bool, str]:
 
 
 @_criterion(10, "kernel-growth-scan")
-def criterion_10(ws: Workspace) -> tuple[bool, str]:
-    worst = min(_column(ws.records("kernel_scan"), "ratio"))
+def criterion_10(records: Records) -> tuple[bool, str]:
+    worst = min(_column(records("kernel_scan"), "ratio"))
     return kernel_scan_ok(worst), f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN:g})"
 
 
 @_criterion(11, "fejer-convergence-surrogate")
-def criterion_11(ws: Workspace) -> tuple[bool, str]:
+def criterion_11(records: Records) -> tuple[bool, str]:
     vs = _walsh(10)
     band_spec = family_character_polynomial(vs, 2, XorShift64Star(111))
     smooth_spec = family_smoothed_indicator(vs, 2, 4, 3 * vs.size // 4)
@@ -268,19 +265,19 @@ def criterion_11(ws: Workspace) -> tuple[bool, str]:
 
 
 @_criterion(12, "weighted-ratio-stability")
-def criterion_12(ws: Workspace) -> tuple[bool, str]:
-    records = ws.records("maximal_bound")
+def criterion_12(records: Records) -> tuple[bool, str]:
+    run = records("maximal_bound")
     details = []
     ok = True
-    for summary in [r for r in records if "cv" in r.values]:
+    for summary in [r for r in run if "cv" in r.values]:
         p, cv = summary.index["p"], summary.values["cv"]
-        best = max(_column([r for r in records if r.index["p"] == p], "max_ratio"))
+        best = max(_column([r for r in run if r.index["p"] == p], "max_ratio"))
         ok = ok and ratio_cv_ok(cv)
         details.append(f"p={p:g}: max={best:.4f} cv={cv:.4%}")
     return ok, "; ".join(details) + f" (gate {frozen.MAX_RATIO_CV_MAX:.0%})"
 
 
-CRITERIA: tuple[Callable[[Workspace], CriterionResult], ...] = (
+CRITERIA: tuple[Callable[[Records], CriterionResult], ...] = (
     criterion_1,
     criterion_2,
     criterion_3,
@@ -297,10 +294,10 @@ CRITERIA: tuple[Callable[[Workspace], CriterionResult], ...] = (
 
 
 def run_all(echo: Callable[[str], None] | None = None) -> list[CriterionResult]:
-    ws = Workspace()
+    records = functools.cache(_shipped_records)
     results = []
     for fn in CRITERIA:
-        result = fn(ws)
+        result = fn(records)
         results.append(result)
         if echo:
             echo(result.line())

@@ -13,7 +13,10 @@ of a list, with a weight per atom:
 
 Spectra are filled from these block laws with exact integer (or exact
 dyadic) values; the equivalence with the atom-by-atom assembly route is a
-tested identity rather than the construction path.  A truncation depth A
+tested identity rather than the construction path.  Each atom synthesizes
+its own two Dirichlet kernels: D_{M[j]} is constant on j-cylinders
+(Paley's lemma), so it is synthesized on j coordinates and sharing kernels
+between atoms would save next to nothing.  A truncation depth A
 replaces the infinite object; statistics are only offered in ranges where
 the truncation cannot change them, or they include the computed (not
 estimated) tail contribution.
@@ -55,13 +58,6 @@ def critical_atom(k: int, p: float, vs: VilenkinStructure) -> StepFunction:
     kernels of orders M[k+1] and M[k]; this passes the atom certificate
     with interval depth k for every admissible p.
     """
-    return _atom(k, p, vs, lambda n: dirichlet_kernel(n, vs))
-
-
-def _atom(
-    k: int, p: float, vs: VilenkinStructure, kernel: Callable[[int], StepFunction]
-) -> StepFunction:
-    """:func:`critical_atom` with the Dirichlet kernel of order n read from ``kernel(n)``."""
     if not 0 < p < 1:
         raise ValueError(f"atom exponent must lie in (0, 1), got {p}")
     if k + 1 > vs.N:
@@ -69,7 +65,7 @@ def _atom(
             f"atom at scale {k} needs resolution >= {k + 1}, have {vs.N}"
         )
     scale = vs.M[k] ** (1.0 / p - 1.0) / vs.lam
-    diff = kernel(vs.M[k + 1]) - kernel(vs.M[k])
+    diff = dirichlet_kernel(vs.M[k + 1], vs) - dirichlet_kernel(vs.M[k], vs)
     return scale * diff
 
 
@@ -101,24 +97,7 @@ def _critical_example(
     p: float, depth: int, vs: VilenkinStructure, scales: list[tuple[int, float, float]]
 ) -> CriticalExample:
     """Place ``critical_atom(j, p)`` with weight w at each ``(j, w, c)`` of
-    ``scales``; the spectrum carries c on block j.
-
-    Each Dirichlet kernel is synthesized once: the scales ascend, so the
-    upper kernel D_{M[j+1]} of one atom can only be the lower kernel of the
-    next, and it is the one kernel kept from atom to atom.
-    """
-    kept: dict[int, StepFunction] = {}
-
-    def kernel(n: int) -> StepFunction:
-        if n not in kept:
-            kept[n] = dirichlet_kernel(n, vs)
-        return kept[n]
-
-    atoms = []
-    for j, _, _ in scales:
-        for order in kept.keys() - {vs.M[j]}:
-            del kept[order]
-        atoms.append(_atom(j, p, vs, kernel))
+    ``scales``; the spectrum carries c on block j."""
     return CriticalExample(
         p,
         depth,
@@ -126,7 +105,7 @@ def _critical_example(
         block_spectrum(vs, [(j, c) for j, _, c in scales]),
         AtomicDecomposition(
             tuple(w for _, w, _ in scales),
-            tuple(atoms),
+            tuple(critical_atom(j, p, vs) for j, _, _ in scales),
             p,
             tuple(CylinderInterval(0, j) for j, _, _ in scales),
         ),

@@ -118,11 +118,13 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
         raw = json.loads(Path(source).read_text(encoding="utf-8"))
     else:
         raw = dict(source)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {raw!r}")
     unknown = sorted(raw.keys() - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(CONFIG_KEYS)}")
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}"
         )
@@ -646,10 +648,9 @@ def max_weighted_ratio(spec: Spectrum, ps: tuple[float, ...], n_max: int) -> tup
 def seed_maxima(
     vs: VilenkinStructure, ps: tuple[float, ...], first_seed: int, seeds: int, randoms: int,
     atom_scale: int, damping: float, n_max: int,
-) -> list[tuple[list[float], list[float]]]:
-    """For each p of ``ps``: the per-seed maxima of :func:`max_weighted_ratio`
-    over the sample family, and the same maxima over the seed's random
-    spectra alone.
+) -> list[list[float]]:
+    """For each p of ``ps``, the per-seed maxima of
+    :func:`max_weighted_ratio` over the sample family.
 
     Seed ``s`` draws ``randoms`` random spectra from ``first_seed + s``; the
     family adds the critical atom at ``atom_scale`` and the damped critical
@@ -664,12 +665,8 @@ def seed_maxima(
         rng = XorShift64Star(first_seed + s)
         per_seed.append([max_weighted_ratio(family_character_polynomial(vs, vs.N, rng), ps, n_max)
                          for _ in range(randoms)])
-    out = []
-    for i in range(len(ps)):
-        fixed = max(atoms[i], damped[i])
-        random_maxima = [max((ratios[i] for ratios in spectra), default=0.0) for spectra in per_seed]
-        out.append(([max(r, fixed) for r in random_maxima], random_maxima))
-    return out
+    return [[max(atoms[i], damped[i], *(ratios[i] for ratios in spectra)) for spectra in per_seed]
+            for i in range(len(ps))]
 
 
 def ratio_cv(maxima: list[float]) -> float:
@@ -696,7 +693,7 @@ def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> Experimen
         damping=_param(params, "damping", 0.25, float),
         n_max=_param(params, "n_max", vs.size),
     )
-    for p, (maxima, _) in zip(ps, per_p):
+    for p, maxima in zip(ps, per_p):
         for s, best in enumerate(maxima):
             records.append(_rec(cfg, {"p": p, "seed": s}, {"max_ratio": best}))
         cv = ratio_cv(maxima)

@@ -143,7 +143,9 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
     # array is never written.  The read adds +0.0: einsum accumulates onto
     # +0.0 and so never returns -0.0, and neither may the butterflies.
     out = a if r0 else np.empty_like(flat)
-    w_imag = [(powers[j][1, 1].conj() if conjugate else powers[j][1, 1]).imag for j in range(vs.N)]
+    # Every radix-2 coordinate has the root table [1, exp(i*pi)].
+    w = powers[r0][1, 1]
+    w_imag = (w.conj() if conjugate else w).imag
     # Stages from tail on act inside blocks of width <= _BLOCK cells and run
     # on chunks of whole blocks; stages r0..tail-1 act across the rows of
     # (M[r0], rows, width) and run on column slabs of rows x cols cells.
@@ -160,12 +162,12 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
     if tail > r0:
         src = a.view(np.float64).reshape(vs.M[r0], rows, width, 2)
         dst = out.view(np.float64).reshape(vs.M[r0], rows, width, 2)
-        stages = [(vs.M[tail] // vs.M[j + 1] * cols, w_imag[j]) for j in range(r0, tail)]
+        lows = [vs.M[tail] // vs.M[j + 1] * cols for j in range(r0, tail)]
         x, y = planes[:, :, : rows * cols]
         for h in range(vs.M[r0]):
             for c in range(0, width, cols):
                 np.add(src[h, :, c : c + cols].transpose(2, 0, 1), 0.0, out=x.reshape(2, rows, cols))
-                done, _ = _butterflies(x, y, scratch, stages)
+                done, _ = _butterflies(x, y, scratch, lows, w_imag)
                 np.copyto(dst[h, :, c : c + cols].transpose(2, 0, 1), done.reshape(2, rows, cols))
         a = out
     # Block (hi, lo) is transposed to (lo, hi) halfway, so that no stage
@@ -173,8 +175,8 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
     half = (width.bit_length() - 1) // 2
     hi = 2**half
     lo = width // hi
-    first = [(vs.size // vs.M[j + 1], w_imag[j]) for j in range(tail, tail + half)]
-    second = [(vs.size // vs.M[j + 1] * hi, w_imag[j]) for j in range(tail + half, vs.N)]
+    first = [vs.size // vs.M[j + 1] for j in range(tail, tail + half)]
+    second = [vs.size // vs.M[j + 1] * hi for j in range(tail + half, vs.N)]
     src = a.view(np.float64).reshape(vs.M[tail], width, 2)
     dst = out.view(np.float64).reshape(vs.M[tail], width, 2)
     for b in range(0, vs.M[tail], per):
@@ -182,16 +184,16 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
         x = planes[0, :, : g * width]
         y = planes[1, :, : g * width]
         np.add(src[b : b + g].transpose(2, 0, 1), 0.0, out=x.reshape(2, g, width))
-        x, y = _butterflies(x, y, scratch, first)
+        x, y = _butterflies(x, y, scratch, first, w_imag)
         np.copyto(y.reshape(2, g, lo, hi), x.reshape(2, g, hi, lo).transpose(0, 1, 3, 2))
-        x, _ = _butterflies(y, x, scratch, second)
+        x, _ = _butterflies(y, x, scratch, second, w_imag)
         back = x.reshape(2, g, lo, hi).transpose(0, 1, 3, 2)
         np.copyto(dst[b : b + g].transpose(2, 0, 1).reshape(2, g, hi, lo), back)
     return out
 
 
 def _butterflies(
-    x: np.ndarray, y: np.ndarray, scratch: np.ndarray, stages: list[tuple[int, float]]
+    x: np.ndarray, y: np.ndarray, scratch: np.ndarray, lows: list[int], w_imag: float
 ) -> tuple[np.ndarray, np.ndarray]:
     # Radix-2 stages, matrix [[1, 1], [1, w]] with w.real == -1, on the
     # (re, im) planes x, each stage pairing cells `low` apart and writing
@@ -201,7 +203,7 @@ def _butterflies(
     # it does.  A complex np.multiply by w may fuse multiply-adds and round
     # differently.
     t = scratch[:, : x.shape[1] // 2]
-    for low, w_imag in stages:
+    for low in lows:
         s = x.reshape(2, -1, 2, low)
         d = y.reshape(2, -1, 2, low)
         p = t.reshape(2, -1, low)

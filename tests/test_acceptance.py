@@ -25,6 +25,7 @@ import pytest
 
 import vilenkin_lab
 from vilenkin_lab import acceptance, experiments, frozen
+from vilenkin_lab.rng import XorShift64Star
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "vilenkin_lab"
@@ -246,7 +247,8 @@ def test_seed_maxima_sweeps_each_spectrum_once_per_call(monkeypatch):
         assert len(sweeps) == 33
 
 
-# the (config, p) runs criteria 6 to 10 and 12 read, as Workspace.records keys
+# the (config, p) runs criteria 6 to 10 and 12 read, as the arguments of
+# the records function they take
 SHIPPED_RUNS = (
     ("counterexample_2a",), ("counterexample_2a", 1 / 3), ("counterexample_2b",),
     ("kernel_scan",), ("maximal_bound",),
@@ -255,8 +257,7 @@ SHIPPED_RUNS = (
 
 @pytest.fixture(scope="module")
 def shipped_records():
-    ws = acceptance.Workspace()
-    return {key: ws.records(*key) for key in SHIPPED_RUNS}
+    return {key: acceptance._shipped_records(*key) for key in SHIPPED_RUNS}
 
 
 def test_one_run_experiment_per_shipped_run(monkeypatch):
@@ -291,24 +292,30 @@ def test_one_run_experiment_per_shipped_run(monkeypatch):
 )
 def test_record_past_its_bound_fails_its_criterion(shipped_records, number, key, column, value):
     criterion = acceptance.CRITERIA[number - 1]
-    ws = acceptance.Workspace()
-    ws.records = lambda *k: shipped_records[k]
-    assert criterion(ws).passed
+    assert criterion(lambda *k: shipped_records[k]).passed
 
     records = copy.deepcopy(shipped_records)
     gated = [r for r in records[key] if column in r.values]
     gated[-1].values[column] = value
-    ws.records = lambda *k: records[k]
-    assert not criterion(ws).passed
+    assert not criterion(lambda *k: records[k]).passed
 
 
 def test_random_spectra_alone_spread_past_the_cv_gate(shipped_records):
     # The critical atom attains every seed's maximum, so the recorded cv
     # is round-off and criterion 12 cannot fail on it (ROADMAP item 4); the
     # random spectra alone spread past the gate.
-    per_p = experiments.seed_maxima(MAXIMAL_BOUND_VS, MAXIMAL_BOUND.p_values, **CRITERION_12_FAMILY)
-    for maxima, random_maxima in per_p:
-        assert len(set(maxima)) == 1
+    family = CRITERION_12_FAMILY
+    vs, ps = MAXIMAL_BOUND_VS, MAXIMAL_BOUND.p_values
+    per_seed = []  # per seed, one ratio tuple (over ps) per random spectrum
+    for s in range(family["seeds"]):
+        rng = XorShift64Star(family["first_seed"] + s)
+        spectra = [experiments.family_character_polynomial(vs, vs.N, rng) for _ in range(family["randoms"])]
+        per_seed.append([experiments.max_weighted_ratio(spec, ps, family["n_max"]) for spec in spectra])
+    records = shipped_records[("maximal_bound",)]
+    for i, p in enumerate(ps):
+        maxima = [r.values["max_ratio"] for r in records if r.index["p"] == p and "max_ratio" in r.values]
+        assert len(maxima) == family["seeds"] and len(set(maxima)) == 1
+        random_maxima = [max(ratios[i] for ratios in spectra) for spectra in per_seed]
         assert experiments.ratio_cv(random_maxima) > frozen.MAX_RATIO_CV_MAX
-    recorded = [r.values["cv"] for r in shipped_records[("maximal_bound",)] if "cv" in r.values]
+    recorded = [r.values["cv"] for r in records if "cv" in r.values]
     assert len(recorded) == 2 and all(experiments.relative_roundoff_ok(cv) for cv in recorded)

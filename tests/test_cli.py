@@ -1,3 +1,5 @@
+import argparse
+import ast
 import hashlib
 import json
 import math
@@ -21,6 +23,7 @@ from vilenkin_lab.structure import VilenkinStructure
 from vilenkin_lab.transform import Spectrum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "vilenkin_lab"
 
 
 def write_config(tmp_path, name, payload):
@@ -200,6 +203,11 @@ class TestConfigLoading:
              "parameters": {"damping": 1e300}},
             {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
              "parameters": {"family": "damped-critical", "damping": 1e300}},
+            # a top level that is not an object, an experiment that is not a name
+            [1, 2],
+            "gram",
+            None,
+            {"experiment": ["gram"], "structure": {"pattern": [2], "repeat_to": 4}},
         ],
         ids=["no-function-path", "missing-function-file", "output-not-object",
              "function-path-without-from-file", "2a-empty-ranges", "2a-shallow-default-ranges",
@@ -216,7 +224,8 @@ class TestConfigLoading:
              "window-level-past-resolution", "damped-depth-past-resolution",
              "damped-depth-at-resolution", "damped-depth-negative", "atom-scale-negative",
              "grid-points-past-cells", "damping-infinite", "damping-past-float",
-             "maximal-bound-damping-overflows", "damped-critical-damping-overflows"],
+             "maximal-bound-damping-overflows", "damped-critical-damping-overflows",
+             "top-level-list", "top-level-string", "top-level-null", "experiment-list"],
     )
     def test_malformed_config_exits_2(self, payload, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # "missing.json" resolves here and does not exist
@@ -447,6 +456,26 @@ class TestShippedConfigs:
             main(["check", "--min-speedup", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --min-speedup" in capsys.readouterr().err
+
+    def test_knob_inventory(self):
+        # Every setting a caller can give: a new option or environment
+        # variable needs a deliberate edit here.
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: sorted(a.dest for a in sub._actions if a.dest != "help")
+            for name, sub in commands.choices.items()
+        }
+        assert [a.dest for a in parser._actions] == ["help", "command"]
+        assert options == {"run": ["cells_cap", "config", "format", "out", "seed"], "check": []}
+        env_reads = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(SRC_DIR.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+        ]
+        assert env_reads == []
 
     def test_maximal_bound_without_small_p_rejected(self, tmp_path, capsys):
         # the computed 1/4 does not excuse the ignored 3/4

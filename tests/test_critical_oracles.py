@@ -14,7 +14,6 @@ import functools
 import numpy as np
 import pytest
 
-from vilenkin_lab import counterexamples
 from vilenkin_lab.counterexamples import (
     block_spectrum,
     build_critical_example,
@@ -85,24 +84,6 @@ def test_dense_equals_old_builder(p, vs):
     ex = build_critical_example(p, depth, vs)
     assert (ex.p, ex.depth) == (p, depth)
     assert_bitwise_equal(ex, old_dense(p, depth, vs))
-
-
-def test_each_dirichlet_kernel_synthesized_once(monkeypatch):
-    # Dense atom j is D_{M[j+1]} - D_{M[j]}: depth 10 needs the 12 orders
-    # M[0..11], each synthesized once; the sparse atoms share no order.
-    orders = []
-
-    def counted(n, vs):
-        orders.append(n)
-        return dirichlet_kernel(n, vs)
-
-    monkeypatch.setattr(counterexamples, "dirichlet_kernel", counted)
-    vs = VilenkinStructure.from_pattern((2,), 11)
-    build_critical_example(0.25, 10, vs)
-    assert sorted(orders) == list(vs.M[:12])
-    orders.clear()
-    build_sparse_critical_example(3, VilenkinStructure.from_pattern((2,), 17))
-    assert len(orders) == len(set(orders)) == 6
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

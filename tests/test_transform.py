@@ -279,6 +279,20 @@ class TestStageLoop:
     # The radix-2 stages run as tiled butterflies; they must round exactly
     # as the dense einsum stage does.
 
+    GENS = [
+        (2,) * 5,
+        (2,) * 16,
+        (2,) * 17,
+        (3, 5) + (2,) * 13,
+        (4,) + (2,) * 15,
+        (2, 3, 2, 3),
+        (5,),
+        (7, 3),
+        (3,) + (2,) * 15,
+        (2,),
+        (2, 2),
+    ]
+
     @staticmethod
     def assert_matches_einsum(vs, conjugate):
         dense = dense_block_values(vs)
@@ -289,25 +303,21 @@ class TestStageLoop:
             assert got.tobytes() == einsum_stages(flat, vs, conjugate).tobytes()
             assert flat.tobytes() == before
 
-    @pytest.mark.parametrize(
-        "gens",
-        [
-            (2,) * 5,
-            (2,) * 16,
-            (2,) * 17,
-            (3, 5) + (2,) * 13,
-            (4,) + (2,) * 15,
-            (2, 3, 2, 3),
-            (5,),
-            (7, 3),
-            (3,) + (2,) * 15,
-            (2,),
-            (2, 2),
-        ],
-    )
+    @pytest.mark.parametrize("gens", GENS)
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_bitwise_equal_to_einsum_stages(self, gens, conjugate):
         self.assert_matches_einsum(VilenkinStructure.from_m(gens), conjugate)
+
+    def test_every_radix_2_coordinate_has_one_root(self):
+        # The butterflies take one w for all their stages, read at the
+        # first of them.
+        roots = {
+            root_powers(vs)[j][1, 1].tobytes()
+            for vs in map(VilenkinStructure.from_m, self.GENS)
+            for j in range(vs.N)
+            if vs.m[j] == 2
+        }
+        assert len(roots) == 1
 
     @pytest.mark.parametrize(
         "gens", [(2,) * 12, (3,) + (2,) * 10, (3, 5) + (2,) * 4, (2,) * 5]
@@ -326,9 +336,9 @@ class TestStageLoop:
         lows = []
         butterflies = transform._butterflies
 
-        def spy(x, y, scratch, stages):
-            lows.extend(low for low, _ in stages)
-            return butterflies(x, y, scratch, stages)
+        def spy(x, y, scratch, stage_lows, w_imag):
+            lows.extend(stage_lows)
+            return butterflies(x, y, scratch, stage_lows, w_imag)
 
         monkeypatch.setattr(transform, "_butterflies", spy)
         vs = VilenkinStructure.from_m((3, 5) + (2,) * 13)
