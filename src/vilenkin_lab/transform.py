@@ -40,6 +40,17 @@ them from block to block, and divides by the orders.  It equals the
 one-order recurrence byte for byte (the tests keep that recurrence as the
 oracle); :func:`iter_fejer_means` yields the same means one row at a time.
 
+A transform of at least ``_SPLIT_CELLS`` (2^18) cells shares its work
+among one thread per CPU the process may run on: the column slabs, then
+the chunks, each cut into contiguous shares of tiles, and the coefficient
+permutation, cut into pieces along the leading axes of the transposed
+view.  The calling thread runs the first share and a thread started for
+the call each of the others; the chunks start only once every slab is
+written.  Each share has its own tile buffers, and each tile or piece
+reads and writes only its own cells, with the same numpy operations in
+the same order as on one thread, so the bytes cannot change.  Smaller
+transforms run on the calling thread alone and start no thread.
+
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
 inputs in ascending digit), so results do not depend on scheduling.
@@ -48,8 +59,10 @@ inputs in ascending digit), so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -113,6 +126,12 @@ class Spectrum:
 # of characters in character_blocks.
 _BLOCK = 2**15
 
+# Transforms of at least _SPLIT_CELLS cells share their tiles and their
+# coefficient permutation among _WORKERS threads, one per CPU this process
+# may run on; smaller ones run on the calling thread and start no thread.
+_SPLIT_CELLS = 2**18
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 def character_blocks(indices: np.ndarray, vs: VilenkinStructure) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (offset, character_rows(indices[offset : offset + rows], vs))
@@ -120,6 +139,60 @@ def character_blocks(indices: np.ndarray, vs: VilenkinStructure) -> Iterator[tup
     rows = max(_BLOCK // vs.size, 1)
     for offset in range(0, len(indices), rows):
         yield offset, character_rows(indices[offset : offset + rows], vs)
+
+
+def _in_shares(count: int, cells: int, task: Callable[[int, int], None]) -> None:
+    """Run ``task(start, stop)`` on contiguous shares of range(count).
+
+    A transform of at least _SPLIT_CELLS cells gets one share per worker:
+    the calling thread runs the first and a new thread each of the others.
+    A smaller one runs whole on the calling thread.  Returns once every
+    share is done, raising the first exception a share raised.
+    """
+    shares = min(_WORKERS, count) if cells >= _SPLIT_CELLS else 1
+    bounds = [count * i // shares for i in range(shares + 1)]
+    errors = []
+
+    def run(start: int, stop: int) -> None:
+        try:
+            task(start, stop)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=share) for share in zip(bounds[1:-1], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    run(bounds[0], bounds[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``flat.reshape(shape).transpose().reshape(-1)``.
+
+    From _SPLIT_CELLS cells on, the workers copy the transposed view into
+    one output, each a share of the pieces cut along its leading axes.
+    """
+    view = flat.reshape(shape).transpose()
+    if flat.size < _SPLIT_CELLS or view.ndim == 1:
+        return view.reshape(-1)
+    # at least four pieces per worker keeps the shares near even
+    axes = 1
+    while axes < view.ndim - 1 and math.prod(view.shape[:axes]) < 4 * _WORKERS:
+        axes += 1
+    lead = view.shape[:axes]
+    out = np.empty(flat.size, dtype=flat.dtype)
+    dst = out.reshape(view.shape)
+
+    def copy(start: int, stop: int) -> None:
+        for piece in range(start, stop):
+            at = np.unravel_index(piece, lead)
+            np.copyto(dst[at], view[at])
+
+    _in_shares(math.prod(lead), flat.size, copy)
+    return out
 
 
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.ndarray:
@@ -149,26 +222,30 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
     # Stages from tail on act inside blocks of width <= _BLOCK cells and run
     # on chunks of whole blocks; stages r0..tail-1 act across the rows of
     # (M[r0], rows, width) and run on column slabs of rows x cols cells.
+    # Each share of tiles (see _in_shares) has its own planes and scratch.
     tail = r0
     while vs.size // vs.M[tail] > _BLOCK:
         tail += 1
     width = vs.size // vs.M[tail]
     rows = vs.M[tail] // vs.M[r0]
     cols = min(width, max(_BLOCK // rows, 1))
-    per = max(_BLOCK // width, 1)
-    cells = min(per, vs.M[tail]) * width
-    planes = np.empty((2, 2, max(rows * cols, cells)))
-    scratch = np.empty((2, planes.shape[2] // 2))
     if tail > r0:
         src = a.view(np.float64).reshape(vs.M[r0], rows, width, 2)
         dst = out.view(np.float64).reshape(vs.M[r0], rows, width, 2)
         lows = [vs.M[tail] // vs.M[j + 1] * cols for j in range(r0, tail)]
-        x, y = planes[:, :, : rows * cols]
-        for h in range(vs.M[r0]):
-            for c in range(0, width, cols):
+        slabs = width // cols
+
+        def run_slabs(start: int, stop: int) -> None:
+            x, y = np.empty((2, 2, rows * cols))
+            scratch = np.empty((2, rows * cols // 2))
+            for tile in range(start, stop):
+                h, c = divmod(tile, slabs)
+                c *= cols
                 np.add(src[h, :, c : c + cols].transpose(2, 0, 1), 0.0, out=x.reshape(2, rows, cols))
                 done, _ = _butterflies(x, y, scratch, lows, w_imag)
                 np.copyto(dst[h, :, c : c + cols].transpose(2, 0, 1), done.reshape(2, rows, cols))
+
+        _in_shares(vs.M[r0] * slabs, vs.size, run_slabs)
         a = out
     # Block (hi, lo) is transposed to (lo, hi) halfway, so that no stage
     # pairs cells closer than min(hi, lo) apart.
@@ -179,16 +256,24 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
     second = [vs.size // vs.M[j + 1] * hi for j in range(tail + half, vs.N)]
     src = a.view(np.float64).reshape(vs.M[tail], width, 2)
     dst = out.view(np.float64).reshape(vs.M[tail], width, 2)
-    for b in range(0, vs.M[tail], per):
-        g = min(per, vs.M[tail] - b)
-        x = planes[0, :, : g * width]
-        y = planes[1, :, : g * width]
-        np.add(src[b : b + g].transpose(2, 0, 1), 0.0, out=x.reshape(2, g, width))
-        x, y = _butterflies(x, y, scratch, first, w_imag)
-        np.copyto(y.reshape(2, g, lo, hi), x.reshape(2, g, hi, lo).transpose(0, 1, 3, 2))
-        x, _ = _butterflies(y, x, scratch, second, w_imag)
-        back = x.reshape(2, g, lo, hi).transpose(0, 1, 3, 2)
-        np.copyto(dst[b : b + g].transpose(2, 0, 1).reshape(2, g, hi, lo), back)
+    per = max(_BLOCK // width, 1)
+    cells = min(per, vs.M[tail]) * width
+
+    def run_chunks(start: int, stop: int) -> None:
+        planes = np.empty((2, 2, cells))
+        scratch = np.empty((2, cells // 2))
+        for b in range(start * per, min(stop * per, vs.M[tail]), per):
+            g = min(per, vs.M[tail] - b)
+            x = planes[0, :, : g * width]
+            y = planes[1, :, : g * width]
+            np.add(src[b : b + g].transpose(2, 0, 1), 0.0, out=x.reshape(2, g, width))
+            x, y = _butterflies(x, y, scratch, first, w_imag)
+            np.copyto(y.reshape(2, g, lo, hi), x.reshape(2, g, hi, lo).transpose(0, 1, 3, 2))
+            x, _ = _butterflies(y, x, scratch, second, w_imag)
+            back = x.reshape(2, g, lo, hi).transpose(0, 1, 3, 2)
+            np.copyto(dst[b : b + g].transpose(2, 0, 1).reshape(2, g, hi, lo), back)
+
+    _in_shares(-(-vs.M[tail] // per), vs.size, run_chunks)
     return out
 
 
@@ -223,7 +308,7 @@ def analyze(f: StepFunction) -> Spectrum:
     packed = _run_stages(f.values, vs, conjugate=True)
     # Stage j leaves coefficient digit j on axis j of packed.reshape(vs.m);
     # the index sum_j k_j * M[j] is C order over the reversed axes.
-    coeffs = packed.reshape(vs.m).transpose().reshape(-1)
+    coeffs = _digit_reversed(packed, vs.m)
     coeffs /= vs.size
     return Spectrum(vs, coeffs)
 
@@ -244,7 +329,7 @@ def synthesize(s: Spectrum) -> StepFunction:
     while level > 1 and not s.coeffs[vs.M[level - 1] : vs.M[level]].any():
         level -= 1
     coarse = VilenkinStructure.from_m(vs.m[:level])
-    packed = s.coeffs[: coarse.size].reshape(coarse.m[::-1]).transpose().reshape(-1)
+    packed = _digit_reversed(s.coeffs[: coarse.size], coarse.m[::-1])
     values = _run_stages(packed, coarse, conjugate=False)
     del packed  # the repeat below holds only the coarse values and the output
     if level < vs.N:

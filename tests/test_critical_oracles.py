@@ -1,5 +1,7 @@
 """Both critical families come from one assembly; these tests keep the two
-builders and the sparse atom it replaced, and compare them bit for bit.
+builders and the atoms it replaced, and compare them bit for bit.  Each
+oracle atom is written out as the scaled difference of two Dirichlet
+kernels, not built by ``critical_atom``, the function under test.
 
 The oracles below are the separate dense and sparse constructions as they
 were written before the sparse family became the dense construction at
@@ -34,10 +36,16 @@ def old_blocks(vs, blocks):
     return coeffs
 
 
+def old_dense_atom(i, p, vs):
+    scale = vs.M[i] ** (1.0 / p - 1.0) / vs.lam
+    diff = dirichlet_kernel(vs.M[i + 1], vs) - dirichlet_kernel(vs.M[i], vs)
+    return scale * diff
+
+
 def old_dense(p, depth, vs):
     blocks = [(vs.M[i], vs.M[i + 1], float(vs.M[i])) for i in range(depth + 1)]
     weights = tuple(vs.lam / vs.M[i] ** (1.0 / p - 2.0) for i in range(depth + 1))
-    atoms = tuple(critical_atom(i, p, vs) for i in range(depth + 1))
+    atoms = tuple(old_dense_atom(i, p, vs) for i in range(depth + 1))
     intervals = tuple(CylinderInterval(0, i) for i in range(depth + 1))
     return old_blocks(vs, blocks), weights, atoms, intervals
 

@@ -17,7 +17,7 @@ import functools
 
 import pytest
 
-from vilenkin_lab import acceptance, experiments
+from vilenkin_lab import acceptance, experiments, kernels, transform
 from vilenkin_lab.counterexamples import block_spectrum, build_critical_example
 from vilenkin_lab.experiments import (
     family_damped_critical,
@@ -46,16 +46,33 @@ def divergent_smoothed_indicator(vs, *args):
     return family_damped_critical(vs, 9, 1.0)
 
 
+def dirichlet_one_order_off(n, vs):
+    """D_{n+1} in place of D_n (D_{n-1} at n = M[N])."""
+    return kernels.dirichlet_kernel(n + 1 if n < vs.size else n - 1, vs)
+
+
+_run_stages = transform._run_stages
+
+
+def unconjugated_stages(flat, vs, conjugate):
+    """The transform stages with the synthesis roots in analysis too.  The
+    Walsh roots are real, so only criterion 4's mixed (2,3,2,3) structure
+    shows the fault."""
+    return _run_stages(flat, vs, conjugate=False)
+
+
 # (criterion, module, function, mutant, the detail the failure prints)
 MUTANTS = [
+    (2, experiments, "dirichlet_kernel", dirichlet_one_order_off, "max_err=1.00e+00"),
+    (4, transform, "_run_stages", unconjugated_stages, "agreement_rel=1.34e+00"),
     (9, experiments, "build_critical_example", scaled_dense(0.5), "dense_min=0.250"),
     (8, experiments, "build_critical_example", scaled_dense(2.0), "dense_max=6.510"),
     (6, experiments, "build_critical_example", scaled_dense(0.5), "max_dev=1.02e+03"),
     (6, experiments, "build_critical_example", scaled_dense(2.0), "max_dev=1.05e+06"),
     (11, acceptance, "family_smoothed_indicator", divergent_smoothed_indicator, "final_max=0.3486"),
 ]
-IDS = ["9-dense-decaying", "8-dense-growing", "6-dense-decaying", "6-dense-growing",
-       "11-divergent-smooth-fixture"]
+IDS = ["2-dirichlet-one-order-off", "4-unconjugated-analysis", "9-dense-decaying",
+       "8-dense-growing", "6-dense-decaying", "6-dense-growing", "11-divergent-smooth-fixture"]
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +366,136 @@ class TestStageLoop:
         finally:
             tracemalloc.stop()
         assert peak <= flat.nbytes + 64 * transform._BLOCK
+
+
+class TestThreadedTiles:
+    # From _SPLIT_CELLS cells on, the slab tiles, the chunk tiles and the
+    # coefficient permutation are shared among _WORKERS threads.  Each tile
+    # reads and writes only its own cells, so the bytes are those of one
+    # worker.
+
+    @staticmethod
+    def record_shares(monkeypatch):
+        """Record (task, tile count, thread, start, stop) for every share run."""
+        shares = []
+        in_shares = transform._in_shares
+
+        def spy(count, cells, task):
+            def recorded(start, stop):
+                shares.append((task.__name__, count, threading.get_ident(), start, stop))
+                task(start, stop)
+
+            in_shares(count, cells, recorded)
+
+        monkeypatch.setattr(transform, "_in_shares", spy)
+        return shares
+
+    @staticmethod
+    def assert_split(shares, workers):
+        # One transform: the slab loop, the chunk loop and the permutation
+        # each gave one contiguous share to each worker, the shares covered
+        # every tile exactly once, and more than one thread ran them.
+        by_task = {}
+        for task, count, thread, start, stop in shares:
+            by_task.setdefault((task, count), []).append((thread, start, stop))
+        assert sorted(task for task, _ in by_task) == ["copy", "run_chunks", "run_slabs"]
+        for (task, count), runs in by_task.items():
+            assert len(runs) == workers, task
+            tiles = sorted(tile for _, start, stop in runs for tile in range(start, stop))
+            assert tiles == list(range(count)), task
+            assert len({thread for thread, _, _ in runs}) > 1, task
+        return [count for _, count in by_task]
+
+    # Walsh 2^19 runs the slab loop and the chunk loop; the mixed structure
+    # updates the einsum result of its radix-3 stage in place (r0 = 1); and
+    # 3 workers cannot share Walsh 2^19's 16 tiles evenly.
+    @pytest.mark.parametrize(
+        "gens, workers",
+        [((2,) * 19, 2), ((3,) + (2,) * 18, 2), ((2,) * 19, 3)],
+        ids=["2^19", "3x2^18", "2^19-uneven"],
+    )
+    def test_bitwise_equal_to_one_worker(self, monkeypatch, gens, workers):
+        vs = VilenkinStructure.from_m(gens)
+        f = random_function(vs, 80)
+        s = random_spectrum(vs, 81)
+        monkeypatch.setattr(transform, "_WORKERS", 1)
+        want = analyze(f).coeffs, synthesize(s).values
+        monkeypatch.setattr(transform, "_WORKERS", workers)
+        shares = self.record_shares(monkeypatch)
+        # switch threads as often as the interpreter allows, so that the
+        # shares interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = analyze(f).coeffs
+            counts = self.assert_split(shares, workers)
+            shares.clear()
+            got = got, synthesize(s).values
+            counts += self.assert_split(shares, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        if workers == 3:
+            assert all(count % workers for count in counts), counts
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        butterflies = transform._butterflies
+
+        def fail_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("tile failed in a worker")
+            return butterflies(*args)
+
+        monkeypatch.setattr(transform, "_WORKERS", 2)
+        monkeypatch.setattr(transform, "_butterflies", fail_off_main)
+        f = random_function(VilenkinStructure.from_pattern((2,), 18), 82)
+        with pytest.raises(RuntimeError, match="tile failed in a worker"):
+            analyze(f)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_peak_memory_is_one_array_plus_tiles_per_worker(self, monkeypatch, workers):
+        monkeypatch.setattr(transform, "_WORKERS", workers)
+        vs = VilenkinStructure.from_pattern((2,), 18)
+        flat = random_function(vs, 83).values
+        _run_stages(flat, vs, conjugate=True)
+        tracemalloc.start()
+        try:
+            _run_stages(flat, vs, conjugate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= flat.nbytes + workers * 64 * transform._BLOCK
+
+    def test_small_transforms_start_no_thread(self):
+        # Transforms below _SPLIT_CELLS, the only ones a check makes, start
+        # no thread; a 2^18 round trip starts its workers and joins them.
+        code = "\n".join([
+            "import threading",
+            "from vilenkin_lab import transform",
+            "from vilenkin_lab.rng import XorShift64Star",
+            "from vilenkin_lab.structure import VilenkinStructure",
+            "from vilenkin_lab.transform import StepFunction, analyze, synthesize",
+            "started = []",
+            "start = threading.Thread.start",
+            "threading.Thread.start = lambda thread: started.append(thread) or start(thread)",
+            "def round_trip(vs):",
+            "    synthesize(analyze(StepFunction(vs, XorShift64Star(84).complex_uniforms(vs.size))))",
+            "round_trip(VilenkinStructure.from_pattern((2,), 16))",
+            "round_trip(VilenkinStructure.from_m((2, 3, 2, 3)))",
+            "print(threading.active_count(), len(started))",
+            "round_trip(VilenkinStructure.from_pattern((2,), 18))",
+            "print(threading.active_count(), len(started), transform._WORKERS)",
+        ])
+        package_parent = str(Path(transform.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env, check=True)
+        small, large = (list(map(int, line.split())) for line in proc.stdout.splitlines())
+        assert small == [1, 0]
+        active, started, workers = large
+        # three split loops (slabs, chunks, permutation) per transform
+        assert (active, started) == (1, 2 * 3 * (workers - 1))
 
 
 class TestSynthesize:
