@@ -194,26 +194,31 @@ def modulus_ratio_report(ex: CriticalExample, ns: list[int]) -> list[ModulusRow]
     return _modulus_rows(ex, ns, lambda n: float(ex.vs.M[n]) ** -(1.0 / ex.p - 2.0))
 
 
-def _fejer_gap(ex: CriticalExample, order: int) -> StepFunction:
-    return fejer_mean(ex.spectrum, order) - ex.function()
+def _fejer_gap(ex: CriticalExample, order: int, f: StepFunction | None) -> StepFunction:
+    # The gap statistics take f = ex.function(), synthesized here when the
+    # caller has not: a runner taking several statistics of one example
+    # synthesizes it once and passes it to each.
+    return fejer_mean(ex.spectrum, order) - (ex.function() if f is None else f)
 
 
-def weak_divergence_statistic(ex: CriticalExample, k: int) -> float:
+def weak_divergence_statistic(ex: CriticalExample, k: int, f: StepFunction | None = None) -> float:
     """Weak quasinorm of the Fejer gap at order M[k] + 1.
 
     The p-powered form sup_v v^p * measure(|gap| >= v), the quantity the
-    divergence gates are calibrated on.
+    divergence gates are calibrated on.  ``f``, when given, is
+    ``ex.function()``.
     """
     if k >= ex.depth:
         raise ValueError(f"scale {k} not below truncation depth {ex.depth}")
-    return weak_lp_quasinorm(_fejer_gap(ex, ex.vs.M[k] + 1), ex.p, form="p_power")
+    return weak_lp_quasinorm(_fejer_gap(ex, ex.vs.M[k] + 1, f), ex.p, form="p_power")
 
 
-def block_gap_norm(ex: CriticalExample, k: int) -> float:
-    """Companion statistic: plain quasinorm of the gap at order M[k]."""
+def block_gap_norm(ex: CriticalExample, k: int, f: StepFunction | None = None) -> float:
+    """Companion statistic: plain quasinorm of the gap at order M[k].
+    ``f``, when given, is ``ex.function()``."""
     if k > ex.vs.N:
         raise ValueError(f"scale {k} exceeds resolution {ex.vs.N}")
-    return lp_quasinorm(_fejer_gap(ex, ex.vs.M[k]), ex.p)
+    return lp_quasinorm(_fejer_gap(ex, ex.vs.M[k], f), ex.p)
 
 
 def build_sparse_critical_example(depth: int, vs: VilenkinStructure) -> CriticalExample:
@@ -243,11 +248,12 @@ def sparse_modulus_ratio_report(ex: CriticalExample, ns: list[int]) -> list[Modu
     return _modulus_rows(ex, ns, lambda n: 1.0 / (n * n))
 
 
-def sparse_divergence_statistic(ex: CriticalExample, k: int) -> float:
+def sparse_divergence_statistic(ex: CriticalExample, k: int, f: StepFunction | None = None) -> float:
     """Half-exponent quasinorm of the Fejer gap at the lacunary order.
 
     The Fejer order is the lacunary index at level M[k]; a capacity error
-    names the shortfall when that order exceeds M[N].
+    names the shortfall when that order exceeds M[N].  ``f``, when given,
+    is ``ex.function()``.
     """
     if not 1 <= k <= ex.depth:
         raise ValueError(f"scale {k} not in [1, {ex.depth}]")
@@ -257,7 +263,7 @@ def sparse_divergence_statistic(ex: CriticalExample, k: int) -> float:
         raise CapacityError(
             f"Fejer order {order} exceeds M[N] = {vs.size}; increase resolution"
         )
-    return lp_quasinorm(_fejer_gap(ex, order), ex.p)
+    return lp_quasinorm(_fejer_gap(ex, order, f), ex.p)
 
 
 @dataclass(frozen=True)

@@ -541,10 +541,11 @@ def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
         messages.append(f"modulus ratio {worst_ratio:.3f} over gate")
 
     stats = []
+    f = ex.function()
     for k in divergence_levels:
-        stat = weak_divergence_statistic(ex, k)
+        stat = weak_divergence_statistic(ex, k, f)
         root = stat ** (1.0 / ex.p)  # bit for bit the root form of weak_lp_quasinorm
-        companion = block_gap_norm(ex, k)
+        companion = block_gap_norm(ex, k, f)
         stats.append(stat)
         records.append(
             _rec(cfg, {"block": "divergence", "i": k},
@@ -586,7 +587,8 @@ def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
     if not sparse_modulus_ok(worst_ratio):
         messages.append(f"sparse modulus ratio {worst_ratio:.3f} over gate")
 
-    stats = [sparse_divergence_statistic(ex, k) for k in range(1, depth + 1)]
+    f = ex.function()
+    stats = [sparse_divergence_statistic(ex, k, f) for k in range(1, depth + 1)]
     records.extend(
         _rec(cfg, {"block": "divergence", "i": k}, {"halfnorm_gap": stat})
         for k, stat in enumerate(stats, start=1)

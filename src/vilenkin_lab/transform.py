@@ -40,16 +40,31 @@ them from block to block, and divides by the orders.  It equals the
 one-order recurrence byte for byte (the tests keep that recurrence as the
 oracle); :func:`iter_fejer_means` yields the same means one row at a time.
 
+The coefficient order is the digit reversal of the stage order: index
+sum_j k_j * M[j] holds what the stages leave at digits (k_0, ..., k_{N-1}).
+:func:`_digit_reversed` moves it tile by tile, as in Bailey's blocked FFT
+layout: a tile fixes the middle axes, gathers runs of at least ``_RUN``
+(2 KB) consecutive input cells with one small cached index permutation
+per group of axes, and writes runs of consecutive output cells.  Analysis
+divides each tile by M[N] while it is in cache, which rounds as dividing
+the whole array does.  A Walsh synthesis of more than ``_BLOCK`` cells
+reads its spectrum only through its first tile loop, which gathers each
+tile straight from the spectrum in digit-reversed order (the self-sorting
+layout of Temperton's FFTs), so no permuted copy of the spectrum is made;
+other syntheses reverse the spectrum on its own before their first stage.
+
 A transform of at least ``_SPLIT_CELLS`` (2^18) cells shares its work
 among one thread per CPU the process may run on: the column slabs, then
-the chunks, each cut into contiguous shares of tiles, and the coefficient
-permutation, cut into pieces along the leading axes of the transposed
-view.  The calling thread runs the first share and a thread started for
-the call each of the others; the chunks start only once every slab is
-written.  Each share has its own tile buffers, and each tile or piece
-reads and writes only its own cells, with the same numpy operations in
-the same order as on one thread, so the bytes cannot change.  Smaller
-transforms run on the calling thread alone and start no thread.
+the chunks, and the tiles of the coefficient permutation, each cut into
+contiguous shares.  The maximal function's block-mean pyramid is shared
+the same way, each share a contiguous run of cylinders of one level, both
+down the pyramid and for the carry back up.  The calling thread runs the
+first share and a thread started for the call each of the others; a loop
+starts only once the one before it is done.  Each share has its own tile
+buffers, and each tile reads and writes only its own cells, with the same
+numpy operations in the same order as on one thread, so the bytes cannot
+change.  Smaller transforms run on the calling thread alone and start no
+thread.
 
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
@@ -62,6 +77,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -126,9 +142,12 @@ class Spectrum:
 # of characters in character_blocks.
 _BLOCK = 2**15
 
-# Transforms of at least _SPLIT_CELLS cells share their tiles and their
-# coefficient permutation among _WORKERS threads, one per CPU this process
-# may run on; smaller ones run on the calling thread and start no thread.
+# Cells in each run a tile of the coefficient permutation reads: 2 KB.
+_RUN = 2**7
+
+# Transforms and block maxima of at least _SPLIT_CELLS cells share their
+# tiles among _WORKERS threads, one per CPU this process may run on;
+# smaller ones run on the calling thread and start no thread.
 _SPLIT_CELLS = 2**18
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -144,9 +163,9 @@ def character_blocks(indices: np.ndarray, vs: VilenkinStructure) -> Iterator[tup
 def _in_shares(count: int, cells: int, task: Callable[[int, int], None]) -> None:
     """Run ``task(start, stop)`` on contiguous shares of range(count).
 
-    A transform of at least _SPLIT_CELLS cells gets one share per worker:
-    the calling thread runs the first and a new thread each of the others.
-    A smaller one runs whole on the calling thread.  Returns once every
+    Work on at least _SPLIT_CELLS cells gets one share per worker: the
+    calling thread runs the first and a new thread each of the others.
+    Smaller work runs whole on the calling thread.  Returns once every
     share is done, raising the first exception a share raised.
     """
     shares = min(_WORKERS, count) if cells >= _SPLIT_CELLS else 1
@@ -169,40 +188,86 @@ def _in_shares(count: int, cells: int, task: Callable[[int, int], None]) -> None
         raise errors[0]
 
 
-def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``flat.reshape(shape).transpose().reshape(-1)``.
-
-    From _SPLIT_CELLS cells on, the workers copy the transposed view into
-    one output, each a share of the pieces cut along its leading axes.
-    """
-    view = flat.reshape(shape).transpose()
-    if flat.size < _SPLIT_CELLS or view.ndim == 1:
-        return view.reshape(-1)
-    # at least four pieces per worker keeps the shares near even
-    axes = 1
-    while axes < view.ndim - 1 and math.prod(view.shape[:axes]) < 4 * _WORKERS:
-        axes += 1
-    lead = view.shape[:axes]
-    out = np.empty(flat.size, dtype=flat.dtype)
-    dst = out.reshape(view.shape)
-
-    def copy(start: int, stop: int) -> None:
-        for piece in range(start, stop):
-            at = np.unravel_index(piece, lead)
-            np.copyto(dst[at], view[at])
-
-    _in_shares(math.prod(lead), flat.size, copy)
+@lru_cache(maxsize=64)
+def _digit_offsets(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """sum_j d_j * prod(shape[:j]) over the axes [start, stop) of ``shape``,
+    for each of their digit tuples (d_start, ..., d_{stop-1}) in C order."""
+    out = np.zeros(1, dtype=np.intp)
+    for j in range(start, stop):
+        out = (out[:, None] + np.arange(shape[j]) * math.prod(shape[:j])).reshape(-1)
     return out
 
 
-def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.ndarray:
-    # Synthesis stage j multiplies by root_powers(vs)[j], analysis by its conjugate.
+def _reversal_tiles(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, bases) of the digit reversal onto the C-order ``shape``,
+    tiled along its axes [a, b).
+
+    The reversal puts at digits (d_0, ..., d_{n-1}) of ``shape`` the entry
+    sum_j d_j * prod(shape[:j]) of its input.  Viewed as (A, len(bases), T),
+    A and T the products of shape[:a] and shape[b:], its tile t is
+    ``input[bases[t] + index].T``: index is (T, A), each of its rows a
+    permutation of A consecutive input cells, so a gather reads the input
+    in runs, and each row of the tile is T consecutive output cells.  The
+    offsets of each group of axes are cached per shape; the index is their
+    sum, one tile's worth.
+    """
+    index = _digit_offsets(shape, b, len(shape))[:, None] + _digit_offsets(shape, 0, a)
+    return index, _digit_offsets(shape, a, b)
+
+
+def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | None = None) -> np.ndarray:
+    """``flat.reshape(shape[::-1]).transpose().reshape(-1)``, divided by
+    ``divisor`` when one is given, in tiles of :func:`_reversal_tiles`.
+
+    The leading axes of ``shape`` make up runs of at least _RUN input cells
+    and its trailing axes runs of as many output cells as fit a tile of
+    _BLOCK cells.  Each tile is gathered into a buffer, divided there, and
+    copied into place.  From _SPLIT_CELLS cells on the tiles are shared
+    among the workers.
+    """
+    a = 0
+    while a < len(shape) and math.prod(shape[:a]) < _RUN:
+        a += 1
+    lead = math.prod(shape[:a])
+    b = a
+    while b < len(shape) and lead * math.prod(shape[b:]) > _BLOCK:
+        b += 1
+    index, bases = _reversal_tiles(shape, a, b)
+    out = np.empty_like(flat)
+    dst = out.reshape(lead, len(bases), -1)
+
+    def copy(start: int, stop: int) -> None:
+        tile = np.empty(index.shape, dtype=flat.dtype)
+        for t in range(start, stop):
+            np.take(flat[bases[t] :], index, out=tile, mode="clip")
+            if divisor is not None:
+                np.divide(tile, divisor, out=tile)
+            np.copyto(dst[:, t], tile.T)
+
+    _in_shares(len(bases), flat.size, copy)
+    return out
+
+
+def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, reverse: bool = False) -> np.ndarray:
+    # Synthesis stage j multiplies by root_powers(vs)[j], analysis by its
+    # conjugate.  With ``reverse`` the stages read _digit_reversed(flat,
+    # vs.m), a spectrum in stage order.
     powers = root_powers(vs)
     # Stages from r0 on are radix 2 and run as butterflies; the rest as einsum.
     r0 = vs.N
     while r0 > 0 and vs.m[r0 - 1] == 2:
         r0 -= 1
-    a = flat
+    # Stages from tail on act inside blocks of width <= _BLOCK cells and run
+    # on chunks of whole blocks; stages r0..tail-1 act across the rows of
+    # (M[r0], rows, width) and run on column slabs of rows x cols cells.
+    tail = r0
+    while vs.size // vs.M[tail] > _BLOCK:
+        tail += 1
+    # When the slab loop runs first (Walsh above _BLOCK cells), it gathers
+    # its tiles straight from the spectrum, so the cols of a tile are its
+    # last log2(cols) axes; otherwise the reversal runs first, on its own.
+    gather = reverse and r0 == 0 and tail > 0
+    a = _digit_reversed(flat, vs.m) if reverse and not gather else flat
     for j in range(r0):
         mat = powers[j].conj() if conjugate else powers[j]
         high = vs.M[j]
@@ -212,20 +277,14 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
     if r0 == vs.N:
         return a
     # Each tile is read from a and written back to out once all its stages
-    # are done, so the einsum result is updated in place and the caller's
+    # are done, so an array made here is updated in place and the caller's
     # array is never written.  The read adds +0.0: einsum accumulates onto
     # +0.0 and so never returns -0.0, and neither may the butterflies.
-    out = a if r0 else np.empty_like(flat)
+    out = np.empty_like(flat) if a is flat else a
     # Every radix-2 coordinate has the root table [1, exp(i*pi)].
     w = powers[r0][1, 1]
     w_imag = (w.conj() if conjugate else w).imag
-    # Stages from tail on act inside blocks of width <= _BLOCK cells and run
-    # on chunks of whole blocks; stages r0..tail-1 act across the rows of
-    # (M[r0], rows, width) and run on column slabs of rows x cols cells.
     # Each share of tiles (see _in_shares) has its own planes and scratch.
-    tail = r0
-    while vs.size // vs.M[tail] > _BLOCK:
-        tail += 1
     width = vs.size // vs.M[tail]
     rows = vs.M[tail] // vs.M[r0]
     cols = min(width, max(_BLOCK // rows, 1))
@@ -234,6 +293,8 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
         dst = out.view(np.float64).reshape(vs.M[r0], rows, width, 2)
         lows = [vs.M[tail] // vs.M[j + 1] * cols for j in range(r0, tail)]
         slabs = width // cols
+        if gather:
+            index, bases = _reversal_tiles(vs.m, tail, vs.N - (cols.bit_length() - 1))
 
         def run_slabs(start: int, stop: int) -> None:
             x, y = np.empty((2, 2, rows * cols))
@@ -241,7 +302,15 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool) -> np.
             for tile in range(start, stop):
                 h, c = divmod(tile, slabs)
                 c *= cols
-                np.add(src[h, :, c : c + cols].transpose(2, 0, 1), 0.0, out=x.reshape(2, rows, cols))
+                if gather:
+                    # y is spare until the first stage writes it: it holds
+                    # the tile's cells, gathered as complex values
+                    cells = y.reshape(-1).view(np.complex128).reshape(cols, rows)
+                    np.take(flat[bases[tile] :], index, out=cells, mode="clip")
+                    cells = cells.view(np.float64).reshape(cols, rows, 2).transpose(1, 0, 2)
+                else:
+                    cells = src[h, :, c : c + cols]
+                np.add(cells.transpose(2, 0, 1), 0.0, out=x.reshape(2, rows, cols))
                 done, _ = _butterflies(x, y, scratch, lows, w_imag)
                 np.copyto(dst[h, :, c : c + cols].transpose(2, 0, 1), done.reshape(2, rows, cols))
 
@@ -308,9 +377,7 @@ def analyze(f: StepFunction) -> Spectrum:
     packed = _run_stages(f.values, vs, conjugate=True)
     # Stage j leaves coefficient digit j on axis j of packed.reshape(vs.m);
     # the index sum_j k_j * M[j] is C order over the reversed axes.
-    coeffs = _digit_reversed(packed, vs.m)
-    coeffs /= vs.size
-    return Spectrum(vs, coeffs)
+    return Spectrum(vs, _digit_reversed(packed, vs.m[::-1], vs.size))
 
 
 def synthesize(s: Spectrum) -> StepFunction:
@@ -329,9 +396,7 @@ def synthesize(s: Spectrum) -> StepFunction:
     while level > 1 and not s.coeffs[vs.M[level - 1] : vs.M[level]].any():
         level -= 1
     coarse = VilenkinStructure.from_m(vs.m[:level])
-    packed = _digit_reversed(s.coeffs[: coarse.size], coarse.m[::-1])
-    values = _run_stages(packed, coarse, conjugate=False)
-    del packed  # the repeat below holds only the coarse values and the output
+    values = _run_stages(s.coeffs[: coarse.size], coarse, conjugate=False, reverse=True)
     if level < vs.N:
         values = np.repeat(values, vs.size // coarse.size)
     return StepFunction(vs, values)
@@ -379,39 +444,101 @@ def fejer_mean(s: Spectrum, n: int) -> StepFunction:
     return synthesize(fejer_coefficients(s, n))
 
 
-def _block_maximum(f: StepFunction) -> StepFunction:
-    # Pyramid of block-mean magnitudes from the finest level down; the
-    # running maximum is then carried back up at each level's resolution,
-    # and only the last step touches every cell.  A radix-2 mean is one add
-    # and the same division as ``mean``'s, so the bytes match; the longer
-    # sums of other radices keep ``mean``, whose summation order differs
-    # from a plain ascending sum.
-    vs = f.vs
-    means = f.values
-    mags = []
-    for level in range(vs.N - 1, -1, -1):
-        blocks = means.reshape(vs.M[level], vs.m[level])
-        if vs.m[level] == 2:
-            means = blocks[:, 0] + blocks[:, 1]
-            means /= 2
-        else:
-            means = blocks.mean(axis=1)
-        mags.append(np.abs(means))
-    run = mags.pop()
-    for level in range(1, vs.N):
-        mag = mags.pop()
-        blocks = mag.reshape(vs.M[level - 1], vs.m[level - 1])
-        np.maximum(blocks, run[:, None], out=blocks)
-        run = mag
-    best = np.abs(f.values)
-    blocks = best.reshape(vs.M[vs.N - 1], vs.m[vs.N - 1])
+def _block_means(means: np.ndarray, radix: int) -> np.ndarray:
+    # Means of consecutive blocks of ``radix`` entries.  A radix-2 mean is
+    # one add and the same division as ``mean``'s, so the bytes match; the
+    # longer sums of other radices keep ``mean``, whose summation order
+    # differs from a plain ascending sum.
+    blocks = means.reshape(-1, radix)
+    if radix == 2:
+        out = blocks[:, 0] + blocks[:, 1]
+        out /= 2
+        return out
+    return blocks.mean(axis=1)
+
+
+def _carry(mags: np.ndarray, run: np.ndarray, radix: int) -> np.ndarray:
+    # Raise each block of ``radix`` magnitudes to its parent's running maximum.
+    blocks = mags.reshape(-1, radix)
     np.maximum(blocks, run[:, None], out=blocks)
-    return StepFunction(vs, best.astype(np.complex128))
+    return mags
+
+
+def _block_maximum(f: StepFunction) -> np.ndarray:
+    """Pointwise maximum over all levels of |block mean| of f's values, real.
+
+    A pyramid of block-mean magnitudes from the finest level down; the
+    running maximum is then carried back up at each level's resolution,
+    and only the last step touches every cell.  Each share of workers (see
+    _in_shares) owns a contiguous run of level-``split`` cylinders, both for
+    the finer levels of the pyramid and for the carry back up; the coarse
+    levels, on M[split] means, run on the calling thread.  A share builds
+    the pyramid one tile of at most _BLOCK cells at a time, while the tile
+    is in cache, and writes the magnitudes into arrays the calling thread
+    made: memory a worker thread frees stays with its own allocator arena,
+    so full-size arrays made there would raise the process's peak.  Every
+    block mean and maximum is the same operation on the same values as on
+    one thread.
+    """
+    vs = f.vs
+    # tiles are level-`tile` cylinders; at least four cylinders of level
+    # `split` per worker keeps the shares near even
+    tile = 0
+    while tile < vs.N - 1 and vs.size // vs.M[tile] > _BLOCK:
+        tile += 1
+    split = 0
+    while split < tile and vs.M[split] < 4 * _WORKERS:
+        split += 1
+    count = vs.M[split]
+    mags = {level: np.empty(vs.M[level]) for level in range(split + 1, vs.N)}
+
+    def down(means: np.ndarray, high: int, low: int, first: int) -> np.ndarray:
+        # Level-`high` means of the level-`low` cylinders from `first` on,
+        # taken down to level `low`; the magnitudes above split are kept.
+        for level in range(high - 1, low - 1, -1):
+            means = _block_means(means, vs.m[level])
+            if level > split:
+                at = first * (vs.M[level] // vs.M[low])
+                np.abs(means, out=mags[level][at : at + len(means)])
+        return means
+
+    roots = np.empty(count, dtype=np.complex128)
+    per = vs.M[tile] // count
+    width = vs.size // vs.M[tile]
+
+    def descend(start: int, stop: int) -> None:
+        tops = np.empty((stop - start) * per, dtype=np.complex128)
+        for t in range(start * per, stop * per):
+            tops[t - start * per] = down(f.values[t * width : (t + 1) * width], vs.N, tile, t)[0]
+        roots[start:stop] = down(tops, tile, split, start)
+
+    _in_shares(count, vs.size, descend)
+    coarse = [np.abs(roots)]
+    means = roots
+    for level in range(split - 1, -1, -1):
+        means = _block_means(means, vs.m[level])
+        coarse.append(np.abs(means))
+    run = coarse.pop()
+    for level in range(1, split + 1):
+        run = _carry(coarse.pop(), run, vs.m[level - 1])
+    best = np.empty(vs.size)
+
+    def ascend(start: int, stop: int) -> None:
+        own = run[start:stop]
+        for level in range(split + 1, vs.N):
+            part = vs.M[level] // count
+            own = _carry(mags[level][start * part : stop * part], own, vs.m[level - 1])
+        cells = best[start * per * width : stop * per * width]
+        np.abs(f.values[start * per * width : stop * per * width], out=cells)
+        _carry(cells, own, vs.m[vs.N - 1])
+
+    _in_shares(count, vs.size, ascend)
+    return best
 
 
 def maximal_function(s: Spectrum) -> StepFunction:
     """Pointwise maximum of |conditional expectation| over all levels."""
-    return _block_maximum(synthesize(s))
+    return StepFunction(s.vs, _block_maximum(synthesize(s)))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 
 from vilenkin_lab import counterexamples
 from vilenkin_lab.errors import CapacityError, ResolutionError
+from vilenkin_lab.experiments import load_config, run_experiment
 from vilenkin_lab.kernels import dirichlet_kernel, lacunary_index
 from vilenkin_lab.counterexamples import (
     block_gap_norm,
@@ -174,6 +175,44 @@ class TestDenseReports:
 
     def test_companion_gap_positive(self, dense_small):
         assert block_gap_norm(dense_small, 2) > 0
+
+
+class TestGapStatistics:
+    # Each gap statistic takes the example's function f; a runner passes
+    # the one it synthesized, and the statistic is the same as without it.
+
+    def test_given_function_gives_the_same_statistics(self, dense_small, sparse_small):
+        f = dense_small.function()
+        for k in (1, 2):
+            assert weak_divergence_statistic(dense_small, k, f) == weak_divergence_statistic(dense_small, k)
+            assert block_gap_norm(dense_small, k, f) == block_gap_norm(dense_small, k)
+        f = sparse_small.function()
+        assert sparse_divergence_statistic(sparse_small, 1, f) == sparse_divergence_statistic(sparse_small, 1)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "counterexample-2a", "structure": {"pattern": [2], "repeat_to": 8},
+             "p_values": [0.25],
+             "parameters": {"p": 0.25, "depth": 6, "modulus_lo": 1, "modulus_hi": 3,
+                            "divergence_lo": 3, "divergence_hi": 4}},
+            {"experiment": "counterexample-2b", "structure": {"pattern": [2], "repeat_to": 9},
+             "p_values": [0.5], "parameters": {"depth": 2, "modulus_lo": 5, "modulus_hi": 6}},
+        ],
+        ids=["2a", "2b"],
+    )
+    def test_runners_synthesize_each_example_once(self, monkeypatch, config):
+        calls = []
+        function = counterexamples.CriticalExample.function
+
+        def counted(ex):
+            calls.append(ex)
+            return function(ex)
+
+        monkeypatch.setattr(counterexamples.CriticalExample, "function", counted)
+        result = run_experiment(load_config(config))
+        assert len(calls) == 1
+        assert len([r for r in result.records if r.index.get("block") == "divergence"]) == 2
 
 
 class TestSparseConstruction:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilenkin_lab import transform
+from vilenkin_lab import norms, transform
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import dirichlet_kernel, fejer_kernel
+from vilenkin_lab.norms import hardy_norm, lp_quasinorm
 from vilenkin_lab.rng import XorShift64Star
 from vilenkin_lab.structure import VilenkinStructure, cell_digit_table, root_powers
 from vilenkin_lab.transform import (
@@ -172,8 +173,10 @@ class TestCoefficientOrder:
         digits = cell_digit_table(vs)
         return sum(digits[j] * vs.M[j] for j in range(vs.N))
 
+    # (1024, 64): the first axes of the permutation that reach _RUN cells
+    # already hold more than _BLOCK, so a tile is one run wide
     @pytest.mark.parametrize(
-        "gens", [(2,) * 6, (2, 3, 2, 3), (3, 2, 5, 4, 2), (2, 3, 4, 5, 2), (5,), (7, 3)]
+        "gens", [(2,) * 6, (2, 3, 2, 3), (3, 2, 5, 4, 2), (2, 3, 4, 5, 2), (5,), (7, 3), (1024, 64)]
     )
     def test_bitwise_equal_to_digit_table_permutation(self, gens):
         vs = VilenkinStructure.from_m(gens)
@@ -245,9 +248,9 @@ class TestBandLimitedSynthesis:
         sizes = []
         run_stages = transform._run_stages
 
-        def spy(flat, vs, conjugate):
+        def spy(flat, vs, *args, **kwargs):
             sizes.append(vs.size)
-            return run_stages(flat, vs, conjugate)
+            return run_stages(flat, vs, *args, **kwargs)
 
         monkeypatch.setattr(transform, "_run_stages", spy)
         vs = VilenkinStructure.from_m(gens)
@@ -368,11 +371,41 @@ class TestStageLoop:
         assert peak <= flat.nbytes + 64 * transform._BLOCK
 
 
+def layered_function(vs, seed):
+    # Random values constant on the cylinders of every level, the coarse
+    # levels weighted most, so that the maximum at a cell comes from
+    # coarse and fine levels alike, not only from the finest ones as on
+    # plain random values.
+    rng = XorShift64Star(seed)
+    values = np.zeros(vs.size, dtype=np.complex128)
+    for level in range(vs.N + 1):
+        values += np.repeat(rng.complex_uniforms(vs.M[level]), vs.size // vs.M[level]) / (level + 1)
+    return StepFunction(vs, values)
+
+
+def full_resolution_maximum(f):
+    # Oracle for _block_maximum: every level's block-mean magnitude folded
+    # into a full-size running maximum, one pass over all cells per level.
+    vs = f.vs
+    best = np.abs(f.values)
+    means = f.values
+    for level in range(vs.N - 1, -1, -1):
+        means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
+        blocks = best.reshape(vs.M[level], -1)
+        np.maximum(blocks, np.abs(means)[:, None], out=blocks)
+    return best
+
+
+# Above 2^18 cells with radices 2 to 5 and a radix-5 last stage: every stage
+# is an einsum, so only the coefficient permutation is shared.
+MIXED_LARGE = (4, 3, 5, 2, 3, 4, 5, 3, 4, 5)
+
+
 class TestThreadedTiles:
-    # From _SPLIT_CELLS cells on, the slab tiles, the chunk tiles and the
-    # coefficient permutation are shared among _WORKERS threads.  Each tile
-    # reads and writes only its own cells, so the bytes are those of one
-    # worker.
+    # From _SPLIT_CELLS cells on, the slab tiles, the chunk tiles, the
+    # tiles of the coefficient permutation and the cylinders of the block
+    # maximum are shared among _WORKERS threads.  Each tile reads and
+    # writes only its own cells, so the bytes are those of one worker.
 
     @staticmethod
     def record_shares(monkeypatch):
@@ -391,30 +424,44 @@ class TestThreadedTiles:
         return shares
 
     @staticmethod
-    def assert_split(shares, workers):
-        # One transform: the slab loop, the chunk loop and the permutation
-        # each gave one contiguous share to each worker, the shares covered
-        # every tile exactly once, and more than one thread ran them.
+    def assert_split(shares, workers, loops):
+        # One call: each split loop named in ``loops`` gave one contiguous
+        # share to each worker, the shares covered every tile exactly once,
+        # and more than one thread ran them.
         by_task = {}
         for task, count, thread, start, stop in shares:
             by_task.setdefault((task, count), []).append((thread, start, stop))
-        assert sorted(task for task, _ in by_task) == ["copy", "run_chunks", "run_slabs"]
+        assert sorted(task for task, _ in by_task) == sorted(loops)
         for (task, count), runs in by_task.items():
             assert len(runs) == workers, task
             tiles = sorted(tile for _, start, stop in runs for tile in range(start, stop))
             assert tiles == list(range(count)), task
             assert len({thread for thread, _, _ in runs}) > 1, task
+        shares.clear()
         return [count for _, count in by_task]
 
-    # Walsh 2^19 runs the slab loop and the chunk loop; the mixed structure
-    # updates the einsum result of its radix-3 stage in place (r0 = 1); and
-    # 3 workers cannot share Walsh 2^19's 16 tiles evenly.
+    # Walsh 2^19 runs the slab loop, which in synthesize gathers its tiles
+    # straight from the spectrum, and the chunk loop; analyze then permutes
+    # its coefficients.  The radix-3 structure updates the einsum result of
+    # its first stage in place (r0 = 1) and so permutes its spectrum on its
+    # own first.  MIXED_LARGE shares its permutation only.  3 workers
+    # cannot share Walsh 2^19's 16 tiles evenly.
+    WALSH_LOOPS = (["copy", "run_chunks", "run_slabs"], ["run_chunks", "run_slabs"])
+    EINSUM_FIRST_LOOPS = (["copy", "run_chunks", "run_slabs"],) * 2
+
     @pytest.mark.parametrize(
-        "gens, workers",
-        [((2,) * 19, 2), ((3,) + (2,) * 18, 2), ((2,) * 19, 3)],
-        ids=["2^19", "3x2^18", "2^19-uneven"],
+        "gens, workers, loops",
+        [
+            ((2,) * 19, 2, WALSH_LOOPS),
+            ((3,) + (2,) * 18, 2, EINSUM_FIRST_LOOPS),
+            ((2,) * 19, 3, WALSH_LOOPS),
+            ((3,) + (2,) * 18, 3, EINSUM_FIRST_LOOPS),
+            (MIXED_LARGE, 2, (["copy"], ["copy"])),
+            (MIXED_LARGE, 3, (["copy"], ["copy"])),
+        ],
+        ids=["2^19", "3x2^18", "2^19-uneven", "3x2^18-3-workers", "mixed", "mixed-3-workers"],
     )
-    def test_bitwise_equal_to_one_worker(self, monkeypatch, gens, workers):
+    def test_bitwise_equal_to_one_worker(self, monkeypatch, gens, workers, loops):
         vs = VilenkinStructure.from_m(gens)
         f = random_function(vs, 80)
         s = random_spectrum(vs, 81)
@@ -428,15 +475,38 @@ class TestThreadedTiles:
         sys.setswitchinterval(1e-6)
         try:
             got = analyze(f).coeffs
-            counts = self.assert_split(shares, workers)
-            shares.clear()
+            counts = self.assert_split(shares, workers, loops[0])
             got = got, synthesize(s).values
-            counts += self.assert_split(shares, workers)
+            counts += self.assert_split(shares, workers, loops[1])
         finally:
             sys.setswitchinterval(interval)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        if workers == 3:
+        if workers == 3 and gens == (2,) * 19:
             assert all(count % workers for count in counts), counts
+
+    @pytest.mark.parametrize("gens", [(2,) * 19, MIXED_LARGE], ids=["2^19", "mixed"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("make", [random_function, layered_function], ids=["random", "layered"])
+    def test_block_maximum_bitwise_equal_to_full_resolution_loop(self, monkeypatch, gens, workers, make):
+        f = make(VilenkinStructure.from_m(gens), 65)
+        monkeypatch.setattr(transform, "_WORKERS", workers)
+        shares = self.record_shares(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _block_maximum(f)
+            self.assert_split(shares, workers, ["ascend", "descend"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == full_resolution_maximum(f).tobytes()
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
+    def test_hardy_norm_is_the_norm_of_the_maximal_function(self, monkeypatch, p):
+        # |x + 0i| is x exactly, so the real maximum gives the same bytes.
+        monkeypatch.setattr(transform, "_WORKERS", 2)
+        vs = VilenkinStructure.from_pattern((2,), 19)
+        s = random_spectrum(vs, 86)
+        assert hardy_norm(s, p).hex() == lp_quasinorm(maximal_function(s), p).hex()
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         butterflies = transform._butterflies
@@ -452,19 +522,54 @@ class TestThreadedTiles:
         with pytest.raises(RuntimeError, match="tile failed in a worker"):
             analyze(f)
 
+    @staticmethod
+    def traced_peak(call):
+        call()  # fills the cached root tables and tile indices
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_peak_memory_is_one_array_plus_tiles_per_worker(self, monkeypatch, workers):
         monkeypatch.setattr(transform, "_WORKERS", workers)
         vs = VilenkinStructure.from_pattern((2,), 18)
         flat = random_function(vs, 83).values
-        _run_stages(flat, vs, conjugate=True)
-        tracemalloc.start()
-        try:
-            _run_stages(flat, vs, conjugate=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self.traced_peak(lambda: _run_stages(flat, vs, conjugate=True))
         assert peak <= flat.nbytes + workers * 64 * transform._BLOCK
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_synthesis_peak_memory_is_the_output_plus_tiles_per_worker(self, monkeypatch, workers):
+        # A full-support Walsh synthesis gathers its first tiles from the
+        # spectrum: no permuted copy of it is made.
+        monkeypatch.setattr(transform, "_WORKERS", workers)
+        s = random_spectrum(VilenkinStructure.from_pattern((2,), 18), 87)
+        peak = self.traced_peak(lambda: synthesize(s))
+        assert peak <= s.coeffs.nbytes + workers * 64 * transform._BLOCK
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hardy_norm_makes_no_complex_maximum(self, monkeypatch, workers):
+        # Once the pyramid has returned the real maximum, hardy_norm needs
+        # no more memory than it then holds (the synthesized values, which
+        # it drops, and the maximum) for the maximum's p-th power.  A
+        # complex copy of the maximum, and its magnitudes, would add half
+        # the values' size again.
+        monkeypatch.setattr(transform, "_WORKERS", workers)
+        s = random_spectrum(VilenkinStructure.from_pattern((2,), 18), 88)
+        held = []
+        block_maximum = norms._block_maximum
+
+        def spy(f):
+            best = block_maximum(f)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return best
+
+        monkeypatch.setattr(norms, "_block_maximum", spy)
+        peak = self.traced_peak(lambda: hardy_norm(s, 0.25))
+        assert peak <= held[-1] + s.coeffs.nbytes // 16
 
     def test_small_transforms_start_no_thread(self):
         # Transforms below _SPLIT_CELLS, the only ones a check makes, start
@@ -494,8 +599,9 @@ class TestThreadedTiles:
         small, large = (list(map(int, line.split())) for line in proc.stdout.splitlines())
         assert small == [1, 0]
         active, started, workers = large
-        # three split loops (slabs, chunks, permutation) per transform
-        assert (active, started) == (1, 2 * 3 * (workers - 1))
+        # five split loops: analyze's slabs, chunks and permutation, then
+        # synthesize's slabs (gathering from the spectrum) and chunks
+        assert (active, started) == (1, 5 * (workers - 1))
 
 
 class TestSynthesize:
@@ -699,19 +805,18 @@ class TestMaximalFunction:
             best = np.maximum(best, np.repeat(np.abs(means), vs.size // vs.M[level]))
         assert maximal_function(s).values.tobytes() == best.astype(np.complex128).tobytes()
 
-    @pytest.mark.parametrize("gens", [(2,) * 17, (2, 3, 4, 5, 2, 3, 4, 5, 3, 4), (5,)])
+    # (2, 40000): a last radix above _BLOCK, so no level fits a tile
+    FULL_RESOLUTION_GENS = [(2,) * 17, (2, 3, 4, 5, 2, 3, 4, 5, 3, 4), (5,), (2, 40000)]
+
+    @pytest.mark.parametrize("gens", FULL_RESOLUTION_GENS)
     def test_bitwise_equal_to_full_resolution_loop(self, gens):
-        # Oracle: every level's block-mean magnitude folded into a full-size
-        # running maximum, one pass over all cells per level.
-        vs = VilenkinStructure.from_m(gens)
-        f = random_function(vs, 65)
-        best = np.abs(f.values)
-        means = f.values
-        for level in range(vs.N - 1, -1, -1):
-            means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
-            blocks = best.reshape(vs.M[level], -1)
-            np.maximum(blocks, np.abs(means)[:, None], out=blocks)
-        assert _block_maximum(f).values.tobytes() == best.astype(np.complex128).tobytes()
+        f = random_function(VilenkinStructure.from_m(gens), 65)
+        assert _block_maximum(f).tobytes() == full_resolution_maximum(f).tobytes()
+
+    @pytest.mark.parametrize("gens", FULL_RESOLUTION_GENS)
+    def test_layered_bitwise_equal_to_full_resolution_loop(self, gens):
+        f = layered_function(VilenkinStructure.from_m(gens), 66)
+        assert _block_maximum(f).tobytes() == full_resolution_maximum(f).tobytes()
 
 
 class TestFejerWeight:
