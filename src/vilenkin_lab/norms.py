@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .structure import VilenkinStructure, cylinder_cells
-from .transform import Spectrum, StepFunction, _block_maximum, synthesize
+from .transform import Spectrum, StepFunction, _block_maximum, maximal_function
 
 
 def _lp(mags: np.ndarray, p: float) -> float:
@@ -71,15 +71,10 @@ def weak_lp_quasinorm(f: StepFunction, p: float, form: str = "root") -> float:
 
 
 def hardy_norm(s: Spectrum, p: float) -> float:
-    """Quasinorm of the maximal function over all cylinder levels.
-
-    Equal bit for bit to ``lp_quasinorm(maximal_function(s), p)``, but it
-    takes the real maximum as it is: |x + 0i| is x exactly, so no complex
-    copy of the maximum is made.
-    """
+    """Quasinorm of the maximal function over all cylinder levels."""
     if p <= 0:
         raise ValueError(f"exponent must be positive, got {p}")
-    return _lp(_block_maximum(synthesize(s)), p)
+    return lp_quasinorm(maximal_function(s), p)
 
 
 def modulus_of_continuity(s: Spectrum, level: int, p: float) -> float:

@@ -42,29 +42,31 @@ oracle); :func:`iter_fejer_means` yields the same means one row at a time.
 
 The coefficient order is the digit reversal of the stage order: index
 sum_j k_j * M[j] holds what the stages leave at digits (k_0, ..., k_{N-1}).
-:func:`_digit_reversed` moves it tile by tile, as in Bailey's blocked FFT
-layout: a tile fixes the middle axes, gathers runs of at least ``_RUN``
-(2 KB) consecutive input cells with one small cached index permutation
-per group of axes, and writes runs of consecutive output cells.  Analysis
-divides each tile by M[N] while it is in cache, which rounds as dividing
-the whole array does.  A Walsh synthesis of more than ``_BLOCK`` cells
-reads its spectrum only through its first tile loop, which gathers each
-tile straight from the spectrum in digit-reversed order (the self-sorting
-layout of Temperton's FFTs), so no permuted copy of the spectrum is made;
-other syntheses reverse the spectrum on its own before their first stage.
+Below ``_SPLIT_CELLS`` cells :func:`_digit_reversed` is numpy's copy of
+the transposed view, which analysis then divides by M[N] in place.  From
+``_SPLIT_CELLS`` cells on it moves the order tile by tile, as in Bailey's
+blocked FFT layout: a tile fixes the middle axes, gathers runs of at least
+``_RUN`` (2 KB) consecutive input cells with one small cached index
+permutation per group of axes, and writes runs of consecutive output
+cells.  Analysis divides each tile by M[N] while it is in cache, which
+rounds as dividing the whole array does.  A Walsh synthesis of at least
+``_SPLIT_CELLS`` cells reads its spectrum only through its first tile
+loop, which gathers each tile straight from the spectrum in digit-reversed
+order (the self-sorting layout of Temperton's FFTs), so no permuted copy
+of the spectrum is made.  That gather reads runs of M[tail] cells, the
+rows of a slab tile: 8 at 2^18 cells, 32 at 2^20 and 128 (2 KB) at 2^22.
+Other syntheses reverse the spectrum on its own before their first stage.
 
 A transform of at least ``_SPLIT_CELLS`` (2^18) cells shares its work
 among one thread per CPU the process may run on: the column slabs, then
 the chunks, and the tiles of the coefficient permutation, each cut into
-contiguous shares.  The maximal function's block-mean pyramid is shared
-the same way, each share a contiguous run of cylinders of one level, both
-down the pyramid and for the carry back up.  The calling thread runs the
-first share and a thread started for the call each of the others; a loop
-starts only once the one before it is done.  Each share has its own tile
-buffers, and each tile reads and writes only its own cells, with the same
-numpy operations in the same order as on one thread, so the bytes cannot
-change.  Smaller transforms run on the calling thread alone and start no
-thread.
+contiguous shares.  The calling thread runs the first share and a thread
+started for the call each of the others; a loop starts only once the one
+before it is done.  Each share has its own tile buffers, and each tile
+reads and writes only its own cells, with the same numpy operations in the
+same order as on one thread, so the bytes cannot change.  Smaller
+transforms run on the calling thread alone and start no thread.  The
+maximal function's block-mean pyramid runs on the calling thread.
 
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
@@ -145,9 +147,10 @@ _BLOCK = 2**15
 # Cells in each run a tile of the coefficient permutation reads: 2 KB.
 _RUN = 2**7
 
-# Transforms and block maxima of at least _SPLIT_CELLS cells share their
-# tiles among _WORKERS threads, one per CPU this process may run on;
-# smaller ones run on the calling thread and start no thread.
+# Transforms of at least _SPLIT_CELLS cells share their tiles among
+# _WORKERS threads, one per CPU this process may run on, and reverse their
+# coefficient order in tiles; smaller ones run on the calling thread and
+# start no thread.
 _SPLIT_CELLS = 2**18
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -163,9 +166,9 @@ def character_blocks(indices: np.ndarray, vs: VilenkinStructure) -> Iterator[tup
 def _in_shares(count: int, cells: int, task: Callable[[int, int], None]) -> None:
     """Run ``task(start, stop)`` on contiguous shares of range(count).
 
-    Work on at least _SPLIT_CELLS cells gets one share per worker: the
-    calling thread runs the first and a new thread each of the others.
-    Smaller work runs whole on the calling thread.  Returns once every
+    A transform of at least _SPLIT_CELLS cells gets one share per worker:
+    the calling thread runs the first and a new thread each of the others.
+    A smaller one runs whole on the calling thread.  Returns once every
     share is done, raising the first exception a share raised.
     """
     shares = min(_WORKERS, count) if cells >= _SPLIT_CELLS else 1
@@ -217,14 +220,22 @@ def _reversal_tiles(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray,
 
 def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | None = None) -> np.ndarray:
     """``flat.reshape(shape[::-1]).transpose().reshape(-1)``, divided by
-    ``divisor`` when one is given, in tiles of :func:`_reversal_tiles`.
+    ``divisor`` when one is given.
 
-    The leading axes of ``shape`` make up runs of at least _RUN input cells
-    and its trailing axes runs of as many output cells as fit a tile of
-    _BLOCK cells.  Each tile is gathered into a buffer, divided there, and
-    copied into place.  From _SPLIT_CELLS cells on the tiles are shared
-    among the workers.
+    Below _SPLIT_CELLS cells numpy copies the transposed view and the copy
+    is divided in place.  From _SPLIT_CELLS cells on the reversal runs in
+    tiles of :func:`_reversal_tiles`, shared among the workers: the leading
+    axes of ``shape`` make up runs of at least _RUN input cells and its
+    trailing axes runs of as many output cells as fit a tile of _BLOCK
+    cells.  Each tile is gathered into a buffer, divided there, and copied
+    into place.  Either way every value is copied, and divided once.
     """
+    out = np.empty_like(flat)
+    if flat.size < _SPLIT_CELLS:
+        np.copyto(out.reshape(shape), flat.reshape(shape[::-1]).transpose())
+        if divisor is not None:
+            out /= divisor
+        return out
     a = 0
     while a < len(shape) and math.prod(shape[:a]) < _RUN:
         a += 1
@@ -233,7 +244,6 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
     while b < len(shape) and lead * math.prod(shape[b:]) > _BLOCK:
         b += 1
     index, bases = _reversal_tiles(shape, a, b)
-    out = np.empty_like(flat)
     dst = out.reshape(lead, len(bases), -1)
 
     def copy(start: int, stop: int) -> None:
@@ -263,10 +273,11 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     tail = r0
     while vs.size // vs.M[tail] > _BLOCK:
         tail += 1
-    # When the slab loop runs first (Walsh above _BLOCK cells), it gathers
-    # its tiles straight from the spectrum, so the cols of a tile are its
-    # last log2(cols) axes; otherwise the reversal runs first, on its own.
-    gather = reverse and r0 == 0 and tail > 0
+    # When the slab loop runs first (Walsh above _BLOCK cells) on at least
+    # _SPLIT_CELLS cells, it gathers its tiles straight from the spectrum,
+    # so the cols of a tile are its last log2(cols) axes; otherwise the
+    # reversal runs first, on its own.
+    gather = reverse and r0 == 0 and tail > 0 and vs.size >= _SPLIT_CELLS
     a = _digit_reversed(flat, vs.m) if reverse and not gather else flat
     for j in range(r0):
         mat = powers[j].conj() if conjugate else powers[j]
@@ -444,95 +455,34 @@ def fejer_mean(s: Spectrum, n: int) -> StepFunction:
     return synthesize(fejer_coefficients(s, n))
 
 
-def _block_means(means: np.ndarray, radix: int) -> np.ndarray:
-    # Means of consecutive blocks of ``radix`` entries.  A radix-2 mean is
-    # one add and the same division as ``mean``'s, so the bytes match; the
-    # longer sums of other radices keep ``mean``, whose summation order
-    # differs from a plain ascending sum.
-    blocks = means.reshape(-1, radix)
-    if radix == 2:
-        out = blocks[:, 0] + blocks[:, 1]
-        out /= 2
-        return out
-    return blocks.mean(axis=1)
-
-
-def _carry(mags: np.ndarray, run: np.ndarray, radix: int) -> np.ndarray:
-    # Raise each block of ``radix`` magnitudes to its parent's running maximum.
-    blocks = mags.reshape(-1, radix)
-    np.maximum(blocks, run[:, None], out=blocks)
-    return mags
-
-
 def _block_maximum(f: StepFunction) -> np.ndarray:
-    """Pointwise maximum over all levels of |block mean| of f's values, real.
-
-    A pyramid of block-mean magnitudes from the finest level down; the
-    running maximum is then carried back up at each level's resolution,
-    and only the last step touches every cell.  Each share of workers (see
-    _in_shares) owns a contiguous run of level-``split`` cylinders, both for
-    the finer levels of the pyramid and for the carry back up; the coarse
-    levels, on M[split] means, run on the calling thread.  A share builds
-    the pyramid one tile of at most _BLOCK cells at a time, while the tile
-    is in cache, and writes the magnitudes into arrays the calling thread
-    made: memory a worker thread frees stays with its own allocator arena,
-    so full-size arrays made there would raise the process's peak.  Every
-    block mean and maximum is the same operation on the same values as on
-    one thread.
-    """
+    # Pointwise maximum over all levels of |block mean| of f's values, real.
+    # Pyramid of block-mean magnitudes from the finest level down; the
+    # running maximum is then carried back up at each level's resolution,
+    # and only the last step touches every cell.  A radix-2 mean is one add
+    # and the same division as ``mean``'s, so the bytes match; the longer
+    # sums of other radices keep ``mean``, whose summation order differs
+    # from a plain ascending sum.
     vs = f.vs
-    # tiles are level-`tile` cylinders; at least four cylinders of level
-    # `split` per worker keeps the shares near even
-    tile = 0
-    while tile < vs.N - 1 and vs.size // vs.M[tile] > _BLOCK:
-        tile += 1
-    split = 0
-    while split < tile and vs.M[split] < 4 * _WORKERS:
-        split += 1
-    count = vs.M[split]
-    mags = {level: np.empty(vs.M[level]) for level in range(split + 1, vs.N)}
-
-    def down(means: np.ndarray, high: int, low: int, first: int) -> np.ndarray:
-        # Level-`high` means of the level-`low` cylinders from `first` on,
-        # taken down to level `low`; the magnitudes above split are kept.
-        for level in range(high - 1, low - 1, -1):
-            means = _block_means(means, vs.m[level])
-            if level > split:
-                at = first * (vs.M[level] // vs.M[low])
-                np.abs(means, out=mags[level][at : at + len(means)])
-        return means
-
-    roots = np.empty(count, dtype=np.complex128)
-    per = vs.M[tile] // count
-    width = vs.size // vs.M[tile]
-
-    def descend(start: int, stop: int) -> None:
-        tops = np.empty((stop - start) * per, dtype=np.complex128)
-        for t in range(start * per, stop * per):
-            tops[t - start * per] = down(f.values[t * width : (t + 1) * width], vs.N, tile, t)[0]
-        roots[start:stop] = down(tops, tile, split, start)
-
-    _in_shares(count, vs.size, descend)
-    coarse = [np.abs(roots)]
-    means = roots
-    for level in range(split - 1, -1, -1):
-        means = _block_means(means, vs.m[level])
-        coarse.append(np.abs(means))
-    run = coarse.pop()
-    for level in range(1, split + 1):
-        run = _carry(coarse.pop(), run, vs.m[level - 1])
-    best = np.empty(vs.size)
-
-    def ascend(start: int, stop: int) -> None:
-        own = run[start:stop]
-        for level in range(split + 1, vs.N):
-            part = vs.M[level] // count
-            own = _carry(mags[level][start * part : stop * part], own, vs.m[level - 1])
-        cells = best[start * per * width : stop * per * width]
-        np.abs(f.values[start * per * width : stop * per * width], out=cells)
-        _carry(cells, own, vs.m[vs.N - 1])
-
-    _in_shares(count, vs.size, ascend)
+    means = f.values
+    mags = []
+    for level in range(vs.N - 1, -1, -1):
+        blocks = means.reshape(vs.M[level], vs.m[level])
+        if vs.m[level] == 2:
+            means = blocks[:, 0] + blocks[:, 1]
+            means /= 2
+        else:
+            means = blocks.mean(axis=1)
+        mags.append(np.abs(means))
+    run = mags.pop()
+    for level in range(1, vs.N):
+        mag = mags.pop()
+        blocks = mag.reshape(vs.M[level - 1], vs.m[level - 1])
+        np.maximum(blocks, run[:, None], out=blocks)
+        run = mag
+    best = np.abs(f.values)
+    blocks = best.reshape(vs.M[vs.N - 1], vs.m[vs.N - 1])
+    np.maximum(blocks, run[:, None], out=blocks)
     return best
 
 

@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilenkin_lab import norms, transform
+from vilenkin_lab import transform
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import dirichlet_kernel, fejer_kernel
-from vilenkin_lab.norms import hardy_norm, lp_quasinorm
 from vilenkin_lab.rng import XorShift64Star
 from vilenkin_lab.structure import VilenkinStructure, cell_digit_table, root_powers
 from vilenkin_lab.transform import (
@@ -173,12 +172,22 @@ class TestCoefficientOrder:
         digits = cell_digit_table(vs)
         return sum(digits[j] * vs.M[j] for j in range(vs.N))
 
-    # (1024, 64): the first axes of the permutation that reach _RUN cells
-    # already hold more than _BLOCK, so a tile is one run wide
-    @pytest.mark.parametrize(
-        "gens", [(2,) * 6, (2, 3, 2, 3), (3, 2, 5, 4, 2), (2, 3, 4, 5, 2), (5,), (7, 3), (1024, 64)]
-    )
+    GENS = [(2,) * 6, (2, 3, 2, 3), (3, 2, 5, 4, 2), (2, 3, 4, 5, 2), (5,), (7, 3)]
+
+    @pytest.mark.parametrize("gens", GENS)
     def test_bitwise_equal_to_digit_table_permutation(self, gens):
+        self.check(gens)
+
+    # With _SPLIT_CELLS at 1 every reversal runs in tiles, as from 2^18
+    # cells on, and the Walsh 2^16 synthesis gathers its slab tiles from the
+    # spectrum.  (1024, 64): the first axes of the permutation that reach
+    # _RUN cells already hold more than _BLOCK, so a tile is one run wide.
+    @pytest.mark.parametrize("gens", GENS + [(1024, 64), (2,) * 16])
+    def test_tiled_reversal_bitwise_equal_to_digit_table_permutation(self, monkeypatch, gens):
+        monkeypatch.setattr(transform, "_SPLIT_CELLS", 1)
+        self.check(gens)
+
+    def check(self, gens):
         vs = VilenkinStructure.from_m(gens)
         order = self.table_order(vs)
         f = random_function(vs, 71)
@@ -371,41 +380,16 @@ class TestStageLoop:
         assert peak <= flat.nbytes + 64 * transform._BLOCK
 
 
-def layered_function(vs, seed):
-    # Random values constant on the cylinders of every level, the coarse
-    # levels weighted most, so that the maximum at a cell comes from
-    # coarse and fine levels alike, not only from the finest ones as on
-    # plain random values.
-    rng = XorShift64Star(seed)
-    values = np.zeros(vs.size, dtype=np.complex128)
-    for level in range(vs.N + 1):
-        values += np.repeat(rng.complex_uniforms(vs.M[level]), vs.size // vs.M[level]) / (level + 1)
-    return StepFunction(vs, values)
-
-
-def full_resolution_maximum(f):
-    # Oracle for _block_maximum: every level's block-mean magnitude folded
-    # into a full-size running maximum, one pass over all cells per level.
-    vs = f.vs
-    best = np.abs(f.values)
-    means = f.values
-    for level in range(vs.N - 1, -1, -1):
-        means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
-        blocks = best.reshape(vs.M[level], -1)
-        np.maximum(blocks, np.abs(means)[:, None], out=blocks)
-    return best
-
-
 # Above 2^18 cells with radices 2 to 5 and a radix-5 last stage: every stage
 # is an einsum, so only the coefficient permutation is shared.
 MIXED_LARGE = (4, 3, 5, 2, 3, 4, 5, 3, 4, 5)
 
 
 class TestThreadedTiles:
-    # From _SPLIT_CELLS cells on, the slab tiles, the chunk tiles, the
-    # tiles of the coefficient permutation and the cylinders of the block
-    # maximum are shared among _WORKERS threads.  Each tile reads and
-    # writes only its own cells, so the bytes are those of one worker.
+    # From _SPLIT_CELLS cells on, the slab tiles, the chunk tiles and the
+    # tiles of the coefficient permutation are shared among _WORKERS
+    # threads.  Each tile reads and writes only its own cells, so the bytes
+    # are those of one worker.
 
     @staticmethod
     def record_shares(monkeypatch):
@@ -484,30 +468,6 @@ class TestThreadedTiles:
         if workers == 3 and gens == (2,) * 19:
             assert all(count % workers for count in counts), counts
 
-    @pytest.mark.parametrize("gens", [(2,) * 19, MIXED_LARGE], ids=["2^19", "mixed"])
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("make", [random_function, layered_function], ids=["random", "layered"])
-    def test_block_maximum_bitwise_equal_to_full_resolution_loop(self, monkeypatch, gens, workers, make):
-        f = make(VilenkinStructure.from_m(gens), 65)
-        monkeypatch.setattr(transform, "_WORKERS", workers)
-        shares = self.record_shares(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = _block_maximum(f)
-            self.assert_split(shares, workers, ["ascend", "descend"])
-        finally:
-            sys.setswitchinterval(interval)
-        assert got.tobytes() == full_resolution_maximum(f).tobytes()
-
-    @pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
-    def test_hardy_norm_is_the_norm_of_the_maximal_function(self, monkeypatch, p):
-        # |x + 0i| is x exactly, so the real maximum gives the same bytes.
-        monkeypatch.setattr(transform, "_WORKERS", 2)
-        vs = VilenkinStructure.from_pattern((2,), 19)
-        s = random_spectrum(vs, 86)
-        assert hardy_norm(s, p).hex() == lp_quasinorm(maximal_function(s), p).hex()
-
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         butterflies = transform._butterflies
 
@@ -548,28 +508,6 @@ class TestThreadedTiles:
         s = random_spectrum(VilenkinStructure.from_pattern((2,), 18), 87)
         peak = self.traced_peak(lambda: synthesize(s))
         assert peak <= s.coeffs.nbytes + workers * 64 * transform._BLOCK
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_hardy_norm_makes_no_complex_maximum(self, monkeypatch, workers):
-        # Once the pyramid has returned the real maximum, hardy_norm needs
-        # no more memory than it then holds (the synthesized values, which
-        # it drops, and the maximum) for the maximum's p-th power.  A
-        # complex copy of the maximum, and its magnitudes, would add half
-        # the values' size again.
-        monkeypatch.setattr(transform, "_WORKERS", workers)
-        s = random_spectrum(VilenkinStructure.from_pattern((2,), 18), 88)
-        held = []
-        block_maximum = norms._block_maximum
-
-        def spy(f):
-            best = block_maximum(f)
-            held.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-            return best
-
-        monkeypatch.setattr(norms, "_block_maximum", spy)
-        peak = self.traced_peak(lambda: hardy_norm(s, 0.25))
-        assert peak <= held[-1] + s.coeffs.nbytes // 16
 
     def test_small_transforms_start_no_thread(self):
         # Transforms below _SPLIT_CELLS, the only ones a check makes, start
@@ -767,6 +705,32 @@ class TestCondexp:
             assert np.abs(via_blocks - via_spectrum).max() < 1e-10
 
 
+def layered_function(vs, seed):
+    # Random values constant on the cylinders of every level, the coarse
+    # levels weighted most, so that the maximum at a cell comes from
+    # coarse and fine levels alike, not only from the finest ones as on
+    # plain random values.
+    rng = XorShift64Star(seed)
+    values = np.zeros(vs.size, dtype=np.complex128)
+    for level in range(vs.N + 1):
+        values += np.repeat(rng.complex_uniforms(vs.M[level]), vs.size // vs.M[level]) / (level + 1)
+    return StepFunction(vs, values)
+
+
+def full_resolution_maximum(f):
+    # Oracle for _block_maximum: every level's block-mean magnitude folded
+    # into a full-size running maximum, one pass over all cells per level.
+    vs = f.vs
+    best = np.abs(f.values)
+    means = f.values
+    for level in range(vs.N - 1, -1, -1):
+        means = means.reshape(vs.M[level], vs.m[level]).mean(axis=1)
+        blocks = best.reshape(vs.M[level], -1)
+        np.maximum(blocks, np.abs(means)[:, None], out=blocks)
+    return best
+
+
+
 class TestMaximalFunction:
     def test_constant(self, mixed2323):
         coeffs = np.zeros(mixed2323.size, dtype=np.complex128)
@@ -805,8 +769,7 @@ class TestMaximalFunction:
             best = np.maximum(best, np.repeat(np.abs(means), vs.size // vs.M[level]))
         assert maximal_function(s).values.tobytes() == best.astype(np.complex128).tobytes()
 
-    # (2, 40000): a last radix above _BLOCK, so no level fits a tile
-    FULL_RESOLUTION_GENS = [(2,) * 17, (2, 3, 4, 5, 2, 3, 4, 5, 3, 4), (5,), (2, 40000)]
+    FULL_RESOLUTION_GENS = [(2,) * 17, (2, 3, 4, 5, 2, 3, 4, 5, 3, 4), (5,)]
 
     @pytest.mark.parametrize("gens", FULL_RESOLUTION_GENS)
     def test_bitwise_equal_to_full_resolution_loop(self, gens):
