@@ -20,6 +20,18 @@ stage matrix.  The butterflies keep the unsnapped root w = exp(i*pi) of the
 root tables, whose imaginary part is about 1.2e-16: snapping it to -1 would
 move stored records, so it waits for the benchmark change of ROADMAP item 1.
 
+Einsum stage j acts on rows of M[N] / M[j+1] consecutive cells, which
+shrink stage by stage, and a stage costs more per cell on short rows.  So
+the einsum stages run in two halves, as in Bailey's four-step FFT layout:
+from the first stage s whose rows would hold fewer than ``_RUN`` cells,
+if M[s] >= ``_RUN``, the array is transposed once as
+(M[s], M[N] / M[s]), so that every later stage acts on rows of at least
+M[s] cells.  The split depends on the structure alone.  The stage output is
+viewed back in stage order at the end: analysis reads that transposed view
+in its coefficient permutation, the butterflies and synthesis a copy.  Each
+output entry is still one sum over the same inputs in the same order, so
+no byte changes.
+
 :func:`synthesize` runs only the stages a spectrum needs.  By Paley's lemma
 a spectrum supported below M[L] is constant on L-cylinders, the blocks of
 M[N] / M[L] consecutive cells.  So the least such L >= 1 is found from the
@@ -144,7 +156,8 @@ class Spectrum:
 # of characters in character_blocks.
 _BLOCK = 2**15
 
-# Cells in each run a tile of the coefficient permutation reads: 2 KB.
+# Cells in each run a tile of the coefficient permutation reads (2 KB), and
+# in the shortest rows an einsum stage acts on after the split.
 _RUN = 2**7
 
 # Transforms of at least _SPLIT_CELLS cells share their tiles among
@@ -229,13 +242,18 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
     trailing axes runs of as many output cells as fit a tile of _BLOCK
     cells.  Each tile is gathered into a buffer, divided there, and copied
     into place.  Either way every value is copied, and divided once.
+
+    ``flat`` may be any array whose C order is the input, such as the
+    transposed view :func:`_run_stages` leaves after a split.  The copy of
+    the transposed view reads it in place; the tiles read a flat copy.
     """
-    out = np.empty_like(flat)
+    out = np.empty(flat.size, dtype=flat.dtype)
     if flat.size < _SPLIT_CELLS:
         np.copyto(out.reshape(shape), flat.reshape(shape[::-1]).transpose())
         if divisor is not None:
             out /= divisor
         return out
+    flat = flat.reshape(-1)
     a = 0
     while a < len(shape) and math.prod(shape[:a]) < _RUN:
         a += 1
@@ -261,7 +279,8 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, reverse: bool = False) -> np.ndarray:
     # Synthesis stage j multiplies by root_powers(vs)[j], analysis by its
     # conjugate.  With ``reverse`` the stages read _digit_reversed(flat,
-    # vs.m), a spectrum in stage order.
+    # vs.m), a spectrum in stage order.  The result's C order is the stage
+    # output's; after a split of the einsum stages it is a transposed view.
     powers = root_powers(vs)
     # Stages from r0 on are radix 2 and run as butterflies; the rest as einsum.
     r0 = vs.N
@@ -279,12 +298,25 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     # reversal runs first, on its own.
     gather = reverse and r0 == 0 and tail > 0 and vs.size >= _SPLIT_CELLS
     a = _digit_reversed(flat, vs.m) if reverse and not gather else flat
+    # Einsum stage j acts on rows of size // M[j+1] cells; s is the first
+    # whose rows would hold fewer than _RUN.
+    s = 0
+    while s < r0 and vs.size // vs.M[s + 1] >= _RUN:
+        s += 1
+    lead = 1
     for j in range(r0):
+        if j == s and vs.M[s] >= _RUN:
+            # Transposed as (M[s], rest), stage j >= s acts on
+            # (M[j] / M[s], m_j, rest), rows of at least M[s] cells.
+            lead = vs.M[s]
+            a = a.reshape(lead, -1).T.copy()
         mat = powers[j].conj() if conjugate else powers[j]
-        high = vs.M[j]
-        mj = vs.m[j]
-        low = vs.size // (high * mj)
-        a = np.einsum("kd,hdl->hkl", mat, a.reshape(high, mj, low)).reshape(-1)
+        a = np.einsum("kd,hdl->hkl", mat, a.reshape(vs.M[j] // lead, vs.m[j], -1)).reshape(-1)
+    if lead > 1:
+        # Stage order again: the caller takes the view, the butterflies a copy.
+        a = a.reshape(-1, lead).T
+        if r0 < vs.N:
+            a = a.reshape(-1)
     if r0 == vs.N:
         return a
     # Each tile is read from a and written back to out once all its stages
@@ -408,8 +440,8 @@ def synthesize(s: Spectrum) -> StepFunction:
         level -= 1
     coarse = VilenkinStructure.from_m(vs.m[:level])
     values = _run_stages(s.coeffs[: coarse.size], coarse, conjugate=False, reverse=True)
-    if level < vs.N:
-        values = np.repeat(values, vs.size // coarse.size)
+    # The stages may return a transposed view; repeat and reshape read it in C order.
+    values = np.repeat(values, vs.size // coarse.size) if level < vs.N else values.reshape(-1)
     return StepFunction(vs, values)
 
 

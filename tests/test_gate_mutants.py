@@ -3,7 +3,9 @@
 Each row monkeypatches one library function that a criterion's statistic
 reads, runs the real criterion on a fresh cache of the shipped-config
 records, as ``run_all`` does, and expects a FAIL with the statistic the
-row names; the same criterion passes on the unmutated library.
+row names; the same criterion passes on the unmutated library.  A wrong
+input that its criterion still passes is a strict xfail naming the ROADMAP
+item meant to catch it.
 ``test_record_past_its_bound_fails_its_criterion`` shows that the criteria
 read the records; these rows show that a wrong input moves a statistic
 past its gate.
@@ -15,6 +17,7 @@ fault in ``block_spectrum``, which builds both sides, still cannot fail it.
 
 import functools
 
+import numpy as np
 import pytest
 
 from vilenkin_lab import acceptance, experiments, kernels, transform
@@ -28,16 +31,21 @@ from vilenkin_lab.experiments import (
 from vilenkin_lab.structure import VilenkinStructure
 
 
-def scaled_dense(ratio):
-    """``build_critical_example`` with block i carrying M[i] * ratio^i in
+def weighted_dense(weight):
+    """``build_critical_example`` with block i carrying M[i] * weight(i) in
     place of M[i]; the atoms are left as built."""
 
     def build(p, depth, vs):
         ex = build_critical_example(p, depth, vs)
-        ex.spectrum = block_spectrum(vs, [(i, vs.M[i] * ratio**i) for i in range(depth + 1)])
+        ex.spectrum = block_spectrum(vs, [(i, vs.M[i] * weight(i)) for i in range(depth + 1)])
         return ex
 
     return build
+
+
+def scaled_dense(ratio):
+    """Block i carries M[i] * ratio^i."""
+    return weighted_dense(lambda i: ratio**i)
 
 
 def divergent_smoothed_indicator(vs, *args):
@@ -49,6 +57,21 @@ def divergent_smoothed_indicator(vs, *args):
 def dirichlet_one_order_off(n, vs):
     """D_{n+1} in place of D_n (D_{n-1} at n = M[N])."""
     return kernels.dirichlet_kernel(n + 1 if n < vs.size else n - 1, vs)
+
+
+_fejer_kernel = kernels.fejer_kernel
+
+
+def fejer_kernel_one_order_down(n, vs):
+    """K_{n-1} in place of K_n."""
+    return _fejer_kernel(n - 1, vs)
+
+
+def fejer_law_one_order_up(s, n):
+    """The n-th Fejer mean with coefficient k scaled by 1 - k/(n+1), not 1 - k/n."""
+    coeffs = np.zeros(s.vs.size, dtype=np.complex128)
+    coeffs[:n] = s.coeffs[:n] * (1.0 - np.arange(n) / (n + 1))
+    return transform.synthesize(transform.Spectrum(s.vs, coeffs))
 
 
 _run_stages = transform._run_stages
@@ -65,14 +88,42 @@ def unconjugated_stages(flat, vs, conjugate):
 MUTANTS = [
     (2, experiments, "dirichlet_kernel", dirichlet_one_order_off, "max_err=1.00e+00"),
     (4, transform, "_run_stages", unconjugated_stages, "agreement_rel=1.34e+00"),
+    (5, acceptance, "fejer_mean", fejer_law_one_order_up, "law_err=2.08e-02"),
     (9, experiments, "build_critical_example", scaled_dense(0.5), "dense_min=0.250"),
     (8, experiments, "build_critical_example", scaled_dense(2.0), "dense_max=6.510"),
     (6, experiments, "build_critical_example", scaled_dense(0.5), "max_dev=1.02e+03"),
     (6, experiments, "build_critical_example", scaled_dense(2.0), "max_dev=1.05e+06"),
     (11, acceptance, "family_smoothed_indicator", divergent_smoothed_indicator, "final_max=0.3486"),
 ]
-IDS = ["2-dirichlet-one-order-off", "4-unconjugated-analysis", "9-dense-decaying",
-       "8-dense-growing", "6-dense-decaying", "6-dense-growing", "11-divergent-smooth-fixture"]
+IDS = ["2-dirichlet-one-order-off", "4-unconjugated-analysis", "5-fejer-law-one-order-up",
+       "9-dense-decaying", "8-dense-growing", "6-dense-decaying", "6-dense-growing",
+       "11-divergent-smooth-fixture"]
+
+
+def undetected(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+# Wrong inputs that pass their criterion today: strict xfails that name the
+# ROADMAP item meant to catch them and the statistic they read.
+UNDETECTED = [
+    pytest.param(
+        3, kernels, "fejer_kernel", fejer_kernel_one_order_down, "violated at level",
+        marks=undetected("ROADMAP item 10: K_{n-1} clears every catalogued lower bound "
+                         "(worst_margin=2.004, unmutated 1.000, gate >= 0)"),
+    ),
+    pytest.param(
+        8, experiments, "build_critical_example", weighted_dense(lambda i: i + 1), "dense_max=",
+        marks=undetected("ROADMAP item 13: the dense family M[i]*(i+1) reads "
+                         "dense_max=2.526 (gate <= 4)"),
+    ),
+    pytest.param(
+        9, experiments, "build_critical_example", weighted_dense(lambda i: 1 / (i + 1)), "dense_min=",
+        marks=undetected("ROADMAP item 13: the dense family M[i]/(i+1) reads "
+                         "dense_min=0.503 (gate >= 0.5)"),
+    ),
+]
+UNDETECTED_IDS = ["3-fejer-kernel-one-order-down", "8-dense-times-level", "9-dense-over-level"]
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +137,8 @@ def test_unmutated_criterion_passes(shipped, number):
     assert result.passed, result.line()
 
 
-@pytest.mark.parametrize("number, module, name, mutant, detail", MUTANTS, ids=IDS)
+@pytest.mark.parametrize("number, module, name, mutant, detail", MUTANTS + UNDETECTED,
+                         ids=IDS + UNDETECTED_IDS)
 def test_mutant_fails_its_criterion(monkeypatch, number, module, name, mutant, detail):
     monkeypatch.setattr(module, name, mutant)
     result = acceptance.CRITERIA[number - 1](functools.cache(acceptance._shipped_records))

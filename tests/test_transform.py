@@ -182,7 +182,9 @@ class TestCoefficientOrder:
     # cells on, and the Walsh 2^16 synthesis gathers its slab tiles from the
     # spectrum.  (1024, 64): the first axes of the permutation that reach
     # _RUN cells already hold more than _BLOCK, so a tile is one run wide.
-    @pytest.mark.parametrize("gens", GENS + [(1024, 64), (2,) * 16])
+    # (16,) * 4 splits its einsum stages, so the tiles read a flat copy of
+    # the transposed stage output.
+    @pytest.mark.parametrize("gens", GENS + [(1024, 64), (2,) * 16, (16,) * 4])
     def test_tiled_reversal_bitwise_equal_to_digit_table_permutation(self, monkeypatch, gens):
         monkeypatch.setattr(transform, "_SPLIT_CELLS", 1)
         self.check(gens)
@@ -192,7 +194,7 @@ class TestCoefficientOrder:
         order = self.table_order(vs)
         f = random_function(vs, 71)
         coeffs = np.empty(vs.size, dtype=np.complex128)
-        coeffs[order] = _run_stages(f.values, vs, conjugate=True)
+        coeffs[order] = _run_stages(f.values, vs, conjugate=True).reshape(-1)
         assert analyze(f).coeffs.tobytes() == (coeffs / vs.size).tobytes()
         s = random_spectrum(vs, 72)
         values = _run_stages(s.coeffs[order], vs, conjugate=False)
@@ -378,6 +380,101 @@ class TestStageLoop:
         finally:
             tracemalloc.stop()
         assert peak <= flat.nbytes + 64 * transform._BLOCK
+
+
+class TestEinsumSplit:
+    # From the first einsum stage s whose rows would hold fewer than _RUN
+    # cells, the stages run on the array transposed as (M[s], rest), if
+    # M[s] >= _RUN.  Each output entry is the same sum in the same order.
+
+    # The three random-parseval benchmark structures (172800 cells), then
+    # (3,) * 11; (3,5,4,3,5,4)+(2,)*4 splits at s = 4 and then runs a
+    # butterfly tail, (16,) * 4 at s = 2.
+    SPLIT = [
+        (2, 3, 4, 5, 2, 3, 4, 5, 3, 4),
+        (3, 5, 2, 4, 3, 5, 2, 4, 3, 4),
+        (5, 4, 3, 2, 5, 4, 3, 2, 4, 3),
+        (3,) * 11,
+        (3, 5, 4, 3, 5, 4) + (2,) * 4,
+        (16,) * 4,
+    ]
+    # (3, 4, 5, 3, 4) first has short rows at s = 1 with M[1] = 3, and
+    # (16,) * 3 at s = 1 with M[1] = 16, though M[2] = 256.
+    UNSPLIT = [(2, 3, 2, 3), (7, 3), (5,), (3, 5) + (2,) * 13, (3, 4, 5, 3, 4), (16,) * 3]
+
+    @staticmethod
+    def einsum_shapes(monkeypatch):
+        """Record the shape of the array operand of every np.einsum call."""
+        shapes = []
+        einsum = np.einsum
+
+        def spy(subscripts, mat, a):
+            shapes.append(a.shape)
+            return einsum(subscripts, mat, a)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        return shapes
+
+    @staticmethod
+    def einsum_count(vs):
+        r0 = vs.N
+        while r0 > 0 and vs.m[r0 - 1] == 2:
+            r0 -= 1
+        return r0
+
+    @pytest.mark.parametrize("gens", SPLIT + UNSPLIT)
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_bitwise_equal_to_einsum_stages(self, gens, conjugate):
+        vs = VilenkinStructure.from_m(gens)
+        TestStageLoop.assert_matches_einsum(vs, conjugate)
+        # with ``reverse`` the stages read the spectrum in digit-table order
+        order = TestCoefficientOrder.table_order(vs)
+        dense = dense_block_values(vs)
+        for coeffs in (random_spectrum(vs, 88).coeffs, dense, -dense):
+            got = _run_stages(coeffs, vs, conjugate, reverse=True)
+            assert got.tobytes() == einsum_stages(coeffs[order], vs, conjugate).tobytes()
+
+    @pytest.mark.parametrize("gens", SPLIT)
+    def test_every_stage_acts_on_long_rows(self, gens, monkeypatch):
+        vs = VilenkinStructure.from_m(gens)
+        flat = random_function(vs, 89).values
+        shapes = self.einsum_shapes(monkeypatch)
+        _run_stages(flat, vs, conjugate=True)
+        assert len(shapes) == self.einsum_count(vs)
+        assert min(shape[-1] for shape in shapes) >= transform._RUN
+        # the stages before the split keep today's layout, so some stage
+        # would act on rows of fewer than _RUN cells without it
+        assert min(vs.size // vs.M[j + 1] for j in range(len(shapes))) < transform._RUN
+
+    @pytest.mark.parametrize("gens", UNSPLIT)
+    def test_short_leading_blocks_take_no_transpose(self, gens, monkeypatch):
+        vs = VilenkinStructure.from_m(gens)
+        flat = random_function(vs, 90).values
+        shapes = self.einsum_shapes(monkeypatch)
+        got = _run_stages(flat, vs, conjugate=True)
+        want = [(vs.M[j], vs.m[j], vs.size // vs.M[j + 1]) for j in range(self.einsum_count(vs))]
+        assert shapes == want
+        assert got.shape == (vs.size,) and got.flags.c_contiguous
+
+    @staticmethod
+    def traced_peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("gens", SPLIT)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_split_adds_at_most_one_array_to_the_peak(self, gens, reverse):
+        vs = VilenkinStructure.from_m(gens)
+        flat = random_function(vs, 91).values
+        order = TestCoefficientOrder.table_order(vs)
+        got = self.traced_peak(lambda: _run_stages(flat, vs, conjugate=True, reverse=reverse))
+        want = self.traced_peak(lambda: einsum_stages(flat[order] if reverse else flat, vs, True))
+        assert got <= want + flat.nbytes
 
 
 # Above 2^18 cells with radices 2 to 5 and a radix-5 last stage: every stage
