@@ -19,6 +19,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -316,10 +317,11 @@ def gram_error(vs: VilenkinStructure) -> float:
 
 
 def parseval_worst_rel(vs: VilenkinStructure, rng: XorShift64Star, count: int) -> float:
-    """Worst relative Parseval error over ``count`` random functions."""
+    """Worst relative Parseval error over ``count`` random functions, drawn
+    in one call as ``count`` consecutive runs of the stream."""
     worst_rel = 0.0
-    for _ in range(count):
-        f = StepFunction(vs, rng.complex_uniforms(vs.size))
+    for values in rng.complex_uniforms(count * vs.size).reshape(count, vs.size):
+        f = StepFunction(vs, values)
         s = analyze(f)
         lhs = float(np.mean(np.abs(f.values) ** 2))
         rhs = float(np.sum(np.abs(s.coeffs) ** 2))
@@ -631,20 +633,35 @@ def max_weighted_ratio(spec: Spectrum, ps: tuple[float, ...], n_max: int) -> tup
     mf = maximal_function(spec)
     best = [0.0] * len(ps)
     denoms = [lp_quasinorm(mf, p) for p in ps]
-    swept = [(i, p, FejerWeight.for_p(p), denom)
-             for i, (p, denom) in enumerate(zip(ps, denoms)) if denom != 0]
+    swept = [(i, p, denom) for i, (p, denom) in enumerate(zip(ps, denoms)) if denom != 0]
     if not swept:
         return tuple(best)
     for first, sigma in fejer_mean_blocks(spec, n_max):
         mags = np.abs(sigma)
-        for i, p, weight, denom in swept:
+        for i, p, denom in swept:
             # lp_quasinorm of each row: the array power and the mean per
-            # block, the root per row with the scalar power, which the array
-            # power can miss by an ulp
+            # block.  The array root can miss the scalar one by an ulp, so
+            # the ratios near the block's largest are recomputed with the
+            # scalar power, as _weak_level_scan does.  fmax skips NaN rows,
+            # as max() against the running best does.
             means = np.mean(mags**p, axis=1)
-            for n, mean in enumerate(means, first):
-                best[i] = max(best[i], float(mean ** (1.0 / p)) / (weight.at(n) * denom))
+            scale = _weights(p, n_max)[first - 1 : first - 1 + len(means)] * denom
+            ratios = means ** (1.0 / p) / scale
+            top = np.fmax.reduce(ratios)
+            if top > 0:
+                for k in np.flatnonzero(ratios >= top * (1.0 - 1e-12)):
+                    best[i] = max(best[i], float(means[k] ** (1.0 / p)) / float(scale[k]))
     return tuple(best)
+
+
+@lru_cache(maxsize=16)
+def _weights(p: float, n_max: int) -> np.ndarray:
+    """FejerWeight.for_p(p).at(n) for n = 1..n_max, each from the scalar
+    weight; read-only, as the cache shares it."""
+    weight = FejerWeight.for_p(p)
+    out = np.array([weight.at(n) for n in range(1, n_max + 1)])
+    out.flags.writeable = False
+    return out
 
 
 def seed_maxima(

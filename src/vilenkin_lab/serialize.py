@@ -14,6 +14,7 @@ from typing import Union
 
 import numpy as np
 
+from .reporting import overwrite
 from .structure import VilenkinStructure
 from .transform import Spectrum, StepFunction
 
@@ -60,7 +61,7 @@ def function_from_dict(d: dict) -> FunctionLike:
 
 
 def save_function(obj: FunctionLike, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(function_to_dict(obj)), encoding="utf-8")
+    overwrite(path, json.dumps(function_to_dict(obj)))
 
 
 def load_function(path: str | Path) -> FunctionLike:

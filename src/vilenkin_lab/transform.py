@@ -12,9 +12,15 @@ runs as a real add/multiply butterfly on separate real and imaginary
 planes, tile by tile while the tile is in cache: the stages acting across
 blocks wider than ``_BLOCK`` cells on column slabs, the rest on chunks of
 whole blocks, transposed once halfway so that no stage pairs neighbouring
-cells.  Each butterfly rounds every operation exactly as the dense stage's
-sum of products does, so the output is bit-identical to it (a test compares
-the two byte for byte).  Stages of any other radix, and radix-2 stages
+cells.  A stage is four ufunc calls, each over both planes: with a and b
+the cells it pairs, d0 = a + b, t = (b.im, b.re) * (w.imag, -w.imag),
+u = b + t and d1 = a - u.  Rounding to nearest is odd, so u rounds to minus
+the dense stage's w * b up to the sign of a zero, and a - u rounds as its
+a + w * b wherever a has no -0.0 part.  No plane ever holds -0.0: a tile
+read adds +0.0, and a sum or difference is -0.0 only from a -0.0 operand.
+So the output is bit-identical to the dense stage's sum of products (a test
+compares the two byte for byte, on inputs with exact cancellations and
+-0.0 parts too).  Stages of any other radix, and radix-2 stages
 before the last stage of another radix, are a dense ``einsum`` against their
 stage matrix.  The butterflies keep the unsnapped root w = exp(i*pi) of the
 root tables, whose imaginary part is about 1.2e-16: snapping it to -1 would
@@ -394,22 +400,28 @@ def _butterflies(
 ) -> tuple[np.ndarray, np.ndarray]:
     # Radix-2 stages, matrix [[1, 1], [1, w]] with w.real == -1, on the
     # (re, im) planes x, each stage pairing cells `low` apart and writing
-    # into the other buffer; returns (result, spare).  einsum forms each
-    # product as re*re - im*im and re*im + im*re, then adds it onto the
-    # running sum; one ufunc per operation rounds each step once, exactly as
-    # it does.  A complex np.multiply by w may fuse multiply-adds and round
+    # into the other buffer; returns (result, spare).  einsum gives output 1
+    # as a + w*b, where w*b = (-b.re - b.im*w.imag, -b.im + b.re*w.imag),
+    # each product and each sum rounded once.  Here a stage is 4 ufunc
+    # calls over both planes, each rounding once:
+    #   d0 = a + b,  t = (b.im, b.re) * (w.imag, -w.imag),  u = b + t,
+    #   d1 = a - u.
+    # Rounding to nearest is odd, so the parts of u round to minus einsum's
+    # parts of w*b, up to the sign of a zero, and d1 is einsum's a + w*b
+    # wherever a has no -0.0 part.  No plane ever holds one: a tile read
+    # adds +0.0, and a sum or difference rounds to -0.0 only from a -0.0
+    # operand.  A complex np.multiply by w may fuse multiply-adds and round
     # differently.
     t = scratch[:, : x.shape[1] // 2]
+    w = np.array([w_imag, -w_imag]).reshape(2, 1, 1)
     for low in lows:
         s = x.reshape(2, -1, 2, low)
         d = y.reshape(2, -1, 2, low)
-        p = t.reshape(2, -1, low)
+        u = t.reshape(2, -1, low)
         np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
-        np.multiply(s[::-1, :, 1], w_imag, out=p)
-        np.add(p[0], s[0, :, 1], out=p[0])
-        np.subtract(p[1], s[1, :, 1], out=p[1])
-        np.subtract(s[0, :, 0], p[0], out=d[0, :, 1])
-        np.add(s[1, :, 0], p[1], out=d[1, :, 1])
+        np.multiply(s[::-1, :, 1], w, out=u)
+        np.add(s[:, :, 1], u, out=u)
+        np.subtract(s[:, :, 0], u, out=d[:, :, 1])
         x, y = y, x
     return x, y
 
@@ -450,13 +462,15 @@ def naive_analyze(f: StepFunction, indices: np.ndarray | None = None) -> np.ndar
 
     Each requested coefficient is the mean of ``f`` against its conjugated
     character row, taken a block of rows at a time; no factorization across
-    coefficients is used.
+    coefficients is used.  Each block is conjugated and multiplied in place.
     """
     vs = f.vs
     idx = np.arange(vs.size) if indices is None else np.asarray(indices)
     out = np.empty(len(idx), dtype=np.complex128)
     for offset, rows in character_blocks(idx, vs):
-        out[offset : offset + len(rows)] = (f.values * rows.conj()).mean(axis=1)
+        np.conjugate(rows, out=rows)
+        np.multiply(f.values, rows, out=rows)
+        out[offset : offset + len(rows)] = rows.mean(axis=1)
     return out
 
 

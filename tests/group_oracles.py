@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from vilenkin_lab import experiments
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.norms import AtomicDecomposition, hardy_norm, lp_quasinorm
 from vilenkin_lab.structure import (
@@ -252,3 +253,37 @@ def assemble_from_atoms(d: AtomicDecomposition, level: int) -> StepFunction:
             raise ValueError(f"atom {idx} lives on a different structure")
         total += mu * partial_sum(analyze(atom), vs.M[level]).values
     return StepFunction(vs, total)
+
+
+def per_function_parseval(vs: VilenkinStructure, rng, count: int) -> float:
+    """``experiments.parseval_worst_rel`` as a per-function loop: one
+    sampler call per function."""
+    worst_rel = 0.0
+    for _ in range(count):
+        f = StepFunction(vs, rng.complex_uniforms(vs.size))
+        s = analyze(f)
+        lhs = float(np.mean(np.abs(f.values) ** 2))
+        rhs = float(np.sum(np.abs(s.coeffs) ** 2))
+        worst_rel = max(worst_rel, abs(lhs - rhs) / max(lhs, 1e-300))
+    return worst_rel
+
+
+def scalar_weighted_ratio(spec: Spectrum, ps: tuple[float, ...], n_max: int) -> tuple[float, ...]:
+    """``experiments.max_weighted_ratio`` as a per-order loop: each row of
+    the blocks of ``experiments.fejer_mean_blocks`` (read at call time, so
+    a test may replace it) rooted with the scalar power, divided by the
+    scalar weight and taken into the running best with ``max``."""
+    mf = experiments.maximal_function(spec)
+    best = [0.0] * len(ps)
+    denoms = [experiments.lp_quasinorm(mf, p) for p in ps]
+    swept = [(i, p, FejerWeight.for_p(p), denom)
+             for i, (p, denom) in enumerate(zip(ps, denoms)) if denom != 0]
+    if not swept:
+        return tuple(best)
+    for first, sigma in experiments.fejer_mean_blocks(spec, n_max):
+        mags = np.abs(sigma)
+        for i, p, weight, denom in swept:
+            means = np.mean(mags**p, axis=1)
+            for n, mean in enumerate(means, first):
+                best[i] = max(best[i], float(mean ** (1.0 / p)) / (weight.at(n) * denom))
+    return tuple(best)

@@ -106,3 +106,13 @@ def test_jump_matches_scalar_steps(steps):
             g.next_u64()
         expected.append(g._state)
     assert rng_module._jump(starts, steps).tolist() == expected
+
+
+@pytest.mark.parametrize("count, size", [(100, 36), (100, 1024)])
+def test_one_batched_draw_is_the_consecutive_draws(count, size):
+    # experiments.parseval_worst_rel draws its count functions in one call
+    batched, looped = XorShift64Star(11), XorShift64Star(11)
+    z = batched.complex_uniforms(count * size)
+    assert z.tobytes() == np.concatenate([looped.complex_uniforms(size) for _ in range(count)]).tobytes()
+    assert batched._state == looped._state
+    assert batched.next_u64() == reference_stream(11, 2 * count * size + 1)[-1]

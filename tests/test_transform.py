@@ -77,6 +77,28 @@ def spy_blocks(monkeypatch):
     return lengths
 
 
+def cancelling_values(vs):
+    """Inputs whose stages meet exact +-x pairs, where a butterfly's
+    difference is an exact zero, and inputs with -0.0 parts: the butterflies
+    match einsum there only because no plane holds -0.0."""
+    z = XorShift64Star(77).complex_uniforms(vs.size)
+    # a constant times the parity of some bits of the cell index: exact
+    # +-x pairs at every pairing distance
+    bits = np.arange(vs.size) & 0b1011010110110101
+    for shift in (8, 4, 2, 1):
+        bits ^= bits >> shift
+    pattern = np.where(bits & 1, -z[0], z[0])
+    # neighbouring cells equal or opposite
+    pairs = np.repeat(z[::2], 2)[: vs.size]
+    pairs[1::4] *= -1
+    # -0.0 parts, which the tile read turns into +0.0
+    signed_zeros = z.copy()
+    signed_zeros.real[::3] = -0.0
+    signed_zeros.imag[::5] = -0.0
+    zeros = np.where(pattern.real > 0, pattern, complex(-0.0, -0.0))
+    return pattern, -pattern, pairs, signed_zeros, zeros, np.full(vs.size, complex(-0.0, -0.0))
+
+
 def einsum_stages(flat, vs, conjugate):
     # One dense einsum per stage against root_powers, conjugated for
     # analysis: the reference _run_stages must match bitwise.
@@ -316,7 +338,8 @@ class TestStageLoop:
     def assert_matches_einsum(vs, conjugate):
         dense = dense_block_values(vs)
         # -dense carries -0.0 imaginary parts, which einsum returns as +0.0.
-        for flat in (random_function(vs, 74).values, dense, -dense):
+        inputs = (random_function(vs, 74).values, dense, -dense, *cancelling_values(vs))
+        for flat in inputs:
             before = flat.tobytes()
             got = _run_stages(flat, vs, conjugate)
             assert got.tobytes() == einsum_stages(flat, vs, conjugate).tobytes()
