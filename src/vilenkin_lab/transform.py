@@ -78,13 +78,18 @@ Other syntheses reverse the spectrum on its own before their first stage.
 A transform of at least ``_SPLIT_CELLS`` (2^18) cells shares its work
 among one thread per CPU the process may run on: the column slabs, then
 the chunks, and the tiles of the coefficient permutation, each cut into
-contiguous shares.  The calling thread runs the first share and a thread
-started for the call each of the others; a loop starts only once the one
-before it is done.  Each share has its own tile buffers, and each tile
-reads and writes only its own cells, with the same numpy operations in the
-same order as on one thread, so the bytes cannot change.  Smaller
-transforms run on the calling thread alone and start no thread.  The
-maximal function's block-mean pyramid runs on the calling thread.
+contiguous shares.  So does each einsum stage of at least ``_SPLIT_CELLS``
+multiply-adds (M[N] * m_j), the column-parallel reading of Bailey's
+layout: its shares cut the leading axis h of its (h, m_j, l) array, or l
+when h has fewer entries than there are workers, and each writes its part
+of one output array that the calling thread made.  The calling thread runs
+the first share and a thread started for the call each of the others; a
+loop starts only once the one before it is done.  Each share has its own
+tile buffers, and each tile or share reads and writes only its own cells,
+with the same numpy operations in the same order as on one thread, so the
+bytes cannot change.  Work under 2^18 cells or multiply-adds runs on the
+calling thread alone and starts no thread.  The maximal function's
+block-mean pyramid runs on the calling thread.
 
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
@@ -166,10 +171,11 @@ _BLOCK = 2**15
 # in the shortest rows an einsum stage acts on after the split.
 _RUN = 2**7
 
-# Transforms of at least _SPLIT_CELLS cells share their tiles among
-# _WORKERS threads, one per CPU this process may run on, and reverse their
-# coefficient order in tiles; smaller ones run on the calling thread and
-# start no thread.
+# Loops of at least _SPLIT_CELLS work (cells, or an einsum stage's
+# multiply-adds) share it among _WORKERS threads, one per CPU this process
+# may run on, and transforms of at least _SPLIT_CELLS cells reverse their
+# coefficient order in tiles; smaller work runs on the calling thread and
+# starts no thread.
 _SPLIT_CELLS = 2**18
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -182,15 +188,17 @@ def character_blocks(indices: np.ndarray, vs: VilenkinStructure) -> Iterator[tup
         yield offset, character_rows(indices[offset : offset + rows], vs)
 
 
-def _in_shares(count: int, cells: int, task: Callable[[int, int], None]) -> None:
+def _in_shares(count: int, work: int, task: Callable[[int, int], None]) -> None:
     """Run ``task(start, stop)`` on contiguous shares of range(count).
 
-    A transform of at least _SPLIT_CELLS cells gets one share per worker:
-    the calling thread runs the first and a new thread each of the others.
-    A smaller one runs whole on the calling thread.  Returns once every
-    share is done, raising the first exception a share raised.
+    ``work`` measures the whole loop: the cells of a tile loop, or the
+    M[N] * m_j multiply-adds of an einsum stage.  Work of at least
+    _SPLIT_CELLS gets one share per worker: the calling thread runs the
+    first and a new thread each of the others.  Less runs whole on the
+    calling thread.  Returns once every share is done, raising the first
+    exception a share raised.
     """
-    shares = min(_WORKERS, count) if cells >= _SPLIT_CELLS else 1
+    shares = min(_WORKERS, count) if work >= _SPLIT_CELLS else 1
     bounds = [count * i // shares for i in range(shares + 1)]
     errors = []
 
@@ -251,7 +259,8 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
 
     ``flat`` may be any array whose C order is the input, such as the
     transposed view :func:`_run_stages` leaves after a split.  The copy of
-    the transposed view reads it in place; the tiles read a flat copy.
+    the transposed view reads it in place; the tiles read a flat copy, made
+    in shares of its rows.
     """
     out = np.empty(flat.size, dtype=flat.dtype)
     if flat.size < _SPLIT_CELLS:
@@ -259,6 +268,14 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
         if divisor is not None:
             out /= divisor
         return out
+    if not flat.flags.c_contiguous:
+        # the transposed view of a split: copied in shares of its rows first
+        view, flat = flat, np.empty(flat.shape, dtype=flat.dtype)
+
+        def flatten(start: int, stop: int) -> None:
+            np.copyto(flat[start:stop], view[start:stop])
+
+        _in_shares(len(view), view.size, flatten)
     flat = flat.reshape(-1)
     a = 0
     while a < len(shape) and math.prod(shape[:a]) < _RUN:
@@ -280,6 +297,33 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
 
     _in_shares(len(bases), flat.size, copy)
     return out
+
+
+def _einsum_stage(mat: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """``np.einsum("kd,hdl->hkl", mat, src)``, the stage of radix m = len(mat)
+    on the (h, m, l) array ``src``.
+
+    A stage of at least _SPLIT_CELLS multiply-adds (M[N] * m) is shared
+    among the workers: contiguous shares of its axis h, or of its axis l
+    when h has fewer entries than there are workers, each written into its
+    part of one output array made here, so that no worker allocates a
+    full-size array.  Every output entry is the same sum over d as in the
+    whole call, so the bytes are those of the whole call.  A smaller stage,
+    or any stage on one worker, is the whole call on the calling thread:
+    einsum with ``out`` runs a few percent slower.
+    """
+    work = src.size * len(mat)
+    if work < _SPLIT_CELLS or _WORKERS == 1:
+        return np.einsum("kd,hdl->hkl", mat, src)
+    dst = np.empty(src.shape, dtype=np.complex128)
+    axis = 0 if src.shape[0] >= _WORKERS else 2
+
+    def stage(start: int, stop: int) -> None:
+        share = (slice(None),) * axis + (slice(start, stop),)
+        np.einsum("kd,hdl->hkl", mat, src[share], out=dst[share])
+
+    _in_shares(src.shape[axis], work, stage)
+    return dst
 
 
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, reverse: bool = False) -> np.ndarray:
@@ -305,7 +349,8 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     gather = reverse and r0 == 0 and tail > 0 and vs.size >= _SPLIT_CELLS
     a = _digit_reversed(flat, vs.m) if reverse and not gather else flat
     # Einsum stage j acts on rows of size // M[j+1] cells; s is the first
-    # whose rows would hold fewer than _RUN.
+    # whose rows would hold fewer than _RUN.  From _SPLIT_CELLS
+    # multiply-adds on, a stage is shared among the workers.
     s = 0
     while s < r0 and vs.size // vs.M[s + 1] >= _RUN:
         s += 1
@@ -317,7 +362,7 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
             lead = vs.M[s]
             a = a.reshape(lead, -1).T.copy()
         mat = powers[j].conj() if conjugate else powers[j]
-        a = np.einsum("kd,hdl->hkl", mat, a.reshape(vs.M[j] // lead, vs.m[j], -1)).reshape(-1)
+        a = _einsum_stage(mat, a.reshape(vs.M[j] // lead, vs.m[j], -1)).reshape(-1)
     if lead > 1:
         # Stage order again: the caller takes the view, the butterflies a copy.
         a = a.reshape(-1, lead).T

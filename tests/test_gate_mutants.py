@@ -20,7 +20,7 @@ import functools
 import numpy as np
 import pytest
 
-from vilenkin_lab import acceptance, experiments, kernels, transform
+from vilenkin_lab import acceptance, counterexamples, experiments, kernels, transform
 from vilenkin_lab.counterexamples import block_spectrum, build_critical_example
 from vilenkin_lab.experiments import (
     family_damped_critical,
@@ -74,6 +74,19 @@ def fejer_law_one_order_up(s, n):
     return transform.synthesize(transform.Spectrum(s.vs, coeffs))
 
 
+_character_rows = transform.character_rows
+
+
+def one_character_conjugated(indices, vs):
+    """Character rows with row 2 conjugated.  Index 2 has digit 1 in the
+    radix-3 coordinate of (2,3,2,3), so its conjugate is another character
+    there; every Walsh character is real and unchanged."""
+    rows = _character_rows(indices, vs)
+    hit = np.asarray(indices) == 2
+    rows[hit] = rows[hit].conj()
+    return rows
+
+
 _run_stages = transform._run_stages
 
 
@@ -86,6 +99,7 @@ def unconjugated_stages(flat, vs, conjugate):
 
 # (criterion, module, function, mutant, the detail the failure prints)
 MUTANTS = [
+    (1, transform, "character_rows", one_character_conjugated, "gram_err=1.00e+00"),
     (2, experiments, "dirichlet_kernel", dirichlet_one_order_off, "max_err=1.00e+00"),
     (4, transform, "_run_stages", unconjugated_stages, "agreement_rel=1.34e+00"),
     (5, acceptance, "fejer_mean", fejer_law_one_order_up, "law_err=2.08e-02"),
@@ -95,7 +109,7 @@ MUTANTS = [
     (6, experiments, "build_critical_example", scaled_dense(2.0), "max_dev=1.05e+06"),
     (11, acceptance, "family_smoothed_indicator", divergent_smoothed_indicator, "final_max=0.3486"),
 ]
-IDS = ["2-dirichlet-one-order-off", "4-unconjugated-analysis", "5-fejer-law-one-order-up",
+IDS = ["1-one-character-conjugated", "2-dirichlet-one-order-off", "4-unconjugated-analysis", "5-fejer-law-one-order-up",
        "9-dense-decaying", "8-dense-growing", "6-dense-decaying", "6-dense-growing",
        "11-divergent-smooth-fixture"]
 
@@ -113,6 +127,12 @@ UNDETECTED = [
                          "(worst_margin=2.004, unmutated 1.000, gate >= 0)"),
     ),
     pytest.param(
+        10, counterexamples, "fejer_kernel", kernels.dirichlet_kernel, "min_ratio=",
+        marks=undetected("ROADMAP item 10: the scan on D_n in place of K_n reads "
+                         "min_ratio=3.100 (unmutated 1.451, gate >= 0.3); a floor "
+                         "cannot fail a kernel that grows faster"),
+    ),
+    pytest.param(
         8, experiments, "build_critical_example", weighted_dense(lambda i: i + 1), "dense_max=",
         marks=undetected("ROADMAP item 13: the dense family M[i]*(i+1) reads "
                          "dense_max=2.526 (gate <= 4)"),
@@ -123,7 +143,8 @@ UNDETECTED = [
                          "dense_min=0.503 (gate >= 0.5)"),
     ),
 ]
-UNDETECTED_IDS = ["3-fejer-kernel-one-order-down", "8-dense-times-level", "9-dense-over-level"]
+UNDETECTED_IDS = ["3-fejer-kernel-one-order-down", "10-dirichlet-kernel-scan", "8-dense-times-level",
+                  "9-dense-over-level"]
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -427,13 +428,14 @@ class TestEinsumSplit:
 
     @staticmethod
     def einsum_shapes(monkeypatch):
-        """Record the shape of the array operand of every np.einsum call."""
+        """Record the shape of the array operand of every np.einsum call,
+        each share of a shared stage included."""
         shapes = []
         einsum = np.einsum
 
-        def spy(subscripts, mat, a):
+        def spy(subscripts, mat, a, **kwargs):
             shapes.append(a.shape)
-            return einsum(subscripts, mat, a)
+            return einsum(subscripts, mat, a, **kwargs)
 
         monkeypatch.setattr(np, "einsum", spy)
         return shapes
@@ -457,20 +459,28 @@ class TestEinsumSplit:
             got = _run_stages(coeffs, vs, conjugate, reverse=True)
             assert got.tobytes() == einsum_stages(coeffs[order], vs, conjugate).tobytes()
 
+    # A stage of at least _SPLIT_CELLS multiply-adds runs as one einsum per
+    # worker; a share cut along the rows must still leave rows of at least
+    # _RUN cells.
     @pytest.mark.parametrize("gens", SPLIT)
-    def test_every_stage_acts_on_long_rows(self, gens, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_stage_acts_on_long_rows(self, gens, workers, monkeypatch):
+        monkeypatch.setattr(transform, "_WORKERS", workers)
         vs = VilenkinStructure.from_m(gens)
         flat = random_function(vs, 89).values
         shapes = self.einsum_shapes(monkeypatch)
         _run_stages(flat, vs, conjugate=True)
-        assert len(shapes) == self.einsum_count(vs)
+        shared = [vs.size * vs.m[j] >= transform._SPLIT_CELLS for j in range(self.einsum_count(vs))]
+        assert len(shapes) == sum(workers if share else 1 for share in shared)
         assert min(shape[-1] for shape in shapes) >= transform._RUN
         # the stages before the split keep today's layout, so some stage
         # would act on rows of fewer than _RUN cells without it
-        assert min(vs.size // vs.M[j + 1] for j in range(len(shapes))) < transform._RUN
+        assert min(vs.size // vs.M[j + 1] for j in range(self.einsum_count(vs))) < transform._RUN
 
     @pytest.mark.parametrize("gens", UNSPLIT)
     def test_short_leading_blocks_take_no_transpose(self, gens, monkeypatch):
+        # one worker, so that each stage is one einsum over its whole array
+        monkeypatch.setattr(transform, "_WORKERS", 1)
         vs = VilenkinStructure.from_m(gens)
         flat = random_function(vs, 90).values
         shapes = self.einsum_shapes(monkeypatch)
@@ -501,57 +511,68 @@ class TestEinsumSplit:
 
 
 # Above 2^18 cells with radices 2 to 5 and a radix-5 last stage: every stage
-# is an einsum, so only the coefficient permutation is shared.
+# is an einsum, and the stages split at s = 5.
 MIXED_LARGE = (4, 3, 5, 2, 3, 4, 5, 3, 4, 5)
+RANDOM_PARSEVAL = TestEinsumSplit.SPLIT[:3]
 
 
 class TestThreadedTiles:
     # From _SPLIT_CELLS cells on, the slab tiles, the chunk tiles and the
     # tiles of the coefficient permutation are shared among _WORKERS
-    # threads.  Each tile reads and writes only its own cells, so the bytes
-    # are those of one worker.
+    # threads, and so is each einsum stage of at least _SPLIT_CELLS
+    # multiply-adds.  Each share reads and writes only its own cells, so
+    # the bytes are those of one worker.
 
     @staticmethod
     def record_shares(monkeypatch):
-        """Record (task, tile count, thread, start, stop) for every share run."""
+        """Record (task, call, count, thread, start, stop) for every share
+        run, ``call`` numbering the _in_shares calls."""
         shares = []
+        calls = itertools.count()
         in_shares = transform._in_shares
 
-        def spy(count, cells, task):
+        def spy(count, work, task):
+            call = next(calls)
+
             def recorded(start, stop):
-                shares.append((task.__name__, count, threading.get_ident(), start, stop))
+                shares.append((task.__name__, call, count, threading.get_ident(), start, stop))
                 task(start, stop)
 
-            in_shares(count, cells, recorded)
+            in_shares(count, work, recorded)
 
         monkeypatch.setattr(transform, "_in_shares", spy)
         return shares
 
     @staticmethod
     def assert_split(shares, workers, loops):
-        # One call: each split loop named in ``loops`` gave one contiguous
-        # share to each worker, the shares covered every tile exactly once,
-        # and more than one thread ran them.
-        by_task = {}
-        for task, count, thread, start, stop in shares:
-            by_task.setdefault((task, count), []).append((thread, start, stop))
-        assert sorted(task for task, _ in by_task) == sorted(loops)
-        for (task, count), runs in by_task.items():
+        # One transform: each loop named in ``loops`` (once per run) gave
+        # one contiguous share to each worker, the shares covered every tile
+        # exactly once, and more than one thread ran them.
+        by_call = {}
+        for task, call, count, thread, start, stop in shares:
+            by_call.setdefault((task, call, count), []).append((thread, start, stop))
+        assert sorted(task for task, _, _ in by_call) == sorted(loops)
+        for (task, _, count), runs in by_call.items():
             assert len(runs) == workers, task
             tiles = sorted(tile for _, start, stop in runs for tile in range(start, stop))
             assert tiles == list(range(count)), task
             assert len({thread for thread, _, _ in runs}) > 1, task
         shares.clear()
-        return [count for _, count in by_task]
+        return [count for _, _, count in by_call]
 
     # Walsh 2^19 runs the slab loop, which in synthesize gathers its tiles
     # straight from the spectrum, and the chunk loop; analyze then permutes
-    # its coefficients.  The radix-3 structure updates the einsum result of
-    # its first stage in place (r0 = 1) and so permutes its spectrum on its
-    # own first.  MIXED_LARGE shares its permutation only.  3 workers
-    # cannot share Walsh 2^19's 16 tiles evenly.
+    # its coefficients.  The radix-3 structure shares its first stage, an
+    # einsum, updates its result in place (r0 = 1) and so permutes its
+    # spectrum on its own first.  MIXED_LARGE shares its ten stages and
+    # its permutation, which first copies the transposed view its split
+    # leaves.  The random-parseval structures and (5,) * 7 have fewer than
+    # _SPLIT_CELLS cells but share every stage.  3 workers cannot share
+    # Walsh 2^19's 16 tiles evenly.
     WALSH_LOOPS = (["copy", "run_chunks", "run_slabs"], ["run_chunks", "run_slabs"])
-    EINSUM_FIRST_LOOPS = (["copy", "run_chunks", "run_slabs"],) * 2
+    EINSUM_FIRST_LOOPS = (["stage", "copy", "run_chunks", "run_slabs"],) * 2
+    MIXED_LOOPS = (["stage"] * 10 + ["flatten", "copy"], ["copy"] + ["stage"] * 10)
+    STAGE_LOOPS = {gens: (["stage"] * len(gens),) * 2 for gens in RANDOM_PARSEVAL + [(5,) * 7]}
 
     @pytest.mark.parametrize(
         "gens, workers, loops",
@@ -560,10 +581,12 @@ class TestThreadedTiles:
             ((3,) + (2,) * 18, 2, EINSUM_FIRST_LOOPS),
             ((2,) * 19, 3, WALSH_LOOPS),
             ((3,) + (2,) * 18, 3, EINSUM_FIRST_LOOPS),
-            (MIXED_LARGE, 2, (["copy"], ["copy"])),
-            (MIXED_LARGE, 3, (["copy"], ["copy"])),
-        ],
-        ids=["2^19", "3x2^18", "2^19-uneven", "3x2^18-3-workers", "mixed", "mixed-3-workers"],
+            (MIXED_LARGE, 2, MIXED_LOOPS),
+            (MIXED_LARGE, 3, MIXED_LOOPS),
+        ] + [(gens, workers, loops) for gens, loops in STAGE_LOOPS.items() for workers in (2, 3)],
+        ids=["2^19", "3x2^18", "2^19-uneven", "3x2^18-3-workers", "mixed", "mixed-3-workers"]
+        + [f"{name}-{workers}-workers" for name in ("parseval-a", "parseval-b", "parseval-c", "5^7")
+           for workers in (2, 3)],
     )
     def test_bitwise_equal_to_one_worker(self, monkeypatch, gens, workers, loops):
         vs = VilenkinStructure.from_m(gens)
@@ -588,18 +611,23 @@ class TestThreadedTiles:
         if workers == 3 and gens == (2,) * 19:
             assert all(count % workers for count in counts), counts
 
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        butterflies = transform._butterflies
+    @pytest.mark.parametrize(
+        "module, name, gens",
+        [(transform, "_butterflies", (2,) * 18), (np, "einsum", (5,) * 7)],
+        ids=["butterfly-tile", "einsum-share"],
+    )
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, module, name, gens):
+        original = getattr(module, name)
 
-        def fail_off_main(*args):
+        def fail_off_main(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("tile failed in a worker")
-            return butterflies(*args)
+                raise RuntimeError("share failed in a worker")
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(transform, "_WORKERS", 2)
-        monkeypatch.setattr(transform, "_butterflies", fail_off_main)
-        f = random_function(VilenkinStructure.from_pattern((2,), 18), 82)
-        with pytest.raises(RuntimeError, match="tile failed in a worker"):
+        monkeypatch.setattr(module, name, fail_off_main)
+        f = random_function(VilenkinStructure.from_m(gens), 82)
+        with pytest.raises(RuntimeError, match="share failed in a worker"):
             analyze(f)
 
     @staticmethod
@@ -630,8 +658,10 @@ class TestThreadedTiles:
         assert peak <= s.coeffs.nbytes + workers * 64 * transform._BLOCK
 
     def test_small_transforms_start_no_thread(self):
-        # Transforms below _SPLIT_CELLS, the only ones a check makes, start
-        # no thread; a 2^18 round trip starts its workers and joins them.
+        # Transforms below _SPLIT_CELLS cells whose einsum stages stay below
+        # _SPLIT_CELLS multiply-adds, which include all that a check makes,
+        # start no thread; a 2^18 round trip and a 172800-cell mixed one
+        # start their workers and join them.
         code = "\n".join([
             "import threading",
             "from vilenkin_lab import transform",
@@ -645,8 +675,13 @@ class TestThreadedTiles:
             "    synthesize(analyze(StepFunction(vs, XorShift64Star(84).complex_uniforms(vs.size))))",
             "round_trip(VilenkinStructure.from_pattern((2,), 16))",
             "round_trip(VilenkinStructure.from_m((2, 3, 2, 3)))",
+            "round_trip(VilenkinStructure.from_pattern((3,), 10))",
+            "round_trip(VilenkinStructure.from_m((2, 3, 4, 5, 2, 3, 4, 5, 3)))",
             "print(threading.active_count(), len(started))",
             "round_trip(VilenkinStructure.from_pattern((2,), 18))",
+            "print(threading.active_count(), len(started), transform._WORKERS)",
+            "started.clear()",
+            f"round_trip(VilenkinStructure.from_m({RANDOM_PARSEVAL[0]}))",
             "print(threading.active_count(), len(started), transform._WORKERS)",
         ])
         package_parent = str(Path(transform.__file__).resolve().parent.parent)
@@ -654,12 +689,15 @@ class TestThreadedTiles:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env=env, check=True)
-        small, large = (list(map(int, line.split())) for line in proc.stdout.splitlines())
+        small, large, mixed = (list(map(int, line.split())) for line in proc.stdout.splitlines())
         assert small == [1, 0]
         active, started, workers = large
         # five split loops: analyze's slabs, chunks and permutation, then
         # synthesize's slabs (gathering from the spectrum) and chunks
         assert (active, started) == (1, 5 * (workers - 1))
+        # twenty shared stages, ten in each direction; below _SPLIT_CELLS
+        # cells the permutation stays on the calling thread
+        assert mixed == [1, 20 * (workers - 1), workers]
 
 
 class TestSynthesize:
