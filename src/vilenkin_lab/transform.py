@@ -67,13 +67,9 @@ blocked FFT layout: a tile fixes the middle axes, gathers runs of at least
 ``_RUN`` (2 KB) consecutive input cells with one small cached index
 permutation per group of axes, and writes runs of consecutive output
 cells.  Analysis divides each tile by M[N] while it is in cache, which
-rounds as dividing the whole array does.  A Walsh synthesis of at least
-``_SPLIT_CELLS`` cells reads its spectrum only through its first tile
-loop, which gathers each tile straight from the spectrum in digit-reversed
-order (the self-sorting layout of Temperton's FFTs), so no permuted copy
-of the spectrum is made.  That gather reads runs of M[tail] cells, the
-rows of a slab tile: 8 at 2^18 cells, 32 at 2^20 and 128 (2 KB) at 2^22.
-Other syntheses reverse the spectrum on its own before their first stage.
+rounds as dividing the whole array does.  Synthesis reverses the spectrum
+the same way before its first stage, and its stages then update that
+copy in place.
 
 A transform of at least ``_SPLIT_CELLS`` (2^18) cells shares its work
 among one thread per CPU the process may run on: the column slabs, then
@@ -87,9 +83,9 @@ the first share and a thread started for the call each of the others; a
 loop starts only once the one before it is done.  Each share has its own
 tile buffers, and each tile or share reads and writes only its own cells,
 with the same numpy operations in the same order as on one thread, so the
-bytes cannot change.  Work under 2^18 cells or multiply-adds runs on the
-calling thread alone and starts no thread.  The maximal function's
-block-mean pyramid runs on the calling thread.
+bytes cannot change.  Work under 2^18 cells or multiply-adds, and all
+work on one worker, runs on the calling thread and starts no thread.  The
+maximal function's block-mean pyramid runs on the calling thread.
 
 Every operation is pure and the reduction order inside each output entry
 is fixed (stages ascend in coordinate, each output entry sums its stage
@@ -228,39 +224,27 @@ def _digit_offsets(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _reversal_tiles(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, bases) of the digit reversal onto the C-order ``shape``,
-    tiled along its axes [a, b).
-
-    The reversal puts at digits (d_0, ..., d_{n-1}) of ``shape`` the entry
-    sum_j d_j * prod(shape[:j]) of its input.  Viewed as (A, len(bases), T),
-    A and T the products of shape[:a] and shape[b:], its tile t is
-    ``input[bases[t] + index].T``: index is (T, A), each of its rows a
-    permutation of A consecutive input cells, so a gather reads the input
-    in runs, and each row of the tile is T consecutive output cells.  The
-    offsets of each group of axes are cached per shape; the index is their
-    sum, one tile's worth.
-    """
-    index = _digit_offsets(shape, b, len(shape))[:, None] + _digit_offsets(shape, 0, a)
-    return index, _digit_offsets(shape, a, b)
-
-
 def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | None = None) -> np.ndarray:
     """``flat.reshape(shape[::-1]).transpose().reshape(-1)``, divided by
     ``divisor`` when one is given.
 
     Below _SPLIT_CELLS cells numpy copies the transposed view and the copy
     is divided in place.  From _SPLIT_CELLS cells on the reversal runs in
-    tiles of :func:`_reversal_tiles`, shared among the workers: the leading
-    axes of ``shape`` make up runs of at least _RUN input cells and its
-    trailing axes runs of as many output cells as fit a tile of _BLOCK
-    cells.  Each tile is gathered into a buffer, divided there, and copied
-    into place.  Either way every value is copied, and divided once.
+    tiles, shared among the workers: the leading axes [0, a) of ``shape``
+    make up runs of at least _RUN input cells, and its trailing axes
+    [b, n) runs of as many output cells as fit a tile of _BLOCK cells.
+    Viewed as (A, len(bases), T), A and T the products of shape[:a] and
+    shape[b:], tile t of the output is ``flat[bases[t] + index].T``: index
+    is (T, A), each of its rows a permutation of A consecutive input cells,
+    and each row of the tile is T consecutive output cells.  The offsets of
+    each group of axes are cached per shape.  Each tile is gathered into a
+    buffer, divided there, and copied into place.  Either way every value
+    is copied, and divided once.
 
     ``flat`` may be any array whose C order is the input, such as the
     transposed view :func:`_run_stages` leaves after a split.  The copy of
-    the transposed view reads it in place; the tiles read a flat copy, made
-    in shares of its rows.
+    the transposed view reads it in place; the tiles read
+    ``flat.reshape(-1)``, which copies such a view.
     """
     out = np.empty(flat.size, dtype=flat.dtype)
     if flat.size < _SPLIT_CELLS:
@@ -268,14 +252,6 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
         if divisor is not None:
             out /= divisor
         return out
-    if not flat.flags.c_contiguous:
-        # the transposed view of a split: copied in shares of its rows first
-        view, flat = flat, np.empty(flat.shape, dtype=flat.dtype)
-
-        def flatten(start: int, stop: int) -> None:
-            np.copyto(flat[start:stop], view[start:stop])
-
-        _in_shares(len(view), view.size, flatten)
     flat = flat.reshape(-1)
     a = 0
     while a < len(shape) and math.prod(shape[:a]) < _RUN:
@@ -284,7 +260,8 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
     b = a
     while b < len(shape) and lead * math.prod(shape[b:]) > _BLOCK:
         b += 1
-    index, bases = _reversal_tiles(shape, a, b)
+    index = _digit_offsets(shape, b, len(shape))[:, None] + _digit_offsets(shape, 0, a)
+    bases = _digit_offsets(shape, a, b)
     dst = out.reshape(lead, len(bases), -1)
 
     def copy(start: int, stop: int) -> None:
@@ -308,12 +285,12 @@ def _einsum_stage(mat: np.ndarray, src: np.ndarray) -> np.ndarray:
     when h has fewer entries than there are workers, each written into its
     part of one output array made here, so that no worker allocates a
     full-size array.  Every output entry is the same sum over d as in the
-    whole call, so the bytes are those of the whole call.  A smaller stage,
-    or any stage on one worker, is the whole call on the calling thread:
-    einsum with ``out`` runs a few percent slower.
+    whole call, so the bytes are those of the whole call.  On one worker
+    the stage is one share, run on the calling thread.  A smaller stage is
+    the whole call, without ``out``.
     """
     work = src.size * len(mat)
-    if work < _SPLIT_CELLS or _WORKERS == 1:
+    if work < _SPLIT_CELLS:
         return np.einsum("kd,hdl->hkl", mat, src)
     dst = np.empty(src.shape, dtype=np.complex128)
     axis = 0 if src.shape[0] >= _WORKERS else 2
@@ -342,12 +319,7 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     tail = r0
     while vs.size // vs.M[tail] > _BLOCK:
         tail += 1
-    # When the slab loop runs first (Walsh above _BLOCK cells) on at least
-    # _SPLIT_CELLS cells, it gathers its tiles straight from the spectrum,
-    # so the cols of a tile are its last log2(cols) axes; otherwise the
-    # reversal runs first, on its own.
-    gather = reverse and r0 == 0 and tail > 0 and vs.size >= _SPLIT_CELLS
-    a = _digit_reversed(flat, vs.m) if reverse and not gather else flat
+    a = _digit_reversed(flat, vs.m) if reverse else flat
     # Einsum stage j acts on rows of size // M[j+1] cells; s is the first
     # whose rows would hold fewer than _RUN.  From _SPLIT_CELLS
     # multiply-adds on, a stage is shared among the workers.
@@ -371,9 +343,10 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     if r0 == vs.N:
         return a
     # Each tile is read from a and written back to out once all its stages
-    # are done, so an array made here is updated in place and the caller's
-    # array is never written.  The read adds +0.0: einsum accumulates onto
-    # +0.0 and so never returns -0.0, and neither may the butterflies.
+    # are done, so an array made here (the einsum result or the reversed
+    # spectrum) is updated in place and the caller's array is never
+    # written.  The read adds +0.0: einsum accumulates onto +0.0 and so
+    # never returns -0.0, and neither may the butterflies.
     out = np.empty_like(flat) if a is flat else a
     # Every radix-2 coordinate has the root table [1, exp(i*pi)].
     w = powers[r0][1, 1]
@@ -387,8 +360,6 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
         dst = out.view(np.float64).reshape(vs.M[r0], rows, width, 2)
         lows = [vs.M[tail] // vs.M[j + 1] * cols for j in range(r0, tail)]
         slabs = width // cols
-        if gather:
-            index, bases = _reversal_tiles(vs.m, tail, vs.N - (cols.bit_length() - 1))
 
         def run_slabs(start: int, stop: int) -> None:
             x, y = np.empty((2, 2, rows * cols))
@@ -396,15 +367,7 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
             for tile in range(start, stop):
                 h, c = divmod(tile, slabs)
                 c *= cols
-                if gather:
-                    # y is spare until the first stage writes it: it holds
-                    # the tile's cells, gathered as complex values
-                    cells = y.reshape(-1).view(np.complex128).reshape(cols, rows)
-                    np.take(flat[bases[tile] :], index, out=cells, mode="clip")
-                    cells = cells.view(np.float64).reshape(cols, rows, 2).transpose(1, 0, 2)
-                else:
-                    cells = src[h, :, c : c + cols]
-                np.add(cells.transpose(2, 0, 1), 0.0, out=x.reshape(2, rows, cols))
+                np.add(src[h, :, c : c + cols].transpose(2, 0, 1), 0.0, out=x.reshape(2, rows, cols))
                 done, _ = _butterflies(x, y, scratch, lows, w_imag)
                 np.copyto(dst[h, :, c : c + cols].transpose(2, 0, 1), done.reshape(2, rows, cols))
 

@@ -74,6 +74,15 @@ def fejer_law_one_order_up(s, n):
     return transform.synthesize(transform.Spectrum(s.vs, coeffs))
 
 
+_weights = experiments._weights
+
+
+def weights_over_root(p, n_max):
+    """The Fejer weights divided by sqrt(n + 1), a weight that falls behind
+    the sharp one as n grows."""
+    return _weights(p, n_max) / np.sqrt(np.arange(2, n_max + 2))
+
+
 _character_rows = transform.character_rows
 
 
@@ -142,9 +151,16 @@ UNDETECTED = [
         marks=undetected("ROADMAP item 13: the dense family M[i]/(i+1) reads "
                          "dense_min=0.503 (gate >= 0.5)"),
     ),
+    pytest.param(
+        12, experiments, "_weights", weights_over_root, "cv=",
+        marks=undetected("ROADMAP item 4: with the weights divided by sqrt(n+1) the "
+                         "maxima read max=1.0346 at p=1/4 and 0.8692 at p=1/2 (unmutated "
+                         "0.3910 and 0.3285), but the critical atom attains every seed's "
+                         "maximum, so cv=0.0000% passes"),
+    ),
 ]
 UNDETECTED_IDS = ["3-fejer-kernel-one-order-down", "10-dirichlet-kernel-scan", "8-dense-times-level",
-                  "9-dense-over-level"]
+                  "9-dense-over-level", "12-weights-over-root"]
 
 
 @pytest.fixture(scope="module")

@@ -202,11 +202,11 @@ class TestCoefficientOrder:
         self.check(gens)
 
     # With _SPLIT_CELLS at 1 every reversal runs in tiles, as from 2^18
-    # cells on, and the Walsh 2^16 synthesis gathers its slab tiles from the
-    # spectrum.  (1024, 64): the first axes of the permutation that reach
-    # _RUN cells already hold more than _BLOCK, so a tile is one run wide.
-    # (16,) * 4 splits its einsum stages, so the tiles read a flat copy of
-    # the transposed stage output.
+    # cells on, synthesis's reversal of the spectrum included.  (1024, 64):
+    # the first axes of the permutation that reach _RUN cells already hold
+    # more than _BLOCK, so a tile is one run wide.  (16,) * 4 splits its
+    # einsum stages, so the tiles read a flat copy of the transposed stage
+    # output.
     @pytest.mark.parametrize("gens", GENS + [(1024, 64), (2,) * 16, (16,) * 4])
     def test_tiled_reversal_bitwise_equal_to_digit_table_permutation(self, monkeypatch, gens):
         monkeypatch.setattr(transform, "_SPLIT_CELLS", 1)
@@ -447,9 +447,13 @@ class TestEinsumSplit:
             r0 -= 1
         return r0
 
+    # On one worker a stage of at least _SPLIT_CELLS multiply-adds is one
+    # share written through einsum's ``out``; the oracle is plain einsum.
     @pytest.mark.parametrize("gens", SPLIT + UNSPLIT)
     @pytest.mark.parametrize("conjugate", [False, True])
-    def test_bitwise_equal_to_einsum_stages(self, gens, conjugate):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bitwise_equal_to_einsum_stages(self, gens, conjugate, workers, monkeypatch):
+        monkeypatch.setattr(transform, "_WORKERS", workers)
         vs = VilenkinStructure.from_m(gens)
         TestStageLoop.assert_matches_einsum(vs, conjugate)
         # with ``reverse`` the stages read the spectrum in digit-table order
@@ -560,18 +564,17 @@ class TestThreadedTiles:
         shares.clear()
         return [count for _, _, count in by_call]
 
-    # Walsh 2^19 runs the slab loop, which in synthesize gathers its tiles
-    # straight from the spectrum, and the chunk loop; analyze then permutes
-    # its coefficients.  The radix-3 structure shares its first stage, an
-    # einsum, updates its result in place (r0 = 1) and so permutes its
-    # spectrum on its own first.  MIXED_LARGE shares its ten stages and
-    # its permutation, which first copies the transposed view its split
-    # leaves.  The random-parseval structures and (5,) * 7 have fewer than
-    # _SPLIT_CELLS cells but share every stage.  3 workers cannot share
-    # Walsh 2^19's 16 tiles evenly.
-    WALSH_LOOPS = (["copy", "run_chunks", "run_slabs"], ["run_chunks", "run_slabs"])
+    # Walsh 2^19 runs the slab loop and the chunk loop; analyze then
+    # permutes its coefficients, and synthesize permutes its spectrum first.
+    # The radix-3 structure also shares its first stage, an einsum.
+    # MIXED_LARGE shares its ten stages and its permutation, which reads a
+    # flat copy of the transposed view its split leaves.  The
+    # random-parseval structures and (5,) * 7 have fewer than _SPLIT_CELLS
+    # cells but share every stage.  3 workers cannot share Walsh 2^19's 16
+    # tiles evenly.
+    WALSH_LOOPS = (["copy", "run_chunks", "run_slabs"],) * 2
     EINSUM_FIRST_LOOPS = (["stage", "copy", "run_chunks", "run_slabs"],) * 2
-    MIXED_LOOPS = (["stage"] * 10 + ["flatten", "copy"], ["copy"] + ["stage"] * 10)
+    MIXED_LOOPS = (["stage"] * 10 + ["copy"], ["copy"] + ["stage"] * 10)
     STAGE_LOOPS = {gens: (["stage"] * len(gens),) * 2 for gens in RANDOM_PARSEVAL + [(5,) * 7]}
 
     @pytest.mark.parametrize(
@@ -650,8 +653,9 @@ class TestThreadedTiles:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_synthesis_peak_memory_is_the_output_plus_tiles_per_worker(self, monkeypatch, workers):
-        # A full-support Walsh synthesis gathers its first tiles from the
-        # spectrum: no permuted copy of it is made.
+        # A full-support Walsh synthesis updates its permuted copy of the
+        # spectrum in place: that copy is the output, and no other
+        # full-size array is made.
         monkeypatch.setattr(transform, "_WORKERS", workers)
         s = random_spectrum(VilenkinStructure.from_pattern((2,), 18), 87)
         peak = self.traced_peak(lambda: synthesize(s))
@@ -692,9 +696,9 @@ class TestThreadedTiles:
         small, large, mixed = (list(map(int, line.split())) for line in proc.stdout.splitlines())
         assert small == [1, 0]
         active, started, workers = large
-        # five split loops: analyze's slabs, chunks and permutation, then
-        # synthesize's slabs (gathering from the spectrum) and chunks
-        assert (active, started) == (1, 5 * (workers - 1))
+        # six split loops: analyze's slabs, chunks and permutation, then
+        # synthesize's permutation, slabs and chunks
+        assert (active, started) == (1, 6 * (workers - 1))
         # twenty shared stages, ten in each direction; below _SPLIT_CELLS
         # cells the permutation stays on the calling thread
         assert mixed == [1, 20 * (workers - 1), workers]
