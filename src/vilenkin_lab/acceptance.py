@@ -8,8 +8,9 @@ or ``records(name, p)`` like :func:`_shipped_records`; :func:`run_all`
 passes one cache of that function, so criteria 6 to 10 and 12 gate one run
 of each shipped config under ``configs/`` they read, and only records are
 kept, never an array.  The others build their own small fixtures.  The
-statistics and gate predicates live in :mod:`vilenkin_lab.experiments`,
-next to the runners that record them, so a criterion and a runner never
+statistics live in :mod:`vilenkin_lab.experiments`, next to the runners
+that record them, and each bound is a :class:`vilenkin_lab.frozen.Gate`
+that criteria and runners both call, so a criterion and a runner never
 disagree about what a gate means, and what ``check`` prints is what
 ``run`` writes.
 """
@@ -31,20 +32,11 @@ from .experiments import (
     family_character_polynomial,
     family_smoothed_indicator,
     gram_error,
-    kernel_scan_ok,
     load_config,
-    modulus_ok,
     parseval_worst_rel,
-    ratio_cv_ok,
-    relative_roundoff_ok,
-    roundoff_ok,
     run_experiment,
     scale_sweep,
     scale_sweep_gates,
-    scale_sweep_ok,
-    sparse_divergence_ok,
-    sparse_modulus_ok,
-    weak_divergence_ok,
 )
 from .kernels import verify_fejer_lower_bounds
 from .reporting import ExperimentRecord
@@ -121,14 +113,14 @@ def criterion_1(records: Records) -> tuple[bool, str]:
     structures = (_MIXED, _walsh(10))
     worst_gram = max(gram_error(vs) for vs in structures)
     worst_rel = max(parseval_worst_rel(vs, XorShift64Star(11), 100) for vs in structures)
-    ok = roundoff_ok(worst_gram) and relative_roundoff_ok(worst_rel)
+    ok = frozen.ROUNDOFF_MAX.passes(worst_gram) and frozen.RELATIVE_ROUNDOFF_MAX.passes(worst_rel)
     return ok, f"gram_err={worst_gram:.2e} parseval_rel={worst_rel:.2e}"
 
 
 @_criterion(2, "dirichlet-closed-form")
 def criterion_2(records: Records) -> tuple[bool, str]:
     worst = max(max(dirichlet_errors(vs)) for vs in (_MIXED, _walsh(10)))
-    return roundoff_ok(worst), f"max_err={worst:.2e}"
+    return frozen.ROUNDOFF_MAX.passes(worst), f"max_err={worst:.2e}"
 
 
 @_criterion(3, "fejer-kernel-lower-bounds", time_limit=30.0)
@@ -155,7 +147,7 @@ def criterion_4(records: Records) -> tuple[bool, str]:
         direct = naive_analyze(f)
         rel = float(np.abs(fast - direct).max() / np.abs(direct).max())
         worst_rel = max(worst_rel, rel)
-    if not relative_roundoff_ok(worst_rel):
+    if not frozen.RELATIVE_ROUNDOFF_MAX.passes(worst_rel):
         return False, f"agreement_rel={worst_rel:.2e}"
 
     vs = _walsh(16)
@@ -171,11 +163,10 @@ def criterion_4(records: Records) -> tuple[bool, str]:
     naive_analyze(f, sample)
     naive_est = (time.perf_counter() - t0) / len(sample) * vs.size
     speedup = naive_est / fast_t
-    ok = speedup >= frozen.MIN_SPEEDUP
-    return ok, (
+    return frozen.MIN_SPEEDUP.passes(speedup), (
         f"agreement_rel={worst_rel:.2e} fast={fast_t * 1e3:.1f}ms "
         f"naive~{naive_est:.0f}s (extrapolated from 128 coeffs) "
-        f"speedup~{speedup:.0f}x (gate {frozen.MIN_SPEEDUP:g}x)"
+        f"speedup~{speedup:.0f}x (gate {frozen.MIN_SPEEDUP.bound:g}x)"
     )
 
 
@@ -201,14 +192,14 @@ def criterion_5(records: Records) -> tuple[bool, str]:
         lhs = (sigma - f).values
         rhs = (band / n) * (fejer_mean(spec, band) - f).values
         worst_ident = max(worst_ident, float(np.abs(lhs - rhs).max()))
-    ok = roundoff_ok(worst_law) and roundoff_ok(worst_ident)
+    ok = frozen.ROUNDOFF_MAX.passes(worst_law) and frozen.ROUNDOFF_MAX.passes(worst_ident)
     return ok, f"law_err={worst_law:.2e} identity_err={worst_ident:.2e}"
 
 
 @_criterion(6, "coefficient-laws-exact")
 def criterion_6(records: Records) -> tuple[bool, str]:
     worst = max(c["law_err"] for c in _constructions(records))
-    return roundoff_ok(worst), f"max_dev={worst:.2e}"
+    return frozen.ROUNDOFF_MAX.passes(worst), f"max_dev={worst:.2e}"
 
 
 @_criterion(7, "atom-certificates")
@@ -222,10 +213,11 @@ def criterion_7(records: Records) -> tuple[bool, str]:
 def criterion_8(records: Records) -> tuple[bool, str]:
     dense_max = max(_column(records("counterexample_2a"), "ratio_power"))
     sparse_max = max(_column(records("counterexample_2b"), "ratio_power"))
-    ok = modulus_ok(dense_max) and sparse_modulus_ok(sparse_max)
+    ok = (frozen.MODULUS_RATIO_POWER_MAX.passes(dense_max)
+          and frozen.SPARSE_MODULUS_RATIO_POWER_MAX.passes(sparse_max))
     return ok, (
-        f"dense_max={dense_max:.3f} (gate {frozen.MODULUS_RATIO_POWER_MAX:g}) "
-        f"sparse_max={sparse_max:.3f} (gate {frozen.SPARSE_MODULUS_RATIO_POWER_MAX:g})"
+        f"dense_max={dense_max:.3f} (gate {frozen.MODULUS_RATIO_POWER_MAX.bound:g}) "
+        f"sparse_max={sparse_max:.3f} (gate {frozen.SPARSE_MODULUS_RATIO_POWER_MAX.bound:g})"
     )
 
 
@@ -233,17 +225,19 @@ def criterion_8(records: Records) -> tuple[bool, str]:
 def criterion_9(records: Records) -> tuple[bool, str]:
     dense_min = min(_column(records("counterexample_2a"), "weak_power"))
     sparse_min = min(_column(records("counterexample_2b"), "halfnorm_gap"))
-    ok = weak_divergence_ok(dense_min) and sparse_divergence_ok(sparse_min)
+    ok = (frozen.WEAK_DIVERGENCE_MIN.passes(dense_min)
+          and frozen.SPARSE_DIVERGENCE_MIN.passes(sparse_min))
     return ok, (
-        f"dense_min={dense_min:.3f} (gate {frozen.WEAK_DIVERGENCE_MIN:g}) "
-        f"sparse_min={sparse_min:.3f} (gate {frozen.SPARSE_DIVERGENCE_MIN:g})"
+        f"dense_min={dense_min:.3f} (gate {frozen.WEAK_DIVERGENCE_MIN.bound:g}) "
+        f"sparse_min={sparse_min:.3f} (gate {frozen.SPARSE_DIVERGENCE_MIN.bound:g})"
     )
 
 
 @_criterion(10, "kernel-growth-scan")
 def criterion_10(records: Records) -> tuple[bool, str]:
     worst = min(_column(records("kernel_scan"), "ratio"))
-    return kernel_scan_ok(worst), f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN:g})"
+    return frozen.KERNEL_SCAN_RATIO_MIN.passes(worst), (
+        f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN.bound:g})")
 
 
 @_criterion(11, "fejer-convergence-surrogate")
@@ -258,9 +252,11 @@ def criterion_11(records: Records) -> tuple[bool, str]:
     ]
     worst_final = max(final for final, _ in gates)
     worst_backslide = max(backslide for _, backslide in gates)
-    return scale_sweep_ok(worst_final, worst_backslide), (
-        f"final_max={worst_final:.4f} (gate {frozen.FINAL_GAP_MAX:g}) "
-        f"backslide_max={worst_backslide:.3f} (gate {frozen.BACKSLIDE_FACTOR_MAX:g})"
+    ok = (frozen.FINAL_GAP_MAX.passes(worst_final)
+          and frozen.BACKSLIDE_FACTOR_MAX.passes(worst_backslide))
+    return ok, (
+        f"final_max={worst_final:.4f} (gate {frozen.FINAL_GAP_MAX.bound:g}) "
+        f"backslide_max={worst_backslide:.3f} (gate {frozen.BACKSLIDE_FACTOR_MAX.bound:g})"
     )
 
 
@@ -272,9 +268,9 @@ def criterion_12(records: Records) -> tuple[bool, str]:
     for summary in [r for r in run if "cv" in r.values]:
         p, cv = summary.index["p"], summary.values["cv"]
         best = max(_column([r for r in run if r.index["p"] == p], "max_ratio"))
-        ok = ok and ratio_cv_ok(cv)
+        ok = ok and frozen.MAX_RATIO_CV_MAX.passes(cv)
         details.append(f"p={p:g}: max={best:.4f} cv={cv:.4%}")
-    return ok, "; ".join(details) + f" (gate {frozen.MAX_RATIO_CV_MAX:.0%})"
+    return ok, "; ".join(details) + f" (gate {frozen.MAX_RATIO_CV_MAX.bound:.0%})"
 
 
 CRITERIA: tuple[Callable[[Records], CriterionResult], ...] = (

@@ -292,17 +292,7 @@ def build_family(cfg: ExperimentConfig, vs: VilenkinStructure, rng: XorShift64St
 
 
 # ---------------------------------------------------------------------------
-# runners, each next to the statistics and gates it shares with the check suite
-
-
-def roundoff_ok(err: float) -> bool:
-    """Gate on the absolute error of a quantity the library knows exactly."""
-    return err < frozen.ROUNDOFF_MAX
-
-
-def relative_roundoff_ok(rel: float) -> bool:
-    """Gate on a relative round-off error (Parseval, fast vs direct)."""
-    return rel < frozen.RELATIVE_ROUNDOFF_MAX
+# runners, each next to the statistics it shares with the check suite
 
 
 def gram_error(vs: VilenkinStructure) -> float:
@@ -346,7 +336,7 @@ def run_gram(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
         )
     gram_err = gram_error(vs)
     worst_rel = parseval_worst_rel(vs, XorShift64Star(cfg.seed), count)
-    ok = roundoff_ok(gram_err) and relative_roundoff_ok(worst_rel)
+    ok = frozen.ROUNDOFF_MAX.passes(gram_err) and frozen.RELATIVE_ROUNDOFF_MAX.passes(worst_rel)
     records = [
         _rec(
             cfg,
@@ -407,7 +397,7 @@ def run_kernels(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResul
             },
         )
     )
-    ok = roundoff_ok(max(errors)) and check.ok
+    ok = frozen.ROUNDOFF_MAX.passes(max(errors)) and check.ok
     msgs = [] if ok else [
         f"kernel checks failed: closed-form err {max(errors):.3e}, "
         f"bound margin {check.worst_margin:.3e}"
@@ -435,10 +425,6 @@ def scale_sweep_gates(rel: list[float]) -> tuple[float, float]:
     ratio 1.0 (no backslide), a later positive gap inf."""
     mins = itertools.accumulate(rel, min)
     return rel[-1], max(v / low if low else (math.inf if v else 1.0) for v, low in zip(rel, mins))
-
-
-def scale_sweep_ok(final: float, backslide: float) -> bool:
-    return final <= frozen.FINAL_GAP_MAX and backslide <= frozen.BACKSLIDE_FACTOR_MAX
 
 
 def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
@@ -476,7 +462,7 @@ def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
                 )
             )
         final, backslide = scale_sweep_gates(rel)
-        ok = scale_sweep_ok(final, backslide)
+        ok = frozen.FINAL_GAP_MAX.passes(final) and frozen.BACKSLIDE_FACTOR_MAX.passes(backslide)
         records.append(
             _rec(
                 cfg,
@@ -501,7 +487,7 @@ def _construction_record(
     law_err = float(np.abs(ex.spectrum.coeffs - block_spectrum(ex.vs, law).coeffs).max())
     d = ex.decomposition
     atoms_ok = all(validate_atom(a, d.p, iv).valid for a, iv in zip(d.atoms, d.intervals))
-    if not (roundoff_ok(law_err) and atoms_ok):
+    if not (frozen.ROUNDOFF_MAX.passes(law_err) and atoms_ok):
         messages.append(f"construction checks failed: law {law_err:.3e}, atoms {atoms_ok}")
     return _rec(cfg, {"block": "construction", "i": 0},
                 {"law_err": law_err, "atoms_ok": float(atoms_ok)})
@@ -515,14 +501,6 @@ def _modulus_records(cfg: ExperimentConfig, rows: list, records: list[Experiment
         for r in rows
     )
     return max(r.ratio_power for r in rows)
-
-
-def modulus_ok(worst_ratio_power: float) -> bool:
-    return worst_ratio_power <= frozen.MODULUS_RATIO_POWER_MAX
-
-
-def weak_divergence_ok(worst_stat: float) -> bool:
-    return worst_stat >= frozen.WEAK_DIVERGENCE_MIN
 
 
 def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
@@ -539,7 +517,7 @@ def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
 
     rows = modulus_ratio_report(ex, modulus_levels)
     worst_ratio = _modulus_records(cfg, rows, records)
-    if not modulus_ok(worst_ratio):
+    if not frozen.MODULUS_RATIO_POWER_MAX.passes(worst_ratio):
         messages.append(f"modulus ratio {worst_ratio:.3f} over gate")
 
     stats = []
@@ -554,21 +532,13 @@ def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
                  {"weak_power": stat, "weak_root": root, "companion_gap": companion})
         )
     worst_stat = min(stats)
-    if not weak_divergence_ok(worst_stat):
+    if not frozen.WEAK_DIVERGENCE_MIN.passes(worst_stat):
         messages.append(f"weak divergence {worst_stat:.3f} under gate")
 
     dump = params.get("dump_function")
     if dump:
         save_function(ex.spectrum, dump)
     return ExperimentResult(records, 2 if messages else 0, messages)
-
-
-def sparse_modulus_ok(worst_ratio_power: float) -> bool:
-    return worst_ratio_power <= frozen.SPARSE_MODULUS_RATIO_POWER_MAX
-
-
-def sparse_divergence_ok(worst_stat: float) -> bool:
-    return worst_stat >= frozen.SPARSE_DIVERGENCE_MIN
 
 
 def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
@@ -586,7 +556,7 @@ def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
 
     rows = sparse_modulus_ratio_report(ex, modulus_levels)
     worst_ratio = _modulus_records(cfg, rows, records)
-    if not sparse_modulus_ok(worst_ratio):
+    if not frozen.SPARSE_MODULUS_RATIO_POWER_MAX.passes(worst_ratio):
         messages.append(f"sparse modulus ratio {worst_ratio:.3f} over gate")
 
     f = ex.function()
@@ -596,17 +566,13 @@ def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
         for k, stat in enumerate(stats, start=1)
     )
     worst_stat = min(stats)
-    if not sparse_divergence_ok(worst_stat):
+    if not frozen.SPARSE_DIVERGENCE_MIN.passes(worst_stat):
         messages.append(f"sparse divergence {worst_stat:.3f} under gate")
 
     dump = params.get("dump_function")
     if dump:
         save_function(ex.spectrum, dump)
     return ExperimentResult(records, 2 if messages else 0, messages)
-
-
-def kernel_scan_ok(worst_ratio: float) -> bool:
-    return worst_ratio >= frozen.KERNEL_SCAN_RATIO_MIN
 
 
 def run_kernel_scan(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
@@ -616,7 +582,7 @@ def run_kernel_scan(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
         for r in rows
     ]
     worst = min(r.ratio for r in rows)
-    ok = kernel_scan_ok(worst)
+    ok = frozen.KERNEL_SCAN_RATIO_MIN.passes(worst)
     return ExperimentResult(
         records,
         0 if ok else 2,
@@ -694,11 +660,6 @@ def ratio_cv(maxima: list[float]) -> float:
     return float(arr.std() / arr.mean()) if arr.mean() > 0 else float("inf")
 
 
-def ratio_cv_ok(cv: float) -> bool:
-    # A non-finite maximum makes cv NaN, which fails the comparison.
-    return cv < frozen.MAX_RATIO_CV_MAX
-
-
 def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
     seeds = _param(params, "seeds", 10, lo=1)
@@ -716,7 +677,7 @@ def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> Experimen
         for s, best in enumerate(maxima):
             records.append(_rec(cfg, {"p": p, "seed": s}, {"max_ratio": best}))
         cv = ratio_cv(maxima)
-        ok = ratio_cv_ok(cv)
+        ok = frozen.MAX_RATIO_CV_MAX.passes(cv)
         records.append(
             _rec(cfg, {"p": p, "seed": seeds},
                  {"cv": cv, "mean_max_ratio": float(np.mean(maxima)), "passed": float(ok)})

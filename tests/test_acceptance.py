@@ -5,14 +5,16 @@ The installed command-line interface runs the suite once per module
 own PASS line and time limit from that run's output, visible with
 ``pytest -s`` or on failure.  The last criterion test also checks the
 command's exit code and elapsed time and reruns a shipped config for
-byte-identical output.  The tests after it pin the gate predicates the
-criteria and the experiment runners share: each can fail, and each frozen
-bound has one of them.  The last ones show that criteria 6 to 10 and 12
+byte-identical output.  The tests after it pin the frozen gates the
+criteria and the experiment runners share: each fails just past its bound,
+no comparison in ``src/`` reads a bound outside its gate, and every gate is
+read by the package.  The last ones show that criteria 6 to 10 and 12
 read one run of each shipped config and fail on a record past its bound.
 """
 
 import ast
 import copy
+import itertools
 import math
 import os
 import re
@@ -147,67 +149,85 @@ def _above(x):
 @pytest.mark.parametrize(
     "gate, inside, outside",
     [
-        (experiments.roundoff_ok, _below(frozen.ROUNDOFF_MAX), frozen.ROUNDOFF_MAX),
-        (experiments.relative_roundoff_ok,
-         _below(frozen.RELATIVE_ROUNDOFF_MAX), frozen.RELATIVE_ROUNDOFF_MAX),
-        (experiments.modulus_ok,
-         frozen.MODULUS_RATIO_POWER_MAX, _above(frozen.MODULUS_RATIO_POWER_MAX)),
-        (experiments.sparse_modulus_ok,
-         frozen.SPARSE_MODULUS_RATIO_POWER_MAX, _above(frozen.SPARSE_MODULUS_RATIO_POWER_MAX)),
-        (experiments.weak_divergence_ok,
-         frozen.WEAK_DIVERGENCE_MIN, _below(frozen.WEAK_DIVERGENCE_MIN)),
-        (experiments.sparse_divergence_ok,
-         frozen.SPARSE_DIVERGENCE_MIN, _below(frozen.SPARSE_DIVERGENCE_MIN)),
-        (experiments.kernel_scan_ok,
-         frozen.KERNEL_SCAN_RATIO_MIN, _below(frozen.KERNEL_SCAN_RATIO_MIN)),
-        (lambda final: experiments.scale_sweep_ok(final, 1.0),
-         frozen.FINAL_GAP_MAX, _above(frozen.FINAL_GAP_MAX)),
-        (lambda backslide: experiments.scale_sweep_ok(0.0, backslide),
-         frozen.BACKSLIDE_FACTOR_MAX, _above(frozen.BACKSLIDE_FACTOR_MAX)),
-        (experiments.ratio_cv_ok, _below(frozen.MAX_RATIO_CV_MAX), frozen.MAX_RATIO_CV_MAX),
-        (experiments.ratio_cv_ok, 0.0, math.nan),
+        (frozen.ROUNDOFF_MAX, _below(1e-12), 1e-12),
+        (frozen.RELATIVE_ROUNDOFF_MAX, _below(1e-10), 1e-10),
+        (frozen.MODULUS_RATIO_POWER_MAX, 4.0, _above(4.0)),
+        (frozen.SPARSE_MODULUS_RATIO_POWER_MAX, 8.0, _above(8.0)),
+        (frozen.WEAK_DIVERGENCE_MIN, 0.5, _below(0.5)),
+        (frozen.SPARSE_DIVERGENCE_MIN, 0.05, _below(0.05)),
+        (frozen.KERNEL_SCAN_RATIO_MIN, 0.3, _below(0.3)),
+        (frozen.FINAL_GAP_MAX, 0.05, _above(0.05)),
+        (frozen.BACKSLIDE_FACTOR_MAX, 2.0, _above(2.0)),
+        (frozen.MAX_RATIO_CV_MAX, _below(0.10), 0.10),
+        (frozen.MAX_RATIO_CV_MAX, 0.0, math.nan),
+        (frozen.MIN_SPEEDUP, 20.0, _below(20.0)),
     ],
     ids=[
         "roundoff", "relative-roundoff", "modulus", "sparse-modulus", "weak-divergence",
         "sparse-divergence", "kernel-scan", "final-gap", "backslide", "ratio-cv",
-        "ratio-cv-nan",
+        "ratio-cv-nan", "min-speedup",
     ],
 )
 def test_gate_predicate_boundary(gate, inside, outside):
-    assert gate(inside)
-    assert not gate(outside)
+    assert gate.passes(inside)
+    assert not gate.passes(outside)
 
 
-class _BoundComparisons(ast.NodeVisitor):
-    """Record, for each frozen bound, the innermost functions that compare it."""
-
-    def __init__(self, bounds: set[str]) -> None:
-        self.where: dict[str, set[str]] = {name: set() for name in bounds}
-        self.scope = "<module>"
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        outer, self.scope = self.scope, f"{self.scope}.{node.name}"
-        self.generic_visit(node)
-        self.scope = outer
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        for sub in ast.walk(node):
-            name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
-            if name in self.where:
-                self.where[name].add(self.scope)
-        self.generic_visit(node)
+GATES = {name for name, value in vars(frozen).items() if isinstance(value, frozen.Gate)}
 
 
-def test_each_frozen_bound_is_compared_in_one_function():
-    tree = ast.parse((SRC_DIR / "frozen.py").read_text(encoding="utf-8"))
-    bounds = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
-    found = _BoundComparisons(bounds)
-    for path in sorted(SRC_DIR.glob("*.py")):
-        found.scope = path.stem
-        found.visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert {name: len(fns) for name, fns in found.where.items()} == dict.fromkeys(bounds, 1), (
-        found.where
-    )
+def _src_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC_DIR.glob("*.py"))}
+
+
+def test_no_comparison_in_src_reads_a_gate():
+    # Gate.passes is the one comparison with each bound
+    found = []
+    for module, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                for sub in ast.walk(node):
+                    name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
+                    if name in GATES or name == "bound":
+                        found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found
+
+
+def test_every_gate_is_read_outside_frozen():
+    trees = _src_trees()
+    frozen_tree = trees.pop("frozen")
+    # every name frozen.py assigns is a Gate built there, so no bound has a second name
+    assigned = {t.id: node.value for node in frozen_tree.body if isinstance(node, ast.Assign)
+                for t in node.targets}
+    assert assigned.keys() == GATES
+    assert all(isinstance(v, ast.Call) and v.func.id == "Gate" for v in assigned.values())
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "frozen"
+    }
+    assert GATES <= read, GATES - read
+
+
+def test_readme_gate_table_matches_frozen():
+    # README's "What each gate can detect" table: each name in its bound
+    # column is a Gate, each value written next to a name is that bound,
+    # and every Gate has a row
+    lines = (SRC_DIR.parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    (head,) = [i for i, line in enumerate(lines) if "Frozen bound (`frozen.py`)" in line]
+    column = [c.strip() for c in lines[head].split("|")].index("Frozen bound (`frozen.py`)")
+    named = set()
+    for row in itertools.takewhile(lambda line: line.startswith("|"), lines[head + 2 :]):
+        cell = row.split("|")[column]
+        names = re.findall(r"`([^`]+)`", cell)
+        assert set(names) <= GATES, row
+        named.update(names)
+        for name, value in re.findall(r"`([^`]+)` ([0-9][0-9.e+-]*%?)", cell):
+            bound = float(value[:-1]) / 100 if value.endswith("%") else float(value)
+            assert bound == getattr(frozen, name).bound, row
+    assert named == GATES
 
 
 # criterion 12's sample family: the maximal_bound config's seeds, random
@@ -279,14 +299,14 @@ def test_one_run_experiment_per_shipped_run(monkeypatch):
 @pytest.mark.parametrize(
     "number, key, column, value",
     [
-        (6, ("counterexample_2b",), "law_err", frozen.ROUNDOFF_MAX),
+        (6, ("counterexample_2b",), "law_err", frozen.ROUNDOFF_MAX.bound),
         (7, ("counterexample_2a", 1 / 3), "atoms_ok", 0.0),
-        (8, ("counterexample_2a",), "ratio_power", _above(frozen.MODULUS_RATIO_POWER_MAX)),
-        (8, ("counterexample_2b",), "ratio_power", _above(frozen.SPARSE_MODULUS_RATIO_POWER_MAX)),
-        (9, ("counterexample_2a",), "weak_power", _below(frozen.WEAK_DIVERGENCE_MIN)),
-        (9, ("counterexample_2b",), "halfnorm_gap", _below(frozen.SPARSE_DIVERGENCE_MIN)),
-        (10, ("kernel_scan",), "ratio", _below(frozen.KERNEL_SCAN_RATIO_MIN)),
-        (12, ("maximal_bound",), "cv", frozen.MAX_RATIO_CV_MAX),
+        (8, ("counterexample_2a",), "ratio_power", _above(frozen.MODULUS_RATIO_POWER_MAX.bound)),
+        (8, ("counterexample_2b",), "ratio_power", _above(frozen.SPARSE_MODULUS_RATIO_POWER_MAX.bound)),
+        (9, ("counterexample_2a",), "weak_power", _below(frozen.WEAK_DIVERGENCE_MIN.bound)),
+        (9, ("counterexample_2b",), "halfnorm_gap", _below(frozen.SPARSE_DIVERGENCE_MIN.bound)),
+        (10, ("kernel_scan",), "ratio", _below(frozen.KERNEL_SCAN_RATIO_MIN.bound)),
+        (12, ("maximal_bound",), "cv", frozen.MAX_RATIO_CV_MAX.bound),
     ],
     ids=["6-law", "7-atoms", "8-dense", "8-sparse", "9-dense", "9-sparse", "10-scan", "12-cv"],
 )
@@ -316,6 +336,6 @@ def test_random_spectra_alone_spread_past_the_cv_gate(shipped_records):
         maxima = [r.values["max_ratio"] for r in records if r.index["p"] == p and "max_ratio" in r.values]
         assert len(maxima) == family["seeds"] and len(set(maxima)) == 1
         random_maxima = [max(ratios[i] for ratios in spectra) for spectra in per_seed]
-        assert experiments.ratio_cv(random_maxima) > frozen.MAX_RATIO_CV_MAX
+        assert experiments.ratio_cv(random_maxima) > frozen.MAX_RATIO_CV_MAX.bound
     recorded = [r.values["cv"] for r in records if "cv" in r.values]
-    assert len(recorded) == 2 and all(experiments.relative_roundoff_ok(cv) for cv in recorded)
+    assert len(recorded) == 2 and all(frozen.RELATIVE_ROUNDOFF_MAX.passes(cv) for cv in recorded)

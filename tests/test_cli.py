@@ -451,7 +451,7 @@ class TestShippedConfigs:
         assert "counterexample_2a.json" in err[0]
 
     def test_check_takes_no_speedup_option(self, capsys):
-        # the performance gate compares with frozen.MIN_SPEEDUP like every other bound
+        # the performance gate is frozen.MIN_SPEEDUP.passes, like every other bound
         with pytest.raises(SystemExit) as exc:
             main(["check", "--min-speedup", "1"])
         assert exc.value.code == 2

@@ -3,7 +3,8 @@
 Each row monkeypatches one library function that a criterion's statistic
 reads, runs the real criterion on a fresh cache of the shipped-config
 records, as ``run_all`` does, and expects a FAIL with the statistic the
-row names; the same criterion passes on the unmutated library.  A wrong
+row names, read back from the detail and past the gate the row names; the
+same criterion passes on the unmutated library.  A wrong
 input that its criterion still passes is a strict xfail naming the ROADMAP
 item meant to catch it.
 ``test_record_past_its_bound_fails_its_criterion`` shows that the criteria
@@ -16,18 +17,14 @@ fault in ``block_spectrum``, which builds both sides, still cannot fail it.
 """
 
 import functools
+import re
 
 import numpy as np
 import pytest
 
-from vilenkin_lab import acceptance, counterexamples, experiments, kernels, transform
+from vilenkin_lab import acceptance, counterexamples, experiments, frozen, kernels, transform
 from vilenkin_lab.counterexamples import block_spectrum, build_critical_example
-from vilenkin_lab.experiments import (
-    family_damped_critical,
-    scale_sweep,
-    scale_sweep_gates,
-    scale_sweep_ok,
-)
+from vilenkin_lab.experiments import family_damped_critical, scale_sweep, scale_sweep_gates
 from vilenkin_lab.structure import VilenkinStructure
 
 
@@ -106,17 +103,28 @@ def unconjugated_stages(flat, vs, conjugate):
     return _run_stages(flat, vs, conjugate=False)
 
 
-# (criterion, module, function, mutant, the detail the failure prints)
+# (criterion, module, function, mutant, the detail the failure prints, the
+# gate that statistic is held to: None for criterion 3's catalogue margin,
+# which has no frozen gate, and criterion 12's cv, printed in percent)
 MUTANTS = [
-    (1, transform, "character_rows", one_character_conjugated, "gram_err=1.00e+00"),
-    (2, experiments, "dirichlet_kernel", dirichlet_one_order_off, "max_err=1.00e+00"),
-    (4, transform, "_run_stages", unconjugated_stages, "agreement_rel=1.34e+00"),
-    (5, acceptance, "fejer_mean", fejer_law_one_order_up, "law_err=2.08e-02"),
-    (9, experiments, "build_critical_example", scaled_dense(0.5), "dense_min=0.250"),
-    (8, experiments, "build_critical_example", scaled_dense(2.0), "dense_max=6.510"),
-    (6, experiments, "build_critical_example", scaled_dense(0.5), "max_dev=1.02e+03"),
-    (6, experiments, "build_critical_example", scaled_dense(2.0), "max_dev=1.05e+06"),
-    (11, acceptance, "family_smoothed_indicator", divergent_smoothed_indicator, "final_max=0.3486"),
+    (1, transform, "character_rows", one_character_conjugated, "gram_err=1.00e+00",
+     frozen.ROUNDOFF_MAX),
+    (2, experiments, "dirichlet_kernel", dirichlet_one_order_off, "max_err=1.00e+00",
+     frozen.ROUNDOFF_MAX),
+    (4, transform, "_run_stages", unconjugated_stages, "agreement_rel=1.34e+00",
+     frozen.RELATIVE_ROUNDOFF_MAX),
+    (5, acceptance, "fejer_mean", fejer_law_one_order_up, "law_err=2.08e-02",
+     frozen.ROUNDOFF_MAX),
+    (9, experiments, "build_critical_example", scaled_dense(0.5), "dense_min=0.250",
+     frozen.WEAK_DIVERGENCE_MIN),
+    (8, experiments, "build_critical_example", scaled_dense(2.0), "dense_max=6.510",
+     frozen.MODULUS_RATIO_POWER_MAX),
+    (6, experiments, "build_critical_example", scaled_dense(0.5), "max_dev=1.02e+03",
+     frozen.ROUNDOFF_MAX),
+    (6, experiments, "build_critical_example", scaled_dense(2.0), "max_dev=1.05e+06",
+     frozen.ROUNDOFF_MAX),
+    (11, acceptance, "family_smoothed_indicator", divergent_smoothed_indicator, "final_max=0.3486",
+     frozen.FINAL_GAP_MAX),
 ]
 IDS = ["1-one-character-conjugated", "2-dirichlet-one-order-off", "4-unconjugated-analysis", "5-fejer-law-one-order-up",
        "9-dense-decaying", "8-dense-growing", "6-dense-decaying", "6-dense-growing",
@@ -131,28 +139,31 @@ def undetected(reason):
 # ROADMAP item meant to catch them and the statistic they read.
 UNDETECTED = [
     pytest.param(
-        3, kernels, "fejer_kernel", fejer_kernel_one_order_down, "violated at level",
+        3, kernels, "fejer_kernel", fejer_kernel_one_order_down, "violated at level", None,
         marks=undetected("ROADMAP item 10: K_{n-1} clears every catalogued lower bound "
                          "(worst_margin=2.004, unmutated 1.000, gate >= 0)"),
     ),
     pytest.param(
         10, counterexamples, "fejer_kernel", kernels.dirichlet_kernel, "min_ratio=",
+        frozen.KERNEL_SCAN_RATIO_MIN,
         marks=undetected("ROADMAP item 10: the scan on D_n in place of K_n reads "
                          "min_ratio=3.100 (unmutated 1.451, gate >= 0.3); a floor "
                          "cannot fail a kernel that grows faster"),
     ),
     pytest.param(
         8, experiments, "build_critical_example", weighted_dense(lambda i: i + 1), "dense_max=",
+        frozen.MODULUS_RATIO_POWER_MAX,
         marks=undetected("ROADMAP item 13: the dense family M[i]*(i+1) reads "
                          "dense_max=2.526 (gate <= 4)"),
     ),
     pytest.param(
         9, experiments, "build_critical_example", weighted_dense(lambda i: 1 / (i + 1)), "dense_min=",
+        frozen.WEAK_DIVERGENCE_MIN,
         marks=undetected("ROADMAP item 13: the dense family M[i]/(i+1) reads "
                          "dense_min=0.503 (gate >= 0.5)"),
     ),
     pytest.param(
-        12, experiments, "_weights", weights_over_root, "cv=",
+        12, experiments, "_weights", weights_over_root, "cv=", None,
         marks=undetected("ROADMAP item 4: with the weights divided by sqrt(n+1) the "
                          "maxima read max=1.0346 at p=1/4 and 0.8692 at p=1/2 (unmutated "
                          "0.3910 and 0.3285), but the critical atom attains every seed's "
@@ -174,12 +185,17 @@ def test_unmutated_criterion_passes(shipped, number):
     assert result.passed, result.line()
 
 
-@pytest.mark.parametrize("number, module, name, mutant, detail", MUTANTS + UNDETECTED,
+@pytest.mark.parametrize("number, module, name, mutant, detail, gate", MUTANTS + UNDETECTED,
                          ids=IDS + UNDETECTED_IDS)
-def test_mutant_fails_its_criterion(monkeypatch, number, module, name, mutant, detail):
+def test_mutant_fails_its_criterion(monkeypatch, number, module, name, mutant, detail, gate):
     monkeypatch.setattr(module, name, mutant)
     result = acceptance.CRITERIA[number - 1](functools.cache(acceptance._shipped_records))
     assert not result.passed and detail in result.detail, result.line()
+    if gate is not None:
+        # the named statistic itself is past its gate, not a sibling in the same criterion
+        statistic = detail.split("=")[0]
+        value = float(re.search(rf"\b{statistic}=([^\s;)]+)", result.detail)[1])
+        assert not gate.passes(value), result.line()
 
 
 @pytest.mark.xfail(
@@ -189,4 +205,5 @@ def test_mutant_fails_its_criterion(monkeypatch, number, module, name, mutant, d
 )
 def test_quarter_p_sweep_fails_the_divergent_family():
     spec = divergent_smoothed_indicator(VilenkinStructure.from_pattern((2,), 10))
-    assert not scale_sweep_ok(*scale_sweep_gates(scale_sweep(spec, 0.25)))
+    final, backslide = scale_sweep_gates(scale_sweep(spec, 0.25))
+    assert not (frozen.FINAL_GAP_MAX.passes(final) and frozen.BACKSLIDE_FACTOR_MAX.passes(backslide))

@@ -253,6 +253,17 @@ class TestAtoms:
         assert np.abs(a.values[:width] - 8.0).max() < 1e-12
         assert np.abs(a.values[width : 2 * width] + 8.0).max() < 1e-12
 
+    def test_atom_just_over_the_sup_bound_fails(self, walsh4):
+        # 8 * (D_4 - D_2) has sup 16 = measure(I)^{-4} on the depth-1
+        # cylinder, so it sits on the bound; 1e-9 more is past the slack
+        a = 8.0 * (dirichlet_kernel(4, walsh4) - dirichlet_kernel(2, walsh4))
+        interval = CylinderInterval(0, 1)
+        cert = validate_atom(a, 0.25, interval)
+        assert cert.sup_ratio == 1.0 and cert.valid
+        over = validate_atom((1.0 + 1e-9) * a, 0.25, interval)
+        assert over.sup_ratio == pytest.approx(1.000000001, rel=1e-15)
+        assert not over.sup_ok and not over.valid
+
     def test_zero_function_is_degenerate_atom(self, walsh4):
         a = StepFunction(walsh4, np.zeros(walsh4.size))
         cert = validate_atom(a, 0.5, CylinderInterval(0, 2))
