@@ -10,9 +10,11 @@ of each shipped config under ``configs/`` they read, and only records are
 kept, never an array.  The others build their own small fixtures.  The
 statistics live in :mod:`vilenkin_lab.experiments`, next to the runners
 that record them, and each bound is a :class:`vilenkin_lab.frozen.Gate`
-that criteria and runners both call, so a criterion and a runner never
-disagree about what a gate means, and what ``check`` prints is what
-``run`` writes.
+that criteria and runners both call.  Every gated statistic is judged and
+printed by :func:`vilenkin_lab.frozen.gated` as ``name=value (gate bound)``,
+except criterion 4's timings, criterion 7's count and criterion 12's
+percents, so a criterion and a runner never disagree about what a gate
+means, and what ``check`` prints is what ``run`` writes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import frozen
+from .frozen import gated
 from .experiments import (
     SHIPPED_DIR,
     dirichlet_errors,
@@ -113,28 +116,22 @@ def criterion_1(records: Records) -> tuple[bool, str]:
     structures = (_MIXED, _walsh(10))
     worst_gram = max(gram_error(vs) for vs in structures)
     worst_rel = max(parseval_worst_rel(vs, XorShift64Star(11), 100) for vs in structures)
-    ok = frozen.ROUNDOFF_MAX.passes(worst_gram) and frozen.RELATIVE_ROUNDOFF_MAX.passes(worst_rel)
-    return ok, f"gram_err={worst_gram:.2e} parseval_rel={worst_rel:.2e}"
+    return gated(("gram_err", worst_gram, frozen.ROUNDOFF_MAX, ".2e"),
+                 ("parseval_rel", worst_rel, frozen.RELATIVE_ROUNDOFF_MAX, ".2e"))
 
 
 @_criterion(2, "dirichlet-closed-form")
 def criterion_2(records: Records) -> tuple[bool, str]:
     worst = max(max(dirichlet_errors(vs)) for vs in (_MIXED, _walsh(10)))
-    return frozen.ROUNDOFF_MAX.passes(worst), f"max_err={worst:.2e}"
+    return gated(("max_err", worst, frozen.ROUNDOFF_MAX, ".2e"))
 
 
 @_criterion(3, "fejer-kernel-lower-bounds", time_limit=30.0)
 def criterion_3(records: Records) -> tuple[bool, str]:
-    worst = np.inf
-    cells = 0
-    for level in (3, 4, 5, 6):
-        vs = _walsh(2 * level - 1)
-        check = verify_fejer_lower_bounds(level, vs)
-        worst = min(worst, check.worst_margin)
-        cells += check.cells_checked
-        if not check.ok:
-            return False, f"violated at level {level}, margin {check.worst_margin:.3e}"
-    return True, f"cells={cells} worst_margin={worst:.3f}"
+    checks = [verify_fejer_lower_bounds(level, _walsh(2 * level - 1)) for level in (3, 4, 5, 6)]
+    worst = min(check.worst_margin for check in checks)
+    ok, detail = gated(("worst_margin", worst, frozen.FEJER_BOUND_MARGIN_MIN, ".3f"))
+    return ok, f"cells={sum(check.cells_checked for check in checks)} {detail}"
 
 
 @_criterion(4, "fast-transform-vs-direct")
@@ -192,14 +189,14 @@ def criterion_5(records: Records) -> tuple[bool, str]:
         lhs = (sigma - f).values
         rhs = (band / n) * (fejer_mean(spec, band) - f).values
         worst_ident = max(worst_ident, float(np.abs(lhs - rhs).max()))
-    ok = frozen.ROUNDOFF_MAX.passes(worst_law) and frozen.ROUNDOFF_MAX.passes(worst_ident)
-    return ok, f"law_err={worst_law:.2e} identity_err={worst_ident:.2e}"
+    return gated(("law_err", worst_law, frozen.ROUNDOFF_MAX, ".2e"),
+                 ("identity_err", worst_ident, frozen.ROUNDOFF_MAX, ".2e"))
 
 
 @_criterion(6, "coefficient-laws-exact")
 def criterion_6(records: Records) -> tuple[bool, str]:
     worst = max(c["law_err"] for c in _constructions(records))
-    return frozen.ROUNDOFF_MAX.passes(worst), f"max_dev={worst:.2e}"
+    return gated(("max_dev", worst, frozen.ROUNDOFF_MAX, ".2e"))
 
 
 @_criterion(7, "atom-certificates")
@@ -213,31 +210,22 @@ def criterion_7(records: Records) -> tuple[bool, str]:
 def criterion_8(records: Records) -> tuple[bool, str]:
     dense_max = max(_column(records("counterexample_2a"), "ratio_power"))
     sparse_max = max(_column(records("counterexample_2b"), "ratio_power"))
-    ok = (frozen.MODULUS_RATIO_POWER_MAX.passes(dense_max)
-          and frozen.SPARSE_MODULUS_RATIO_POWER_MAX.passes(sparse_max))
-    return ok, (
-        f"dense_max={dense_max:.3f} (gate {frozen.MODULUS_RATIO_POWER_MAX.bound:g}) "
-        f"sparse_max={sparse_max:.3f} (gate {frozen.SPARSE_MODULUS_RATIO_POWER_MAX.bound:g})"
-    )
+    return gated(("dense_max", dense_max, frozen.MODULUS_RATIO_POWER_MAX, ".3f"),
+                 ("sparse_max", sparse_max, frozen.SPARSE_MODULUS_RATIO_POWER_MAX, ".3f"))
 
 
 @_criterion(9, "divergence-gates", time_limit=60.0)
 def criterion_9(records: Records) -> tuple[bool, str]:
     dense_min = min(_column(records("counterexample_2a"), "weak_power"))
     sparse_min = min(_column(records("counterexample_2b"), "halfnorm_gap"))
-    ok = (frozen.WEAK_DIVERGENCE_MIN.passes(dense_min)
-          and frozen.SPARSE_DIVERGENCE_MIN.passes(sparse_min))
-    return ok, (
-        f"dense_min={dense_min:.3f} (gate {frozen.WEAK_DIVERGENCE_MIN.bound:g}) "
-        f"sparse_min={sparse_min:.3f} (gate {frozen.SPARSE_DIVERGENCE_MIN.bound:g})"
-    )
+    return gated(("dense_min", dense_min, frozen.WEAK_DIVERGENCE_MIN, ".3f"),
+                 ("sparse_min", sparse_min, frozen.SPARSE_DIVERGENCE_MIN, ".3f"))
 
 
 @_criterion(10, "kernel-growth-scan")
 def criterion_10(records: Records) -> tuple[bool, str]:
     worst = min(_column(records("kernel_scan"), "ratio"))
-    return frozen.KERNEL_SCAN_RATIO_MIN.passes(worst), (
-        f"min_ratio={worst:.3f} (gate {frozen.KERNEL_SCAN_RATIO_MIN.bound:g})")
+    return gated(("min_ratio", worst, frozen.KERNEL_SCAN_RATIO_MIN, ".3f"))
 
 
 @_criterion(11, "fejer-convergence-surrogate")
@@ -252,12 +240,8 @@ def criterion_11(records: Records) -> tuple[bool, str]:
     ]
     worst_final = max(final for final, _ in gates)
     worst_backslide = max(backslide for _, backslide in gates)
-    ok = (frozen.FINAL_GAP_MAX.passes(worst_final)
-          and frozen.BACKSLIDE_FACTOR_MAX.passes(worst_backslide))
-    return ok, (
-        f"final_max={worst_final:.4f} (gate {frozen.FINAL_GAP_MAX.bound:g}) "
-        f"backslide_max={worst_backslide:.3f} (gate {frozen.BACKSLIDE_FACTOR_MAX.bound:g})"
-    )
+    return gated(("final_max", worst_final, frozen.FINAL_GAP_MAX, ".4f"),
+                 ("backslide_max", worst_backslide, frozen.BACKSLIDE_FACTOR_MAX, ".3f"))
 
 
 @_criterion(12, "weighted-ratio-stability")

@@ -35,6 +35,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # e.g. a power 1/p at a tiny p
+        print(f"config error: a value overflows a float: {exc}", file=sys.stderr)
+        return 2
     for msg in result.messages:
         print(msg, file=sys.stderr)
     print(f"wrote {len(result.records)} records to {out} (exit {result.exit_code})")

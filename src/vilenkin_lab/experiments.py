@@ -26,6 +26,7 @@ import numpy as np
 
 from . import frozen
 from .errors import CapacityError
+from .frozen import gated
 from .counterexamples import (
     CriticalExample,
     block_spectrum,
@@ -336,7 +337,8 @@ def run_gram(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
         )
     gram_err = gram_error(vs)
     worst_rel = parseval_worst_rel(vs, XorShift64Star(cfg.seed), count)
-    ok = frozen.ROUNDOFF_MAX.passes(gram_err) and frozen.RELATIVE_ROUNDOFF_MAX.passes(worst_rel)
+    ok, detail = gated(("gram_max_err", gram_err, frozen.ROUNDOFF_MAX, ".3e"),
+                       ("parseval_worst_rel", worst_rel, frozen.RELATIVE_ROUNDOFF_MAX, ".3e"))
     records = [
         _rec(
             cfg,
@@ -349,8 +351,7 @@ def run_gram(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
             },
         )
     ]
-    msgs = [] if ok else [f"gram/parseval failure: {gram_err:.3e}, {worst_rel:.3e}"]
-    return ExperimentResult(records, 0 if ok else 2, msgs)
+    return ExperimentResult(records, 0 if ok else 2, [] if ok else [f"gram/parseval failure: {detail}"])
 
 
 def dirichlet_errors(vs: VilenkinStructure) -> list[float]:
@@ -397,16 +398,13 @@ def run_kernels(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResul
             },
         )
     )
-    ok = frozen.ROUNDOFF_MAX.passes(max(errors)) and check.ok
-    msgs = [] if ok else [
-        f"kernel checks failed: closed-form err {max(errors):.3e}, "
-        f"bound margin {check.worst_margin:.3e}"
-    ]
-    return ExperimentResult(records, 0 if ok else 2, msgs)
+    ok, detail = gated(("max_err", max(errors), frozen.ROUNDOFF_MAX, ".3e"),
+                       ("worst_margin", check.worst_margin, frozen.FEJER_BOUND_MARGIN_MIN, ".3e"))
+    return ExperimentResult(records, 0 if ok else 2, [] if ok else [f"kernel checks failed: {detail}"])
 
 
 def _log_spaced_orders(vs: VilenkinStructure, points: int) -> list[int]:
-    grid = set(np.unique(np.geomspace(1, vs.size, points).astype(int)))
+    grid = set(np.unique(np.geomspace(1, vs.size, points).astype(int)).tolist())
     grid.update(vs.M[1 : vs.N + 1])
     return sorted(grid)
 
@@ -462,7 +460,8 @@ def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
                 )
             )
         final, backslide = scale_sweep_gates(rel)
-        ok = frozen.FINAL_GAP_MAX.passes(final) and frozen.BACKSLIDE_FACTOR_MAX.passes(backslide)
+        ok, detail = gated(("final_gap_rel", final, frozen.FINAL_GAP_MAX, ".4f"),
+                           ("backslide", backslide, frozen.BACKSLIDE_FACTOR_MAX, ".3f"))
         records.append(
             _rec(
                 cfg,
@@ -471,10 +470,7 @@ def run_convergence(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
             )
         )
         if not ok:
-            messages.append(
-                f"convergence gate failed at p={p}: final {final:.4f}, "
-                f"backslide {backslide:.3f}"
-            )
+            messages.append(f"convergence gate failed at p={p}: {detail}")
     return ExperimentResult(records, 2 if messages else 0, messages)
 
 
@@ -487,8 +483,9 @@ def _construction_record(
     law_err = float(np.abs(ex.spectrum.coeffs - block_spectrum(ex.vs, law).coeffs).max())
     d = ex.decomposition
     atoms_ok = all(validate_atom(a, d.p, iv).valid for a, iv in zip(d.atoms, d.intervals))
-    if not (frozen.ROUNDOFF_MAX.passes(law_err) and atoms_ok):
-        messages.append(f"construction checks failed: law {law_err:.3e}, atoms {atoms_ok}")
+    law_ok, detail = gated(("law_err", law_err, frozen.ROUNDOFF_MAX, ".3e"))
+    if not (law_ok and atoms_ok):
+        messages.append(f"construction checks failed: {detail} atoms_ok={float(atoms_ok)}")
     return _rec(cfg, {"block": "construction", "i": 0},
                 {"law_err": law_err, "atoms_ok": float(atoms_ok)})
 
@@ -516,9 +513,10 @@ def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
     records = [_construction_record(cfg, ex, [(i, vs.M[i]) for i in range(depth + 1)], messages)]
 
     rows = modulus_ratio_report(ex, modulus_levels)
-    worst_ratio = _modulus_records(cfg, rows, records)
-    if not frozen.MODULUS_RATIO_POWER_MAX.passes(worst_ratio):
-        messages.append(f"modulus ratio {worst_ratio:.3f} over gate")
+    ok, detail = gated(("ratio_power", _modulus_records(cfg, rows, records),
+                        frozen.MODULUS_RATIO_POWER_MAX, ".3f"))
+    if not ok:
+        messages.append(f"modulus gate failed: {detail}")
 
     stats = []
     f = ex.function()
@@ -531,9 +529,9 @@ def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
             _rec(cfg, {"block": "divergence", "i": k},
                  {"weak_power": stat, "weak_root": root, "companion_gap": companion})
         )
-    worst_stat = min(stats)
-    if not frozen.WEAK_DIVERGENCE_MIN.passes(worst_stat):
-        messages.append(f"weak divergence {worst_stat:.3f} under gate")
+    ok, detail = gated(("weak_power", min(stats), frozen.WEAK_DIVERGENCE_MIN, ".3f"))
+    if not ok:
+        messages.append(f"divergence gate failed: {detail}")
 
     dump = params.get("dump_function")
     if dump:
@@ -555,9 +553,10 @@ def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
     records = [_construction_record(cfg, ex, law, messages)]
 
     rows = sparse_modulus_ratio_report(ex, modulus_levels)
-    worst_ratio = _modulus_records(cfg, rows, records)
-    if not frozen.SPARSE_MODULUS_RATIO_POWER_MAX.passes(worst_ratio):
-        messages.append(f"sparse modulus ratio {worst_ratio:.3f} over gate")
+    ok, detail = gated(("ratio_power", _modulus_records(cfg, rows, records),
+                        frozen.SPARSE_MODULUS_RATIO_POWER_MAX, ".3f"))
+    if not ok:
+        messages.append(f"sparse modulus gate failed: {detail}")
 
     f = ex.function()
     stats = [sparse_divergence_statistic(ex, k, f) for k in range(1, depth + 1)]
@@ -565,9 +564,9 @@ def run_counterexample_2b(cfg: ExperimentConfig, vs: VilenkinStructure) -> Exper
         _rec(cfg, {"block": "divergence", "i": k}, {"halfnorm_gap": stat})
         for k, stat in enumerate(stats, start=1)
     )
-    worst_stat = min(stats)
-    if not frozen.SPARSE_DIVERGENCE_MIN.passes(worst_stat):
-        messages.append(f"sparse divergence {worst_stat:.3f} under gate")
+    ok, detail = gated(("halfnorm_gap", min(stats), frozen.SPARSE_DIVERGENCE_MIN, ".3f"))
+    if not ok:
+        messages.append(f"sparse divergence gate failed: {detail}")
 
     dump = params.get("dump_function")
     if dump:
@@ -581,13 +580,8 @@ def run_kernel_scan(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
         _rec(cfg, {"level": r.level}, {"halfnorm": r.halfnorm, "ratio": r.ratio})
         for r in rows
     ]
-    worst = min(r.ratio for r in rows)
-    ok = frozen.KERNEL_SCAN_RATIO_MIN.passes(worst)
-    return ExperimentResult(
-        records,
-        0 if ok else 2,
-        [] if ok else [f"kernel scan ratio {worst:.3f} under gate"],
-    )
+    ok, detail = gated(("ratio", min(r.ratio for r in rows), frozen.KERNEL_SCAN_RATIO_MIN, ".3f"))
+    return ExperimentResult(records, 0 if ok else 2, [] if ok else [f"kernel scan gate failed: {detail}"])
 
 
 def max_weighted_ratio(spec: Spectrum, ps: tuple[float, ...], n_max: int) -> tuple[float, ...]:
@@ -677,13 +671,13 @@ def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> Experimen
         for s, best in enumerate(maxima):
             records.append(_rec(cfg, {"p": p, "seed": s}, {"max_ratio": best}))
         cv = ratio_cv(maxima)
-        ok = frozen.MAX_RATIO_CV_MAX.passes(cv)
+        ok, detail = gated(("cv", cv, frozen.MAX_RATIO_CV_MAX, ".4f"))
         records.append(
             _rec(cfg, {"p": p, "seed": seeds},
                  {"cv": cv, "mean_max_ratio": float(np.mean(maxima)), "passed": float(ok)})
         )
         if not ok:
-            messages.append(f"ratio instability at p={p}: cv {cv:.4f}")
+            messages.append(f"ratio instability at p={p}: {detail}")
     return ExperimentResult(records, 2 if messages else 0, messages)
 
 

@@ -4,7 +4,9 @@ The underlying statements are asymptotic with unspecified constants; these
 finite-scale gate values were frozen from reference runs of the oracles in
 the test suite and must not be retuned casually.  Each name is a
 :class:`Gate` that holds one statistic's bound and the comparison the
-statistic must pass, and nothing else in the package compares a bound.
+statistic must pass.  No statistic is compared with a bound anywhere else:
+the library calls ``Gate.passes``, and :func:`gated` judges and prints
+every gated statistic of ``check`` and ``run``.
 """
 
 import operator
@@ -24,6 +26,15 @@ class Gate:
         return self.holds(value, self.bound)
 
 
+def gated(*stats: tuple[str, float, Gate, str]) -> tuple[bool, str]:
+    """Whether every ``(name, value, gate, spec)`` passes its gate, and
+    ``name=value (gate bound)`` for each, value formatted by ``spec``,
+    joined by spaces."""
+    return (all(gate.passes(value) for _, value, gate, _ in stats),
+            " ".join(f"{name}={value:{spec}} (gate {gate.bound:g})"
+                     for name, value, gate, spec in stats))
+
+
 # Absolute error of a quantity the library knows exactly (character Gram
 # matrix, closed-form Dirichlet kernels, coefficient laws, Fejer
 # coefficient algebra): stays below.
@@ -32,6 +43,17 @@ ROUNDOFF_MAX = Gate(1e-12, operator.lt)
 # Relative error of Parseval's identity and of the fast transform against
 # the direct one: stays below.
 RELATIVE_ROUNDOFF_MAX = Gate(1e-10, operator.lt)
+
+# Worst margin of the scaled Fejer kernel over its catalogued lower bounds:
+# stays at or above (the kernel is synthesized in floating point, the
+# bounds are exact).
+FEJER_BOUND_MARGIN_MIN = Gate(-1e-9, operator.ge)
+
+# H_p atom certificate: sup|a| * |I|^(1/p) stays at or below; the zero-mean
+# residual over sup|a| and the leak outside I over max(sup|a|, 1) stay at or
+# below the residual bound.
+ATOM_SUP_RATIO_MAX = Gate(1.0 + 1e-12, operator.le)
+ATOM_RESIDUAL_MAX = Gate(1e-12, operator.le)
 
 # Weak divergence statistic of the dense family (p-powered form),
 # at orders M[k] + 1 for k = 3..8, depth 10, dyadic structure: stays above.

@@ -4,7 +4,8 @@ Kernels are materialized as step functions at full resolution so pointwise
 claims about them can be verified cell by cell.  The module also builds
 the catalogue of cylinders on which the scaled Fejer kernel along the
 lacunary index sequence admits an explicit lower bound, and a checker that
-verifies the bound exhaustively.
+verifies the bound exhaustively, its worst margin held to
+``frozen.FEJER_BOUND_MARGIN_MIN``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import frozen
 from .errors import ResolutionError
 from .structure import VilenkinStructure, cylinder_cells
 from .transform import Spectrum, StepFunction, fejer_mean, partial_sum
-
-# Slack on the worst margin of the lower-bound check: the kernel is
-# synthesized in floating point, the bounds are exact.
-BOUND_SLACK = 1e-9
 
 
 def _all_ones(vs: VilenkinStructure) -> Spectrum:
@@ -113,7 +111,7 @@ class BoundCheck:
     kernel_index: int
     entries: int
     cells_checked: int
-    worst_margin: float  # min over cells of scaled kernel minus bound
+    worst_margin: float  # min over cells of scaled kernel minus bound; 0 if none
 
 
 def verify_fejer_lower_bounds(
@@ -130,17 +128,12 @@ def verify_fejer_lower_bounds(
         catalogue = fejer_lower_bound_cells(level, vs)
     index = lacunary_index(level - 1, vs)
     scaled = index * np.abs(fejer_kernel(index, vs).values)
-    worst = np.inf
-    checked = 0
-    for entry in catalogue:
-        sl = slice(entry.cells.start, entry.cells.stop)
-        margin = float(np.min(scaled[sl]) - entry.bound)
-        worst = min(worst, margin)
-        checked += len(entry.cells)
+    worst = min((float(np.min(scaled[e.cells.start : e.cells.stop]) - e.bound) for e in catalogue),
+                default=0.0)
     return BoundCheck(
-        ok=(not catalogue) or worst >= -BOUND_SLACK,
+        ok=frozen.FEJER_BOUND_MARGIN_MIN.passes(worst),
         kernel_index=index,
         entries=len(catalogue),
-        cells_checked=checked,
-        worst_margin=worst if catalogue else 0.0,
+        cells_checked=sum(len(e.cells) for e in catalogue),
+        worst_margin=worst,
     )

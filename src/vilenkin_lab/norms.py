@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import frozen
 from .errors import ResolutionError
 from .structure import VilenkinStructure, cylinder_cells
 from .transform import Spectrum, StepFunction, _block_maximum, maximal_function
@@ -128,10 +129,11 @@ def validate_atom(
 ) -> AtomCertificate:
     """Check zero mean on I, the sup bound, and support containment.
 
-    The zero-mean tolerance is 1e-12 * sup|a|; support containment and the
-    sup bound use the same 1e-12 relative slack so kernels synthesized in
-    floating point certify cleanly.  A function vanishing identically is a
-    valid degenerate atom.
+    ``frozen.ATOM_SUP_RATIO_MAX`` holds sup|a| * |I|^(1/p), and
+    ``frozen.ATOM_RESIDUAL_MAX`` the zero-mean residual over sup|a| and the
+    largest magnitude outside I over max(sup|a|, 1); their 1e-12 slack lets
+    kernels synthesized in floating point certify cleanly.  A function
+    vanishing identically is a valid degenerate atom.
     """
     vs = a.vs
     if not 0 <= interval.depth <= vs.N:
@@ -140,17 +142,16 @@ def validate_atom(
     inside = slice(cells.start, cells.stop)
     mags = np.abs(a.values)
     sup = float(mags.max())
-    tol = 1e-12 * max(sup, 1.0)
 
     mean_residual = abs(complex(np.sum(a.values[inside]))) / vs.size
-    zero_mean_ok = mean_residual <= 1e-12 * sup if sup > 0 else True
+    zero_mean_ok = frozen.ATOM_RESIDUAL_MAX.passes(mean_residual / sup) if sup > 0 else True
 
     sup_ratio = sup * interval.measure(vs) ** (1.0 / p)
-    sup_ok = sup_ratio <= 1.0 + 1e-12
+    sup_ok = frozen.ATOM_SUP_RATIO_MAX.passes(sup_ratio)
 
     outside = np.concatenate([mags[: cells.start], mags[cells.stop :]])
     leak = float(outside.max()) if outside.size else 0.0
-    support_ok = leak <= tol
+    support_ok = frozen.ATOM_RESIDUAL_MAX.passes(leak / max(sup, 1.0))
 
     return AtomCertificate(
         interval=interval,

@@ -161,11 +161,18 @@ def _above(x):
         (frozen.MAX_RATIO_CV_MAX, _below(0.10), 0.10),
         (frozen.MAX_RATIO_CV_MAX, 0.0, math.nan),
         (frozen.MIN_SPEEDUP, 20.0, _below(20.0)),
+        (frozen.FEJER_BOUND_MARGIN_MIN, -1e-9, _below(-1e-9)),
+        (frozen.FEJER_BOUND_MARGIN_MIN, 0.0, math.nan),
+        (frozen.ATOM_SUP_RATIO_MAX, 1.000000000001, _above(1.000000000001)),
+        (frozen.ATOM_SUP_RATIO_MAX, 1.0, math.nan),
+        (frozen.ATOM_RESIDUAL_MAX, 1e-12, _above(1e-12)),
+        (frozen.ATOM_RESIDUAL_MAX, 0.0, math.nan),
     ],
     ids=[
         "roundoff", "relative-roundoff", "modulus", "sparse-modulus", "weak-divergence",
         "sparse-divergence", "kernel-scan", "final-gap", "backslide", "ratio-cv",
-        "ratio-cv-nan", "min-speedup",
+        "ratio-cv-nan", "min-speedup", "fejer-bound-margin", "fejer-bound-margin-nan",
+        "atom-sup-ratio", "atom-sup-ratio-nan", "atom-residual", "atom-residual-nan",
     ],
 )
 def test_gate_predicate_boundary(gate, inside, outside):

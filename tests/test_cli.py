@@ -235,6 +235,20 @@ class TestConfigLoading:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["maximal_bound", "counterexample_2a", "convergence_walsh"])
+    def test_exponent_overflowing_a_float_exits_2(self, name, tmp_path, capsys):
+        # the shipped config at p = 0.001: a power 1/p = 1000 overflows a float
+        payload = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+        payload["p_values"] = [0.001]
+        if "p" in payload["parameters"]:
+            payload["parameters"]["p"] = 0.001
+        cfg = write_config(tmp_path, "p.json", payload)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_string_output_path_exits_2_without_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, "bad.json", {
@@ -378,8 +392,10 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
         assert "depth 10 needs resolution >= 11" in capsys.readouterr().err
 
-    def test_json_format_output(self, tmp_path):
-        cfg = small_2a_config(tmp_path)
+    @pytest.mark.parametrize("config", ["2a-small", "convergence_walsh"])
+    def test_json_format_output(self, config, tmp_path):
+        # the convergence grid holds Python integers, which JSON can write
+        cfg = small_2a_config(tmp_path) if config == "2a-small" else CONFIG_DIR / f"{config}.json"
         out = tmp_path / "out.json"
         assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 0
         payload = json.loads(out.read_text())

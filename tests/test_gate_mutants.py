@@ -16,6 +16,7 @@ runner's law, because the runner keeps its own copy of those values; a
 fault in ``block_spectrum``, which builds both sides, still cannot fail it.
 """
 
+import dataclasses
 import functools
 import re
 
@@ -57,6 +58,12 @@ def dirichlet_one_order_off(n, vs):
 
 
 _fejer_kernel = kernels.fejer_kernel
+_catalogue = kernels.fejer_lower_bound_cells
+
+
+def catalogue_bounds_doubled(level, vs):
+    """The catalogued cylinders, each with twice its lower bound."""
+    return [dataclasses.replace(entry, bound=2 * entry.bound) for entry in _catalogue(level, vs)]
 
 
 def fejer_kernel_one_order_down(n, vs):
@@ -104,13 +111,15 @@ def unconjugated_stages(flat, vs, conjugate):
 
 
 # (criterion, module, function, mutant, the detail the failure prints, the
-# gate that statistic is held to: None for criterion 3's catalogue margin,
-# which has no frozen gate, and criterion 12's cv, printed in percent)
+# gate that statistic is held to: None for criterion 12's cv, printed in
+# percent)
 MUTANTS = [
     (1, transform, "character_rows", one_character_conjugated, "gram_err=1.00e+00",
      frozen.ROUNDOFF_MAX),
     (2, experiments, "dirichlet_kernel", dirichlet_one_order_off, "max_err=1.00e+00",
      frozen.ROUNDOFF_MAX),
+    (3, kernels, "fejer_lower_bound_cells", catalogue_bounds_doubled, "worst_margin=-11385.000",
+     frozen.FEJER_BOUND_MARGIN_MIN),
     (4, transform, "_run_stages", unconjugated_stages, "agreement_rel=1.34e+00",
      frozen.RELATIVE_ROUNDOFF_MAX),
     (5, acceptance, "fejer_mean", fejer_law_one_order_up, "law_err=2.08e-02",
@@ -126,7 +135,8 @@ MUTANTS = [
     (11, acceptance, "family_smoothed_indicator", divergent_smoothed_indicator, "final_max=0.3486",
      frozen.FINAL_GAP_MAX),
 ]
-IDS = ["1-one-character-conjugated", "2-dirichlet-one-order-off", "4-unconjugated-analysis", "5-fejer-law-one-order-up",
+IDS = ["1-one-character-conjugated", "2-dirichlet-one-order-off", "3-catalogue-bounds-doubled",
+       "4-unconjugated-analysis", "5-fejer-law-one-order-up",
        "9-dense-decaying", "8-dense-growing", "6-dense-decaying", "6-dense-growing",
        "11-divergent-smooth-fixture"]
 
@@ -139,9 +149,10 @@ def undetected(reason):
 # ROADMAP item meant to catch them and the statistic they read.
 UNDETECTED = [
     pytest.param(
-        3, kernels, "fejer_kernel", fejer_kernel_one_order_down, "violated at level", None,
+        3, kernels, "fejer_kernel", fejer_kernel_one_order_down, "worst_margin=",
+        frozen.FEJER_BOUND_MARGIN_MIN,
         marks=undetected("ROADMAP item 10: K_{n-1} clears every catalogued lower bound "
-                         "(worst_margin=2.004, unmutated 1.000, gate >= 0)"),
+                         "(worst_margin=2.004, unmutated 1.000, gate >= -1e-9)"),
     ),
     pytest.param(
         10, counterexamples, "fejer_kernel", kernels.dirichlet_kernel, "min_ratio=",

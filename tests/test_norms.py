@@ -264,6 +264,32 @@ class TestAtoms:
         assert over.sup_ratio == pytest.approx(1.000000001, rel=1e-15)
         assert not over.sup_ok and not over.valid
 
+    @staticmethod
+    def _unit_atom(walsh4):
+        # 1 on cells 0..3 and -1 on cells 4..7: zero mean on the depth-1
+        # cylinder, sup 1, sup ratio 1/4 at p = 1/2
+        values = np.zeros(walsh4.size)
+        values[:4], values[4:8] = 1.0, -1.0
+        return values
+
+    @pytest.mark.parametrize("scale, valid", [(0.99, True), (1.01, False)])
+    def test_zero_mean_residual_at_the_residual_bound(self, walsh4, scale, valid):
+        # cell 0 raised by 16x moves the mean on I by x, and x over
+        # sup|a| = 1 + 16x is x to a relative 1.6e-11
+        values = self._unit_atom(walsh4)
+        values[0] += 16 * scale * 1e-12
+        cert = validate_atom(StepFunction(walsh4, values), 0.5, CylinderInterval(0, 1))
+        assert cert.zero_mean_residual == pytest.approx(scale * 1e-12, rel=1e-4)
+        assert cert.zero_mean_ok == cert.valid == valid
+
+    @pytest.mark.parametrize("scale, valid", [(0.99, True), (1.01, False)])
+    def test_support_leak_at_the_residual_bound(self, walsh4, scale, valid):
+        values = self._unit_atom(walsh4)
+        values[-1] = scale * 1e-12
+        cert = validate_atom(StepFunction(walsh4, values), 0.5, CylinderInterval(0, 1))
+        assert cert.support_leak == scale * 1e-12
+        assert cert.support_ok == cert.valid == valid
+
     def test_zero_function_is_degenerate_atom(self, walsh4):
         a = StepFunction(walsh4, np.zeros(walsh4.size))
         cert = validate_atom(a, 0.5, CylinderInterval(0, 2))
