@@ -6,7 +6,8 @@ one-line detail string; nothing here mutates state, so criteria can run in
 any order.  Each criterion takes ``records``, called as ``records(name)``
 or ``records(name, p)`` like :func:`_shipped_records`; :func:`run_all`
 passes one cache of that function, so criteria 6 to 10 and 12 gate one run
-of each shipped config under ``configs/`` they read, and only records are
+of each shipped config under ``configs/`` they read, plus one construction
+of the dense example at p = 1/3 for criteria 6 and 7, and only records are
 kept, never an array.  The others build their own small fixtures.  The
 statistics live in :mod:`vilenkin_lab.experiments`, next to the runners
 that record them, and each bound is a :class:`vilenkin_lab.frozen.Gate`
@@ -31,6 +32,8 @@ from . import frozen
 from .frozen import gated
 from .experiments import (
     SHIPPED_DIR,
+    build_structure,
+    dense_construction,
     dirichlet_errors,
     family_character_polynomial,
     family_smoothed_indicator,
@@ -69,13 +72,15 @@ _MIXED = VilenkinStructure.from_m((2, 3, 2, 3))
 
 
 def _shipped_records(name: str, p: float | None = None) -> list[ExperimentRecord]:
-    """The records of ``configs/<name>.json``; with ``p``, of that dense
-    config run at exponent p in place of its own."""
+    """The records of ``configs/<name>.json``; with ``p``, the construction
+    record alone of that dense config at exponent p in place of its own."""
     raw = json.loads((SHIPPED_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    if p is not None:
-        raw["p_values"] = [p]
-        raw["parameters"]["p"] = p
-    return run_experiment(load_config(raw)).records
+    if p is None:
+        return run_experiment(load_config(raw)).records
+    raw["p_values"] = [p]
+    raw["parameters"]["p"] = p
+    cfg = load_config(raw)
+    return [dense_construction(cfg, build_structure(cfg), [])[1]]
 
 
 Records = Callable[..., list[ExperimentRecord]]

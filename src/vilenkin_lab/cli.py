@@ -35,7 +35,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # e.g. a power 1/p at a tiny p
+    except OverflowError as exc:  # a float power that no config check foresees
         print(f"config error: a value overflows a float: {exc}", file=sys.stderr)
         return 2
     for msg in result.messages:

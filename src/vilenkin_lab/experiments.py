@@ -197,6 +197,9 @@ def load_config(source: dict | str | Path) -> ExperimentConfig:
 
 
 def build_structure(cfg: ExperimentConfig, cap: int = DEFAULT_CELL_CAP) -> VilenkinStructure:
+    """The structure ``cfg`` asks for; a structure over ``cap`` cells is a
+    capacity error, and a ``p`` whose powers overflow a float on it a config
+    error."""
     spec = cfg.structure
     depth = len(spec["m"]) if "m" in spec else spec.get("repeat_to", cfg.resolution)
     if depth is None:
@@ -221,6 +224,16 @@ def build_structure(cfg: ExperimentConfig, cap: int = DEFAULT_CELL_CAP) -> Vilen
             f"structure has at least 2^{bits - 1} cells (a {bits}-bit count), over the cap "
             f"of {cap}; raise --cells-cap to allow it"
         )
+    # the runners raise numbers up to M[N] + 1 to powers up to 1/p; the
+    # builders refuse a parameters.p <= 0
+    ps = cfg.p_values + ((_dense_p(cfg.parameters),) if "p" in cfg.parameters else ())
+    for p in (p for p in ps if p > 0):
+        try:
+            float(vs.size + 1) ** (1.0 / p)
+        except OverflowError:
+            raise ValueError(
+                f"p = {p} overflows a float in the power (M[N] + 1)^(1/p) = {vs.size + 1}^{1 / p:g}"
+            ) from None
     return vs
 
 
@@ -296,15 +309,38 @@ def build_family(cfg: ExperimentConfig, vs: VilenkinStructure, rng: XorShift64St
 # runners, each next to the statistics it shares with the check suite
 
 
+# Rows of the Gram matrix per product.  Each product packs the whole
+# conjugate matrix again, so the count of products, not their size, sets
+# the overhead: 128 rows took about the full product's time at 2^10 and at
+# 4096 cells, where character_blocks' 8-row blocks took three times as long.
+_GRAM_ROWS = 128
+
+
 def gram_error(vs: VilenkinStructure) -> float:
-    """Largest entry of the character Gram matrix minus the identity."""
-    mat = np.empty((vs.size, vs.size), dtype=np.complex128)
-    for offset, rows in character_blocks(np.arange(vs.size), vs):
-        mat[offset : offset + len(rows)] = rows
-    gram = mat @ mat.conj().T
-    gram /= vs.size
-    gram.flat[:: vs.size + 1] -= 1.0
-    return float(np.abs(gram).max())
+    """Largest entry of the character Gram matrix minus the identity.
+
+    Holds one M[N] x M[N] array, the conjugated characters, filled from
+    :func:`character_blocks`, and takes the Gram matrix in near-equal row
+    blocks of at most ``_GRAM_ROWS`` rows.  Conjugating a block back gives
+    its characters bit for bit, and GEMM sums each entry over the same K
+    panels whatever the number of rows, so the statistic is that of the
+    full product byte for byte.  No block is a single row of a larger
+    matrix, which numpy would multiply by GEMV, summing in another order.
+    """
+    size = vs.size
+    conj = np.empty((size, size), dtype=np.complex128)
+    for offset, rows in character_blocks(np.arange(size), vs):
+        np.conjugate(rows, out=conj[offset : offset + len(rows)])
+    blocks = -(-size // _GRAM_ROWS)
+    bounds = [size * i // blocks for i in range(blocks + 1)]
+    worst = 0.0
+    for start, stop in zip(bounds, bounds[1:]):
+        gram = np.conjugate(conj[start:stop]) @ conj.T
+        gram /= size
+        gram.flat[start :: size + 1] -= 1.0
+        worst = np.maximum(worst, np.abs(gram).max())  # keeps a NaN, which max() can drop
+        del gram  # before the next product, not after it
+    return float(worst)
 
 
 def parseval_worst_rel(vs: VilenkinStructure, rng: XorShift64Star, count: int) -> float:
@@ -332,7 +368,7 @@ def run_gram(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     count = _param(cfg.parameters, "functions", 100, lo=1)
     if vs.size > 4096:
         raise CapacityError(
-            f"gram experiment materializes a {vs.size}x{vs.size} matrix; "
+            f"gram experiment holds one {vs.size}x{vs.size} complex matrix; "
             "limit is 4096 cells"
         )
     gram_err = gram_error(vs)
@@ -500,17 +536,26 @@ def _modulus_records(cfg: ExperimentConfig, rows: list, records: list[Experiment
     return max(r.ratio_power for r in rows)
 
 
+def dense_construction(
+    cfg: ExperimentConfig, vs: VilenkinStructure, messages: list[str]
+) -> tuple[CriticalExample, ExperimentRecord]:
+    """The dense example of a ``counterexample-2a`` config and its
+    construction record.  The coefficient law, M[i] on block i, and the atom
+    certificates are assertion-grade: a failure appends to ``messages``."""
+    depth = _param(cfg.parameters, "depth", 10)
+    ex = build_critical_example(_dense_p(cfg.parameters), depth, vs)
+    return ex, _construction_record(cfg, ex, [(i, vs.M[i]) for i in range(depth + 1)], messages)
+
+
 def run_counterexample_2a(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResult:
     params = cfg.parameters
-    p = _dense_p(params)
     depth = _param(params, "depth", 10)
     modulus_levels = _levels(params, "modulus", 1, min(8, depth - 2))
     divergence_levels = _levels(params, "divergence", 3, min(8, depth - 2))
-    ex = build_critical_example(p, depth, vs)
 
     messages = []
-    # the coefficient law, M[i] on block i, and the atom certificates are assertion-grade
-    records = [_construction_record(cfg, ex, [(i, vs.M[i]) for i in range(depth + 1)], messages)]
+    ex, construction = dense_construction(cfg, vs, messages)
+    records = [construction]
 
     rows = modulus_ratio_report(ex, modulus_levels)
     ok, detail = gated(("ratio_power", _modulus_records(cfg, rows, records),

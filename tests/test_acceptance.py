@@ -9,7 +9,8 @@ byte-identical output.  The tests after it pin the frozen gates the
 criteria and the experiment runners share: each fails just past its bound,
 no comparison in ``src/`` reads a bound outside its gate, and every gate is
 read by the package.  The last ones show that criteria 6 to 10 and 12
-read one run of each shipped config and fail on a record past its bound.
+read one run of each shipped config and fail on a record past its bound,
+and that one pass of the suite holds at most one full-size matrix.
 """
 
 import ast
@@ -21,6 +22,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -275,7 +277,7 @@ def test_seed_maxima_sweeps_each_spectrum_once_per_call(monkeypatch):
 
 
 # the (config, p) runs criteria 6 to 10 and 12 read, as the arguments of
-# the records function they take
+# the records function they take; with p, the dense construction alone
 SHIPPED_RUNS = (
     ("counterexample_2a",), ("counterexample_2a", 1 / 3), ("counterexample_2b",),
     ("kernel_scan",), ("maximal_bound",),
@@ -287,20 +289,52 @@ def shipped_records():
     return {key: acceptance._shipped_records(*key) for key in SHIPPED_RUNS}
 
 
-def test_one_run_experiment_per_shipped_run(monkeypatch):
-    runs = []
-    run = acceptance.run_experiment
+@pytest.fixture(scope="module")
+def counted_run_all():
+    """One ``run_all`` under tracemalloc: its results, the (experiment,
+    p_values) of each ``run_experiment`` and the p of each dense example it
+    builds, and its traced peak in bytes."""
+    runs, built = [], []
+    run, build = acceptance.run_experiment, experiments.build_critical_example
 
     def counted(cfg):
         runs.append((cfg.experiment, cfg.p_values))
         return run(cfg)
 
-    monkeypatch.setattr(acceptance, "run_experiment", counted)
-    assert all(r.passed for r in acceptance.run_all())
+    def counted_build(p, depth, vs):
+        built.append(p)
+        return build(p, depth, vs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance, "run_experiment", counted)
+        patch.setattr(experiments, "build_critical_example", counted_build)
+        tracemalloc.start()
+        try:
+            results = acceptance.run_all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return results, runs, built, peak
+
+
+def test_one_run_experiment_per_shipped_run(counted_run_all):
+    results, runs, built, _ = counted_run_all
+    assert all(r.passed for r in results)
     assert sorted(runs) == [
-        ("counterexample-2a", (0.25,)), ("counterexample-2a", (1 / 3,)),
-        ("counterexample-2b", (0.5,)), ("kernel-scan", (0.5,)), ("maximal-bound", (0.25, 0.5)),
+        ("counterexample-2a", (0.25,)), ("counterexample-2b", (0.5,)), ("kernel-scan", (0.5,)),
+        ("maximal-bound", (0.25, 0.5)),
     ]
+    # the p = 1/3 dense example is built for its construction record alone
+    assert sorted(built) == [0.25, 1 / 3]
+
+
+def test_run_all_holds_at_most_one_gram_matrix(counted_run_all):
+    # criterion 1's conjugated characters on Walsh 2^10 are the one
+    # M[N] x M[N] array of the suite; a second full-size matrix in any
+    # criterion breaks the bound
+    results, _, _, peak = counted_run_all
+    assert all(r.passed for r in results)
+    assert peak <= 1.3 * 16 * 1024**2
 
 
 @pytest.mark.parametrize(

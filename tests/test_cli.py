@@ -242,11 +242,15 @@ class TestConfigLoading:
         payload["p_values"] = [0.001]
         if "p" in payload["parameters"]:
             payload["parameters"]["p"] = 0.001
+        # refused with the structure, before the runner starts
+        with pytest.raises(ValueError, match=r"^p = 0\.001 overflows a float in the power "
+                                             r"\(M\[N\] \+ 1\)\^\(1/p\) = \d+\^1000$"):
+            build_structure(load_config(payload))
         cfg = write_config(tmp_path, "p.json", payload)
         out = tmp_path / "x.csv"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert err.startswith("config error: p = 0.001 overflows") and "Traceback" not in err
         assert not out.exists()
 
     def test_non_string_output_path_exits_2_without_out(self, tmp_path, monkeypatch, capsys):
@@ -646,7 +650,11 @@ class TestConvergenceLevels:
 
 
 class TestGramError:
-    @pytest.mark.parametrize("gens", [(2,) * 10, (3, 2, 5, 4, 2)])
+    # Gram row blocks: 8 of 128 rows at 2^10; 120 + 120; a ragged 121 + 122;
+    # and six of 106 or 107 rows on (641,), where blocks of exactly 128 rows
+    # would leave the last row alone, and numpy's one-row product (GEMV)
+    # reads 5.87e-16, not 2.5e-16 to 2.7e-16
+    @pytest.mark.parametrize("gens", [(2,) * 10, (3, 2, 5, 4, 2), (3,) * 5, (641,)])
     def test_equal_to_identity_difference_formula(self, gens):
         import numpy as np
         from vilenkin_lab.experiments import gram_error
@@ -658,10 +666,32 @@ class TestGramError:
         expected = float(np.abs((mat @ mat.conj().T) / vs.size - np.eye(vs.size)).max())
         assert gram_error(vs) == expected
 
-    def test_peak_memory_is_three_matrices(self):
+    # on (3,)^5: a row of the first block and the last row of the last block
+    @pytest.mark.parametrize("row", [5, 242], ids=["first-block", "ragged-last-block"])
+    def test_one_perturbed_row_fails_the_roundoff_gate(self, row, monkeypatch):
+        import numpy as np
+        from vilenkin_lab import frozen, transform
+        from vilenkin_lab.experiments import gram_error
+
+        vs = VilenkinStructure.from_m((3,) * 5)
+        assert frozen.ROUNDOFF_MAX.passes(gram_error(vs))
+        character_rows = transform.character_rows
+
+        def perturbed(indices, vs):
+            rows = character_rows(indices, vs)
+            rows[np.asarray(indices) == row] *= 1.0 + 1e-9
+            return rows
+
+        monkeypatch.setattr(transform, "character_rows", perturbed)
+        # the perturbed row's own diagonal entry reads |1 + 1e-9|^2 - 1
+        assert not frozen.ROUNDOFF_MAX.passes(gram_error(vs))
+
+    def test_peak_memory_is_one_matrix(self):
         import tracemalloc
         from vilenkin_lab.experiments import gram_error
 
+        # the conjugated characters, plus the characters and the Gram
+        # entries of one 128-row block: 1.28 x 16 M[N]^2 bytes at 2^10
         vs = VilenkinStructure.from_pattern((2,), 10)
         tracemalloc.start()
         try:
@@ -669,4 +699,4 @@ class TestGramError:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1 * 16 * vs.size**2
+        assert peak <= 1.3 * 16 * vs.size**2
