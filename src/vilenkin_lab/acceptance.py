@@ -99,9 +99,9 @@ def _constructions(records: Records) -> list[dict[str, float]]:
     return [r.values for run in runs for r in run if r.index["block"] == "construction"]
 
 
-def _criterion(number: int, name: str, time_limit: float = np.inf):
+def _criterion(number: int, name: str, time_gate: frozen.Gate | None = None):
     """Turn ``body(records) -> (ok, detail)`` into a timed criterion that also
-    fails when it takes ``time_limit`` seconds or more."""
+    fails when its seconds fail ``time_gate``, and then names them."""
 
     def wrap(body: Callable[[Records], tuple[bool, str]]):
         @functools.wraps(body)
@@ -109,14 +109,17 @@ def _criterion(number: int, name: str, time_limit: float = np.inf):
             start = time.perf_counter()
             ok, detail = body(records)
             secs = time.perf_counter() - start
-            return CriterionResult(number, name, ok and secs < time_limit, detail, secs)
+            if time_gate and not time_gate.passes(secs):
+                _, timing = gated(("seconds", secs, time_gate, ".2f"))
+                ok, detail = False, f"{detail} {timing}"
+            return CriterionResult(number, name, ok, detail, secs)
 
         return criterion
 
     return wrap
 
 
-@_criterion(1, "orthonormality-and-parseval", time_limit=5.0)
+@_criterion(1, "orthonormality-and-parseval", frozen.CRITERION_1_SECONDS_MAX)
 def criterion_1(records: Records) -> tuple[bool, str]:
     structures = (_MIXED, _walsh(10))
     worst_gram = max(gram_error(vs) for vs in structures)
@@ -131,7 +134,7 @@ def criterion_2(records: Records) -> tuple[bool, str]:
     return gated(("max_err", worst, frozen.ROUNDOFF_MAX, ".2e"))
 
 
-@_criterion(3, "fejer-kernel-lower-bounds", time_limit=30.0)
+@_criterion(3, "fejer-kernel-lower-bounds", frozen.CRITERION_3_SECONDS_MAX)
 def criterion_3(records: Records) -> tuple[bool, str]:
     checks = [verify_fejer_lower_bounds(level, _walsh(2 * level - 1)) for level in (3, 4, 5, 6)]
     worst = min(check.worst_margin for check in checks)
@@ -219,7 +222,7 @@ def criterion_8(records: Records) -> tuple[bool, str]:
                  ("sparse_max", sparse_max, frozen.SPARSE_MODULUS_RATIO_POWER_MAX, ".3f"))
 
 
-@_criterion(9, "divergence-gates", time_limit=60.0)
+@_criterion(9, "divergence-gates", frozen.CRITERION_9_SECONDS_MAX)
 def criterion_9(records: Records) -> tuple[bool, str]:
     dense_min = min(_column(records("counterexample_2a"), "weak_power"))
     sparse_min = min(_column(records("counterexample_2b"), "halfnorm_gap"))

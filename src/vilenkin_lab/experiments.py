@@ -413,6 +413,8 @@ def run_kernels(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResul
         for j, err in enumerate(errors)
     ]
     check = verify_fejer_lower_bounds(level, vs, catalogue)
+    ok, detail = gated(("max_err", max(errors), frozen.ROUNDOFF_MAX, ".3e"),
+                       ("worst_margin", check.worst_margin, frozen.FEJER_BOUND_MARGIN_MIN, ".3e"))
     for entry in catalogue:
         records.append(
             _rec(
@@ -430,12 +432,10 @@ def run_kernels(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentResul
                 "kernel_index": float(check.kernel_index),
                 "entries": float(check.entries),
                 "worst_margin": check.worst_margin,
-                "passed": float(check.ok),
+                "passed": float(ok),
             },
         )
     )
-    ok, detail = gated(("max_err", max(errors), frozen.ROUNDOFF_MAX, ".3e"),
-                       ("worst_margin", check.worst_margin, frozen.FEJER_BOUND_MARGIN_MIN, ".3e"))
     return ExperimentResult(records, 0 if ok else 2, [] if ok else [f"kernel checks failed: {detail}"])
 
 
@@ -634,10 +634,18 @@ def max_weighted_ratio(spec: Spectrum, ps: tuple[float, ...], n_max: int) -> tup
     ||sigma_n f||_p / (weight_p(n) * ||f||_{H_p}); 0 for f = 0.
 
     One sweep of the Fejer means and one maximal function serve every p.
+    A p whose largest weight times ``||f||_{H_p}`` overflows a float, which
+    would read a ratio of 0, is a config error.
     """
     mf = maximal_function(spec)
     best = [0.0] * len(ps)
     denoms = [lp_quasinorm(mf, p) for p in ps]
+    for p, denom in zip(ps, denoms):
+        # the weights increase with n; a float product overflows to inf silently
+        top = FejerWeight.for_p(p).at(n_max)
+        if top * denom == math.inf:
+            raise ValueError(f"p = {p} overflows a float in the product weight_p(n_max) * "
+                             f"||f||_(H_p) = {top:.4g} * {denom:.4g}")
     swept = [(i, p, denom) for i, (p, denom) in enumerate(zip(ps, denoms)) if denom != 0]
     if not swept:
         return tuple(best)
@@ -710,7 +718,7 @@ def run_maximal_bound(cfg: ExperimentConfig, vs: VilenkinStructure) -> Experimen
         randoms=_param(params, "random_functions", 3, lo=0),
         atom_scale=_param(params, "atom_scale", 2, lo=0),
         damping=_param(params, "damping", 0.25, float),
-        n_max=_param(params, "n_max", vs.size),
+        n_max=_param(params, "n_max", vs.size, lo=1, hi=vs.size),
     )
     for p, maxima in zip(ps, per_p):
         for s, best in enumerate(maxima):

@@ -84,6 +84,12 @@ BACKSLIDE_FACTOR_MAX = Gate(2.0, operator.le)
 # the per-seed maxima over ten seeds stays below this.
 MAX_RATIO_CV_MAX = Gate(0.10, operator.lt)
 
+# Wall seconds of criteria 1 (orthonormality and Parseval), 3 (the
+# exhaustive Fejer-kernel bounds) and 9 (the divergence gates): stay below.
+CRITERION_1_SECONDS_MAX = Gate(5.0, operator.lt)
+CRITERION_3_SECONDS_MAX = Gate(30.0, operator.lt)
+CRITERION_9_SECONDS_MAX = Gate(60.0, operator.lt)
+
 # Fast-vs-direct transform performance gate: the estimated speed-up of
 # analyze over the direct transform at 2^16 cells stays at or above (coarse).
 MIN_SPEEDUP = Gate(20.0, operator.ge)

@@ -4,8 +4,8 @@ Kernels are materialized as step functions at full resolution so pointwise
 claims about them can be verified cell by cell.  The module also builds
 the catalogue of cylinders on which the scaled Fejer kernel along the
 lacunary index sequence admits an explicit lower bound, and a checker that
-verifies the bound exhaustively, its worst margin held to
-``frozen.FEJER_BOUND_MARGIN_MIN``.
+verifies the bound exhaustively and returns its worst margin, which criterion
+3 and the ``kernels`` runner hold to ``frozen.FEJER_BOUND_MARGIN_MIN``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frozen
 from .errors import ResolutionError
 from .structure import VilenkinStructure, cylinder_cells
 from .transform import Spectrum, StepFunction, fejer_mean, partial_sum
@@ -107,7 +106,6 @@ def fejer_lower_bound_cells(level: int, vs: VilenkinStructure) -> list[LowerBoun
 class BoundCheck:
     """Result of verifying a lower-bound catalogue cell by cell."""
 
-    ok: bool
     kernel_index: int
     entries: int
     cells_checked: int
@@ -131,7 +129,6 @@ def verify_fejer_lower_bounds(
     worst = min((float(np.min(scaled[e.cells.start : e.cells.stop]) - e.bound) for e in catalogue),
                 default=0.0)
     return BoundCheck(
-        ok=frozen.FEJER_BOUND_MARGIN_MIN.passes(worst),
         kernel_index=index,
         entries=len(catalogue),
         cells_checked=sum(len(e.cells) for e in catalogue),

@@ -139,9 +139,6 @@ class StepFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "StepFunction":
-        return StepFunction(self.vs, -self.values)
-
 
 @dataclass
 class Spectrum:

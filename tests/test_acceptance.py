@@ -5,12 +5,14 @@ The installed command-line interface runs the suite once per module
 own PASS line and time limit from that run's output, visible with
 ``pytest -s`` or on failure.  The last criterion test also checks the
 command's exit code and elapsed time and reruns a shipped config for
-byte-identical output.  The tests after it pin the frozen gates the
-criteria and the experiment runners share: each fails just past its bound,
-no comparison in ``src/`` reads a bound outside its gate, and every gate is
-read by the package.  The last ones show that criteria 6 to 10 and 12
-read one run of each shipped config and fail on a record past its bound,
-and that one pass of the suite holds at most one full-size matrix.
+byte-identical output, and the next pins the output ``check`` prints.  The
+tests after it pin the frozen gates the criteria and the experiment runners
+share: each fails just past its bound, no comparison in ``src/`` reads a
+bound outside its gate, and every gate is read by the package.  The last
+ones show that criteria 6 to 10 and 12 read one run of each shipped config
+and fail on a record past its bound, that a criterion past its time gate
+fails and names it, that each runner fails each gate it reads, and that one
+pass of the suite holds at most one full-size matrix.
 """
 
 import ast
@@ -24,6 +26,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,17 +66,17 @@ def check_run():
     return proc, elapsed, lines
 
 
-def _run(number, check_run, time_limit=math.inf):
+def _run(number, check_run, time_gate=None):
     _, _, lines = check_run
     assert number in lines, check_run[0].stdout + check_run[0].stderr
     line, status, seconds = lines[number]
     print(line)
     assert status == "PASS", line
-    assert seconds < time_limit, line
+    assert time_gate is None or time_gate.passes(seconds), line
 
 
 def test_criterion_01_orthonormality_and_parseval(check_run):
-    _run(1, check_run, time_limit=5.0)
+    _run(1, check_run, frozen.CRITERION_1_SECONDS_MAX)
 
 
 def test_criterion_02_dirichlet_closed_form(check_run):
@@ -81,7 +84,7 @@ def test_criterion_02_dirichlet_closed_form(check_run):
 
 
 def test_criterion_03_fejer_kernel_lower_bounds(check_run):
-    _run(3, check_run, time_limit=30.0)
+    _run(3, check_run, frozen.CRITERION_3_SECONDS_MAX)
 
 
 def test_criterion_04_fast_transform_vs_direct(check_run):
@@ -105,7 +108,7 @@ def test_criterion_08_modulus_decay_gates(check_run):
 
 
 def test_criterion_09_divergence_gates(check_run):
-    _run(9, check_run, time_limit=60.0)
+    _run(9, check_run, frozen.CRITERION_9_SECONDS_MAX)
 
 
 def test_criterion_10_kernel_growth_scan(check_run):
@@ -140,6 +143,17 @@ def test_criterion_13_cli_determinism_and_check(check_run, tmp_path):
     print(line)
 
 
+def test_check_prints_one_line_per_criterion_in_order_then_the_summary(check_run):
+    # perfbench's gate-suite numbers its ops by echo order and rebinds each
+    # criterion by its function name
+    proc, _, _ = check_run
+    *lines, summary = proc.stdout.splitlines()
+    assert all(LINE.match(line) for line in lines), proc.stdout
+    assert [int(LINE.match(line)[1]) for line in lines] == list(range(1, 13))
+    assert re.fullmatch(r"12/12 criteria passed in [0-9.]+s", summary), summary
+    assert [fn.__name__ for fn in acceptance.CRITERIA] == [f"criterion_{k}" for k in range(1, 13)]
+
+
 def _below(x):
     return math.nextafter(x, -math.inf)
 
@@ -169,12 +183,16 @@ def _above(x):
         (frozen.ATOM_SUP_RATIO_MAX, 1.0, math.nan),
         (frozen.ATOM_RESIDUAL_MAX, 1e-12, _above(1e-12)),
         (frozen.ATOM_RESIDUAL_MAX, 0.0, math.nan),
+        (frozen.CRITERION_1_SECONDS_MAX, _below(5.0), 5.0),
+        (frozen.CRITERION_3_SECONDS_MAX, _below(30.0), 30.0),
+        (frozen.CRITERION_9_SECONDS_MAX, _below(60.0), 60.0),
     ],
     ids=[
         "roundoff", "relative-roundoff", "modulus", "sparse-modulus", "weak-divergence",
         "sparse-divergence", "kernel-scan", "final-gap", "backslide", "ratio-cv",
         "ratio-cv-nan", "min-speedup", "fejer-bound-margin", "fejer-bound-margin-nan",
         "atom-sup-ratio", "atom-sup-ratio-nan", "atom-residual", "atom-residual-nan",
+        "criterion-1-seconds", "criterion-3-seconds", "criterion-9-seconds",
     ],
 )
 def test_gate_predicate_boundary(gate, inside, outside):
@@ -359,6 +377,60 @@ def test_record_past_its_bound_fails_its_criterion(shipped_records, number, key,
     gated = [r for r in records[key] if column in r.values]
     gated[-1].values[column] = value
     assert not criterion(lambda *k: records[k]).passed
+
+
+@pytest.mark.parametrize("number", [1, 3, 9])
+def test_criterion_past_its_time_gate_fails_and_names_it(monkeypatch, shipped_records, number):
+    # the criterion timed by a clock that reads its gate's bound, or just
+    # below it, at the end: only the first fails, and only it adds its seconds
+    gate = getattr(frozen, f"CRITERION_{number}_SECONDS_MAX")
+
+    def timed(seconds):
+        clock = iter((0.0, seconds))
+        monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        return acceptance.CRITERIA[number - 1](lambda *k: shipped_records[k])
+
+    inside, outside = timed(_below(gate.bound)), timed(gate.bound)
+    assert inside.passed and "seconds=" not in inside.detail
+    assert not outside.passed
+    assert outside.detail == f"{inside.detail} seconds={gate.bound:.2f} (gate {gate.bound:g})"
+
+
+# each shipped config, a frozen gate its runner reads, and the statistic
+# the runner's message names when that gate fails
+RUNNER_GATES = [
+    ("gram_mixed", "ROUNDOFF_MAX", "gram_max_err"),
+    ("gram_mixed", "RELATIVE_ROUNDOFF_MAX", "parseval_worst_rel"),
+    ("kernels_walsh", "ROUNDOFF_MAX", "max_err"),
+    ("kernels_walsh", "FEJER_BOUND_MARGIN_MIN", "worst_margin"),
+    ("convergence_walsh", "FINAL_GAP_MAX", "final_gap_rel"),
+    ("convergence_walsh", "BACKSLIDE_FACTOR_MAX", "backslide"),
+    ("counterexample_2a", "ROUNDOFF_MAX", "law_err"),
+    ("counterexample_2a", "ATOM_SUP_RATIO_MAX", "atoms_ok"),
+    ("counterexample_2a", "ATOM_RESIDUAL_MAX", "atoms_ok"),
+    ("counterexample_2a", "MODULUS_RATIO_POWER_MAX", "ratio_power"),
+    ("counterexample_2a", "WEAK_DIVERGENCE_MIN", "weak_power"),
+    ("counterexample_2b", "ROUNDOFF_MAX", "law_err"),
+    ("counterexample_2b", "ATOM_SUP_RATIO_MAX", "atoms_ok"),
+    ("counterexample_2b", "ATOM_RESIDUAL_MAX", "atoms_ok"),
+    ("counterexample_2b", "SPARSE_MODULUS_RATIO_POWER_MAX", "ratio_power"),
+    ("counterexample_2b", "SPARSE_DIVERGENCE_MIN", "halfnorm_gap"),
+    ("kernel_scan", "KERNEL_SCAN_RATIO_MIN", "ratio"),
+    ("maximal_bound", "MAX_RATIO_CV_MAX", "cv"),
+]
+
+
+@pytest.mark.parametrize("config, gate, statistic", RUNNER_GATES,
+                         ids=[f"{config}-{gate}" for config, gate, _ in RUNNER_GATES])
+def test_runner_fails_each_gate_it_reads(monkeypatch, config, gate, statistic):
+    # the gate's comparison negated, so the shipped value, which passes it,
+    # fails it; no bound moves
+    held = getattr(frozen, gate)
+    monkeypatch.setattr(frozen, gate, frozen.Gate(held.bound, lambda v, bound: not held.holds(v, bound)))
+    result = experiments.run_experiment(experiments.load_config(CONFIG_DIR / f"{config}.json"))
+    assert result.exit_code == 2
+    assert any(f"{statistic}=" in message for message in result.messages), result.messages
+    assert all(r.values["passed"] == 0.0 for r in result.records if "passed" in r.values)
 
 
 def test_random_spectra_alone_spread_past_the_cv_gate(shipped_records):

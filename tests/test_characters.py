@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vilenkin_lab import frozen
 from vilenkin_lab.errors import ResolutionError
 from vilenkin_lab.kernels import (
     dirichlet_kernel,
@@ -330,13 +331,12 @@ class TestLowerBoundCatalogue:
         for level in (3, 4):
             vs = VilenkinStructure.from_pattern((2,), 2 * level - 1)
             check = verify_fejer_lower_bounds(level, vs)
-            assert check.ok
-            assert check.worst_margin >= -1e-9
+            assert frozen.FEJER_BOUND_MARGIN_MIN.passes(check.worst_margin)
 
     def test_bounds_hold_on_mixed_structure(self):
         vs = VilenkinStructure.from_m((2, 3, 2, 3, 2))
         check = verify_fejer_lower_bounds(3, vs)
-        assert check.ok
+        assert frozen.FEJER_BOUND_MARGIN_MIN.passes(check.worst_margin)
 
     def test_substituted_catalogue_can_fail(self):
         # a catalogue asking for more than the kernel gives on one cylinder
@@ -345,7 +345,7 @@ class TestLowerBoundCatalogue:
         margin = verify_fejer_lower_bounds(3, vs, catalogue=cat[:1]).worst_margin
         raised = [replace(cat[0], bound=cat[0].bound + margin + 1.0)]
         check = verify_fejer_lower_bounds(3, vs, catalogue=raised)
-        assert not check.ok
+        assert not frozen.FEJER_BOUND_MARGIN_MIN.passes(check.worst_margin)
         assert check.worst_margin == pytest.approx(-1.0)
         assert check.entries == 1 and check.cells_checked == len(cat[0].cells)
 

@@ -191,6 +191,11 @@ class TestConfigLoading:
              "parameters": {"family": "damped-critical", "depth": -3}},
             {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
              "parameters": {"atom_scale": -1}},
+            # the weighted sweep runs orders 1..n_max of the M[N] = 16 it has
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"n_max": 0}},
+            {"experiment": "maximal-bound", "structure": {"pattern": [2], "repeat_to": 4},
+             "parameters": {"n_max": 17}},
             # the order grid holds at most M[N] distinct orders
             {"experiment": "convergence", "structure": {"pattern": [2], "repeat_to": 6},
              "parameters": {"grid_points": 2**40}},
@@ -223,6 +228,7 @@ class TestConfigLoading:
              "dump-function-not-string", "band-past-resolution", "band-negative",
              "window-level-past-resolution", "damped-depth-past-resolution",
              "damped-depth-at-resolution", "damped-depth-negative", "atom-scale-negative",
+             "n-max-zero", "n-max-past-cells",
              "grid-points-past-cells", "damping-infinite", "damping-past-float",
              "maximal-bound-damping-overflows", "damped-critical-damping-overflows",
              "top-level-list", "top-level-string", "top-level-null", "experiment-list"],
@@ -251,6 +257,23 @@ class TestConfigLoading:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: p = 0.001 overflows") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", [0.00783, 0.0086])
+    def test_weight_times_hardy_norm_overflowing_a_float_exits_2(self, p, tmp_path, capsys):
+        # the shipped maximal_bound config at a p the structure admits, whose
+        # largest weight times the critical atom's Hardy norm overflows: it
+        # is refused before the sweep, where every ratio would read 0
+        payload = json.loads((CONFIG_DIR / "maximal_bound.json").read_text(encoding="utf-8"))
+        payload["p_values"] = [p]
+        with pytest.raises(ValueError, match=rf"^p = {p} overflows a float in the product "
+                                             r"weight_p\(n_max\) \* \|\|f\|\|_\(H_p\) = \S+ \* \S+$"):
+            run_experiment(load_config(payload))
+        cfg = write_config(tmp_path, "p.json", payload)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: p = {p} overflows") and "Traceback" not in err
         assert not out.exists()
 
     def test_non_string_output_path_exits_2_without_out(self, tmp_path, monkeypatch, capsys):
@@ -438,7 +461,7 @@ class TestShippedConfigs:
     def test_quick_configs_pass(self, name, tmp_path):
         cfg = load_config(CONFIG_DIR / f"{name}.json")
         result = run_experiment(cfg)
-        assert result.exit_code == 0, result.messages
+        assert result.exit_code == 0 and result.messages == [], result.messages
         out = tmp_path / "out.csv"
         write_records(result.records, out, "csv")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name]

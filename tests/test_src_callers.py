@@ -2,10 +2,11 @@
 
 A definition counts as used when its name is read somewhere in ``src/``
 other than inside its own body, or anywhere in ``perfbench/`` (where the
-benchmark's tracer may name it in a string).  Imports and the package's
-``__init__`` re-exports are not reads.  Methods are matched by attribute
-name, so a dead method that shares its name with a used attribute goes
-unseen; a definition only the tests read is flagged.
+benchmark's tracer may name it in a string).  Imports are not reads.
+Methods are matched by attribute name, so a dead method that shares its
+name with a used attribute goes unseen; a definition only the tests read is
+flagged.  Each library name has one import path, its module: the package's
+``__init__`` binds nothing but ``__version__``.
 """
 
 import ast
@@ -66,3 +67,20 @@ def unreferenced(src=SRC, bench=BENCH):
 
 def test_every_src_definition_has_a_caller_outside_the_tests():
     assert unreferenced() == []
+
+
+def bound_names(tree):
+    """Each name a module binds anywhere: assigned, imported or defined."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_package_init_binds_only_its_version():
+    # a re-export would be a second import path for a library name
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert list(bound_names(tree)) == ["__version__"]
