@@ -321,11 +321,14 @@ def gram_error(vs: VilenkinStructure) -> float:
 
     Holds one M[N] x M[N] array, the conjugated characters, filled from
     :func:`character_blocks`, and takes the Gram matrix in near-equal row
-    blocks of at most ``_GRAM_ROWS`` rows.  Conjugating a block back gives
-    its characters bit for bit, and GEMM sums each entry over the same K
-    panels whatever the number of rows, so the statistic is that of the
-    full product byte for byte.  No block is a single row of a larger
-    matrix, which numpy would multiply by GEMV, summing in another order.
+    blocks of at most ``_GRAM_ROWS`` rows.  Each block is multiplied only
+    from its own first row on, the upper triangle: entry (j, i) is the
+    conjugate of entry (i, j) term by term, so the lower triangle adds no
+    magnitude.  Conjugating a block back gives its characters bit for bit,
+    and GEMM sums each entry over the same K panels whatever the number of
+    rows and columns, so the statistic is that of the full product byte for
+    byte.  No block is a single row of a larger matrix, which numpy would
+    multiply by GEMV, summing in another order.
     """
     size = vs.size
     conj = np.empty((size, size), dtype=np.complex128)
@@ -335,9 +338,9 @@ def gram_error(vs: VilenkinStructure) -> float:
     bounds = [size * i // blocks for i in range(blocks + 1)]
     worst = 0.0
     for start, stop in zip(bounds, bounds[1:]):
-        gram = np.conjugate(conj[start:stop]) @ conj.T
+        gram = np.conjugate(conj[start:stop]) @ conj[start:].T
         gram /= size
-        gram.flat[start :: size + 1] -= 1.0
+        gram.flat[:: size - start + 1] -= 1.0
         worst = np.maximum(worst, np.abs(gram).max())  # keeps a NaN, which max() can drop
         del gram  # before the next product, not after it
     return float(worst)

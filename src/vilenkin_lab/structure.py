@@ -166,6 +166,31 @@ def root_powers(vs: VilenkinStructure) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+@lru_cache(maxsize=32)
+def _walsh_tables(vs: VilenkinStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the closed-form Walsh characters (every m_j = 2).
+
+    ``powers[k]`` is the non-trivial root w of :func:`root_tables`
+    multiplied onto 1 + 0j k times, k = 0..N, by the same ``np.multiply``
+    and in the same operand order as the digit-by-digit path.  ``rev[x]``
+    is cell id x with its N bits reversed: cell digit j has weight
+    2^(N-1-j) and index digit j weight 2^j, so bit j of ``n & rev[x]`` is
+    set exactly where both digits are 1.  ``rev`` takes the smallest
+    unsigned type that holds M[N] - 1, 32 bits at the 2^22 cell cap.
+    """
+    w = root_tables(vs)[0][1:]
+    powers = np.ones(vs.N + 1, dtype=np.complex128)
+    for k in range(1, vs.N + 1):
+        np.multiply(powers[k - 1 : k], w, out=powers[k : k + 1])
+    ids = np.arange(vs.size, dtype=np.min_scalar_type(vs.size - 1))
+    rev = np.zeros_like(ids)
+    for j in range(vs.N):
+        rev |= ((ids >> (vs.N - 1 - j)) & 1) << j
+    powers.setflags(write=False)
+    rev.setflags(write=False)
+    return powers, rev
+
+
 def character_rows(indices: np.ndarray, vs: VilenkinStructure) -> np.ndarray:
     """Values of the characters ``indices`` (a 1-D int array, in any order,
     repeats allowed) on all cells, one row per index, in cell order.
@@ -180,10 +205,20 @@ def character_rows(indices: np.ndarray, vs: VilenkinStructure) -> np.ndarray:
     part, and no product of root-table entries has one (the entries have
     none, and a product part rounds to -0.0 only from a -0.0 factor part or
     a zero value).
+
+    On a Walsh structure (every m_j = 2) each factor is therefore 1 + 0j or
+    the root w = exp(i*pi), and the value at cell x is w multiplied onto
+    1 + 0j k times, where k = popcount(n AND the bit-reversed x) counts the
+    coordinates at which both digits are 1.  Those rows are looked up in
+    the k-th powers of :func:`_walsh_tables`, bit for bit the product the
+    digit-by-digit path forms.
     """
     idx = np.asarray(indices)
     if idx.size == 0 or idx.min() < 0 or idx.max() >= vs.size:
         raise ResolutionError(f"character indices must be non-empty and in [0, M[N] = {vs.size})")
+    if vs.lam == 2:
+        powers, rev = _walsh_tables(vs)
+        return np.take(powers, np.bitwise_count(idx.astype(rev.dtype)[:, None] & rev))
     count = len(idx)
     digits = idx[:, None] // np.array(vs.M[:-1]) % np.array(vs.m)
     rows = np.ones((count, 1), dtype=np.complex128)

@@ -155,7 +155,7 @@ class TestColumnsFromAxes:
         for n in range(vs.size):
             assert self.row(n, vs).tobytes() == character_column(n, vs).tobytes()
 
-    @pytest.mark.parametrize("gens", AXIS_STRUCTURES + [(2,) * 8, (3, 5, 2, 4)])
+    @pytest.mark.parametrize("gens", AXIS_STRUCTURES + [(2,), (2,) * 3, (2,) * 8, (2,) * 9, (3, 5, 2, 4)])
     def test_character_rows_bitwise_equal_to_columns(self, gens):
         # Blocks of consecutive indices of every height, one row included,
         # against the table oracle, which skips the zero digits that the
@@ -167,7 +167,7 @@ class TestColumnsFromAxes:
                 rows = character_rows(np.arange(first, min(first + count, vs.size)), vs)
                 assert [row.tobytes() for row in rows] == columns[first : first + count]
 
-    @pytest.mark.parametrize("gens", [(7, 3), (2, 3, 2, 3), (3, 5, 2, 4), (2,) * 8])
+    @pytest.mark.parametrize("gens", [(7, 3), (2, 3, 2, 3), (3, 5, 2, 4), (2,), (2,) * 3, (2,) * 8, (2,) * 9])
     def test_character_rows_of_any_index_array(self, gens):
         # Unsorted, repeated and strided index arrays give the oracle's row
         # for each entry, in the order given.
@@ -184,6 +184,16 @@ class TestColumnsFromAxes:
             assert rows.shape == (len(idx), vs.size)
             assert [row.tobytes() for row in rows] == [character_column(int(n), vs).tobytes() for n in idx]
 
+    def test_walsh_rows_at_criterion_4_size(self):
+        # Walsh 2^16: n = 2^k - 1 meets cells with every popcount 0..k of
+        # n AND the bit-reversed cell, so every power of the root is read.
+        vs = VilenkinStructure.from_pattern((2,), 16)
+        rng = np.random.default_rng(16)
+        idx = np.concatenate([2 ** np.arange(17) - 1, rng.integers(vs.size, size=4)])
+        rows = character_rows(idx, vs)
+        for n, row in zip(idx, rows):
+            assert row.tobytes() == character_column(int(n), vs).tobytes()
+
     def test_character_rows_range_validation(self, mixed2323):
         for idx in ([], [-1], [0, 36], [3, 40, 2], [-5, 7]):
             with pytest.raises(ResolutionError):
@@ -196,7 +206,9 @@ class TestColumnsFromAxes:
             expected = root_tables(vs)[k][cell_digit_table(vs)[k]]
             assert rademacher_column(k, vs).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("gens", [(5,), (2, 3, 2, 3)])
+    # naive_analyze conjugates its character blocks in place and the Fejer
+    # sweep multiplies them in place, so no row may view a cached table
+    @pytest.mark.parametrize("gens", [(5,), (2, 3, 2, 3), (2,) * 6])
     def test_columns_are_fresh_writable_arrays(self, gens):
         vs = VilenkinStructure.from_m(gens)
         for make, arg in ((self.row, vs.size - 1), (self.row, 0), (rademacher_column, vs.N - 1)):

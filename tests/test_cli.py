@@ -674,10 +674,12 @@ class TestConvergenceLevels:
 
 class TestGramError:
     # Gram row blocks: 8 of 128 rows at 2^10; 120 + 120; a ragged 121 + 122;
-    # and six of 106 or 107 rows on (641,), where blocks of exactly 128 rows
+    # six of 106 or 107 rows on (641,), where blocks of exactly 128 rows
     # would leave the last row alone, and numpy's one-row product (GEMV)
-    # reads 5.87e-16, not 2.5e-16 to 2.7e-16
-    @pytest.mark.parametrize("gens", [(2,) * 10, (3, 2, 5, 4, 2), (3,) * 5, (641,)])
+    # reads 5.87e-16, not 2.5e-16 to 2.7e-16; six of 121 or 122 on (3,)^6;
+    # and 64 + 65 on (129,).  Each block spans only the upper triangle,
+    # its own columns on, and the formula spans the whole matrix.
+    @pytest.mark.parametrize("gens", [(2,) * 10, (3, 2, 5, 4, 2), (3,) * 5, (641,), (3,) * 6, (129,)])
     def test_equal_to_identity_difference_formula(self, gens):
         import numpy as np
         from vilenkin_lab.experiments import gram_error
