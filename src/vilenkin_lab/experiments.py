@@ -348,15 +348,12 @@ def gram_error(vs: VilenkinStructure) -> float:
 
 def parseval_worst_rel(vs: VilenkinStructure, rng: XorShift64Star, count: int) -> float:
     """Worst relative Parseval error over ``count`` random functions, drawn
-    in one call as ``count`` consecutive runs of the stream."""
-    worst_rel = 0.0
-    for values in rng.complex_uniforms(count * vs.size).reshape(count, vs.size):
-        f = StepFunction(vs, values)
-        s = analyze(f)
-        lhs = float(np.mean(np.abs(f.values) ** 2))
-        rhs = float(np.sum(np.abs(s.coeffs) ** 2))
-        worst_rel = max(worst_rel, abs(lhs - rhs) / max(lhs, 1e-300))
-    return worst_rel
+    in one call as ``count`` consecutive runs of the stream and analyzed as
+    one stack.  Each row's sums are those of the function alone."""
+    f = StepFunction(vs, rng.complex_uniforms(count * vs.size).reshape(count, vs.size))
+    lhs = np.mean(np.abs(f.values) ** 2, axis=1)
+    rhs = np.sum(np.abs(analyze(f).coeffs) ** 2, axis=1)
+    return max(0.0, *(abs(a - b) / max(a, 1e-300) for a, b in zip(lhs.tolist(), rhs.tolist())))
 
 
 def _levels(params: dict, name: str, lo: int, hi: int) -> list[int]:
@@ -632,42 +629,57 @@ def run_kernel_scan(cfg: ExperimentConfig, vs: VilenkinStructure) -> ExperimentR
     return ExperimentResult(records, 0 if ok else 2, [] if ok else [f"kernel scan gate failed: {detail}"])
 
 
-def max_weighted_ratio(spec: Spectrum, ps: tuple[float, ...], n_max: int) -> tuple[float, ...]:
+def max_weighted_ratio(
+    spec: Spectrum, ps: tuple[float, ...], n_max: int, wanted: np.ndarray | None = None
+) -> tuple[float, ...] | list[tuple[float, ...]]:
     """For each p of ``ps``, max over n <= n_max of
     ||sigma_n f||_p / (weight_p(n) * ||f||_{H_p}); 0 for f = 0.
 
     One sweep of the Fejer means and one maximal function serve every p.
-    A p whose largest weight times ``||f||_{H_p}`` overflows a float, which
-    would read a ratio of 0, is a config error.
+    For a stack of spectra the result is one tuple per row, from one stacked
+    synthesis and one stacked sweep; ``wanted[r, i]`` False leaves row r
+    out at ps[i], where it reads 0.  A p whose largest weight times
+    ``||f||_{H_p}`` overflows a float, which would read a ratio of 0, is a
+    config error, checked row by row.
     """
-    mf = maximal_function(spec)
-    best = [0.0] * len(ps)
-    denoms = [lp_quasinorm(mf, p) for p in ps]
-    for p, denom in zip(ps, denoms):
-        # the weights increase with n; a float product overflows to inf silently
-        top = FejerWeight.for_p(p).at(n_max)
-        if top * denom == math.inf:
-            raise ValueError(f"p = {p} overflows a float in the product weight_p(n_max) * "
-                             f"||f||_(H_p) = {top:.4g} * {denom:.4g}")
-    swept = [(i, p, denom) for i, (p, denom) in enumerate(zip(ps, denoms)) if denom != 0]
-    if not swept:
-        return tuple(best)
-    for first, sigma in fejer_mean_blocks(spec, n_max):
+    vs = spec.vs
+    stack = Spectrum(vs, spec.coeffs.reshape(-1, vs.size))
+    if wanted is None:
+        wanted = np.ones((len(stack.coeffs), len(ps)), dtype=bool)
+    # NaN for a pair left out or a zero denominator: no ratio survives it
+    denoms = np.full(wanted.shape, np.nan)
+    for r, mf in enumerate(maximal_function(stack).values):
+        for i, p in enumerate(ps):
+            if not wanted[r, i]:
+                continue
+            denom = lp_quasinorm(StepFunction(vs, mf), p)
+            # the weights increase with n; a float product overflows to inf silently
+            top = FejerWeight.for_p(p).at(n_max)
+            if top * denom == math.inf:
+                raise ValueError(f"p = {p} overflows a float in the product weight_p(n_max) * "
+                                 f"||f||_(H_p) = {top:.4g} * {denom:.4g}")
+            if denom != 0:
+                denoms[r, i] = denom
+    best = [[0.0] * len(ps) for _ in stack.coeffs]
+    tops = np.full(denoms.shape, np.nan)  # the largest array ratio so far
+    swept = [i for i in range(len(ps)) if not np.isnan(denoms[:, i]).all()]
+    for first, sigma in fejer_mean_blocks(stack, n_max) if swept else ():
         mags = np.abs(sigma)
-        for i, p, denom in swept:
-            # lp_quasinorm of each row: the array power and the mean per
+        for i in swept:
+            # lp_quasinorm of each mean: the array power and the mean per
             # block.  The array root can miss the scalar one by an ulp, so
-            # the ratios near the block's largest are recomputed with the
-            # scalar power, as _weak_level_scan does.  fmax skips NaN rows,
-            # as max() against the running best does.
-            means = np.mean(mags**p, axis=1)
-            scale = _weights(p, n_max)[first - 1 : first - 1 + len(means)] * denom
+            # the ratios near each spectrum's largest so far are recomputed
+            # with the scalar power, as _weak_level_scan does; a ratio
+            # further below cannot be the largest.  fmax skips NaN rows, as
+            # max() against the running best does.
+            p = ps[i]
+            means = np.mean(mags**p, axis=-1)
+            scale = _weights(p, n_max)[first - 1 : first - 1 + len(means), None] * denoms[:, i]
             ratios = means ** (1.0 / p) / scale
-            top = np.fmax.reduce(ratios)
-            if top > 0:
-                for k in np.flatnonzero(ratios >= top * (1.0 - 1e-12)):
-                    best[i] = max(best[i], float(means[k] ** (1.0 / p)) / float(scale[k]))
-    return tuple(best)
+            top = np.fmax(tops[:, i], np.fmax.reduce(ratios, axis=0), out=tops[:, i])
+            for k, r in zip(*np.nonzero((ratios >= top * (1.0 - 1e-12)) & (top > 0))):
+                best[r][i] = max(best[r][i], float(means[k, r] ** (1.0 / p)) / float(scale[k, r]))
+    return tuple(best[0]) if spec.coeffs.ndim == 1 else [tuple(row) for row in best]
 
 
 @lru_cache(maxsize=16)
@@ -689,18 +701,24 @@ def seed_maxima(
 
     Seed ``s`` draws ``randoms`` random spectra from ``first_seed + s``; the
     family adds the critical atom at ``atom_scale`` and the damped critical
-    spectrum, which do not depend on the seed.  Only the atom depends on p,
-    so every other spectrum is swept once for all of ``ps``.
+    spectrum, which do not depend on the seed.  The family is one stack,
+    swept once for all of ``ps``, except that each atom is swept at its own
+    p alone.
     """
-    atoms = [max_weighted_ratio(analyze(critical_atom(atom_scale, p, vs)), (p,), n_max)[0]
-             for p in ps]
-    damped = max_weighted_ratio(family_damped_critical(vs, vs.N - 1, damping), ps, n_max)
-    per_seed = []  # per seed, one ratio tuple (over ps) per random spectrum
-    for s in range(seeds):
-        rng = XorShift64Star(first_seed + s)
-        per_seed.append([max_weighted_ratio(family_character_polynomial(vs, vs.N, rng), ps, n_max)
-                         for _ in range(randoms)])
-    return [[max(atoms[i], damped[i], *(ratios[i] for ratios in spectra)) for spectra in per_seed]
+    family = np.vstack([
+        *(analyze(critical_atom(atom_scale, p, vs)).coeffs for p in ps),
+        family_damped_critical(vs, vs.N - 1, damping).coeffs,
+        # family_character_polynomial(vs, vs.N, rng) for each random
+        # spectrum, drawn in one call per seed
+        *(XorShift64Star(first_seed + s).complex_uniforms(randoms * vs.size).reshape(randoms, vs.size)
+          for s in range(seeds)),
+    ])
+    wanted = np.ones((len(family), len(ps)), dtype=bool)
+    wanted[: len(ps)] = np.eye(len(ps), dtype=bool)
+    ratios = max_weighted_ratio(Spectrum(vs, family), ps, n_max, wanted)
+    atoms, damped, rest = ratios[: len(ps)], ratios[len(ps)], ratios[len(ps) + 1 :]
+    per_seed = [rest[s * randoms : (s + 1) * randoms] for s in range(seeds)]
+    return [[max(atoms[i][i], damped[i], *(ratios[i] for ratios in spectra)) for spectra in per_seed]
             for i in range(len(ps))]
 
 

@@ -49,14 +49,35 @@ rounds to x; neither path returns -0.0 (einsum starts from +0.0, and the
 butterflies add +0.0 when they read a tile).  Partial sums, Fejer means,
 the kernels and the maximal function all synthesize this way.
 
+A :class:`StepFunction` or :class:`Spectrum` may also hold a stack of B
+rows on one structure, one function or spectrum each, and
+:func:`analyze`, :func:`synthesize`, :func:`maximal_function` and
+:func:`fejer_mean_blocks` take such a stack in one pass; one function is
+the one-row case of the same code.  The stages give the transform a
+leading row axis: each loop runs the B * M[j] blocks of all rows as it
+runs one row's M[j] (butterfly chunks and slabs, and einsum stages over
+B * M[j] / lead rows), the split transposes each row alone, and the
+coefficient permutation reverses each row.  Every row meets the same
+operations, on the same values in the same order, as a call on it alone
+would, so each row keeps that call's bytes; a stacked synthesis runs at
+the largest support level of its rows, which by Paley's lemma keeps each
+row's bytes too.  The thresholds count the cells of the whole stack, so a
+stack of ``_SPLIT_CELLS`` cells shares its loops among the workers and
+reverses in tiles, as one function of that size does.  Stacks let many
+small transforms share one call's set-up: ``check`` analyzes criterion
+1's random functions, transforms criterion 5's spectra and synthesizes and
+sweeps the ``maximal_bound`` sample family a stack at a time.
+
 Every direct sum over characters takes them from :func:`character_blocks`,
-blocks of max(_BLOCK // M[N], 1) rows of ``character_rows``.
+blocks of max(_BLOCK // (B * M[N]), 1) rows of ``character_rows`` for a
+stack of B functions.
 :func:`naive_analyze` takes the mean of ``f`` against each conjugated row.
-:func:`fejer_mean_blocks` scales each row by its coefficient, adds the
-partial sums and their running sum row by row in ascending order, carries
-them from block to block, and divides by the orders.  It equals the
-one-order recurrence byte for byte (the tests keep that recurrence as the
-oracle); :func:`iter_fejer_means` yields the same means one row at a time.
+:func:`fejer_mean_blocks` scales each row by the coefficient of each
+spectrum, adds the partial sums and their running sum row by row in
+ascending order, carries them from block to block, and divides by the
+orders.  It equals the one-order recurrence byte for byte (the tests keep
+that recurrence as the oracle); :func:`iter_fejer_means` yields the same
+means one row at a time.
 
 The coefficient order is the digit reversal of the stage order: index
 sum_j k_j * M[j] holds what the stages leave at digits (k_0, ..., k_{N-1}).
@@ -107,20 +128,26 @@ from .errors import ResolutionError
 from .structure import VilenkinStructure, character_rows, root_powers
 
 
+def _rows_of(arr: np.ndarray, size: int, what: str) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.complex128)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != size:
+        raise ValueError(f"expected {size} {what}, or rows of them, got shape {arr.shape}")
+    return arr
+
+
 @dataclass
 class StepFunction:
-    """Complex-valued function constant on each depth-N cell."""
+    """Complex-valued function constant on each depth-N cell.
+
+    ``values`` is one row of M[N] cell values, or a stack of such rows, one
+    function each (see :func:`analyze`).
+    """
 
     vs: VilenkinStructure
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape != (self.vs.size,):
-            raise ValueError(
-                f"expected {self.vs.size} cell values, got shape {arr.shape}"
-            )
-        self.values = arr
+        self.values = _rows_of(self.values, self.vs.size, "cell values")
 
     def _require_same(self, other: "StepFunction") -> None:
         if self.vs != other.vs:
@@ -142,18 +169,17 @@ class StepFunction:
 
 @dataclass
 class Spectrum:
-    """Character coefficients f^(0), ..., f^(M[N]-1) of a step function."""
+    """Character coefficients f^(0), ..., f^(M[N]-1) of a step function.
+
+    ``coeffs`` is one row of M[N] coefficients, or a stack of such rows, one
+    spectrum each (see :func:`synthesize`).
+    """
 
     vs: VilenkinStructure
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        if arr.shape != (self.vs.size,):
-            raise ValueError(
-                f"expected {self.vs.size} coefficients, got shape {arr.shape}"
-            )
-        self.coeffs = arr
+        self.coeffs = _rows_of(self.coeffs, self.vs.size, "coefficients")
 
 
 # Cells per cache tile of the radix-2 stages in _run_stages, and per block
@@ -173,10 +199,14 @@ _SPLIT_CELLS = 2**18
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def character_blocks(indices: np.ndarray, vs: VilenkinStructure) -> Iterator[tuple[int, np.ndarray]]:
+def character_blocks(
+    indices: np.ndarray, vs: VilenkinStructure, stack: int = 1
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (offset, character_rows(indices[offset : offset + rows], vs))
-    for blocks of rows = max(_BLOCK // M[N], 1) indices, in order."""
-    rows = max(_BLOCK // vs.size, 1)
+    for blocks of rows = max(_BLOCK // (stack * M[N]), 1) indices, in order:
+    a block applied to each of ``stack`` functions holds at most _BLOCK
+    cells, unless one row alone does."""
+    rows = max(_BLOCK // (stack * vs.size), 1)
     for offset in range(0, len(indices), rows):
         yield offset, character_rows(indices[offset : offset + rows], vs)
 
@@ -222,34 +252,38 @@ def _digit_offsets(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
 
 
 def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | None = None) -> np.ndarray:
-    """``flat.reshape(shape[::-1]).transpose().reshape(-1)``, divided by
-    ``divisor`` when one is given.
+    """``row.reshape(shape[::-1]).transpose().reshape(-1)`` for each row of
+    prod(shape) entries of ``flat``, as a (rows, prod(shape)) array, divided
+    by ``divisor`` when one is given.
 
-    Below _SPLIT_CELLS cells numpy copies the transposed view and the copy
-    is divided in place.  From _SPLIT_CELLS cells on the reversal runs in
-    tiles, shared among the workers: the leading axes [0, a) of ``shape``
-    make up runs of at least _RUN input cells, and its trailing axes
-    [b, n) runs of as many output cells as fit a tile of _BLOCK cells.
+    Below _SPLIT_CELLS cells in all, numpy copies the transposed view and
+    the copy is divided in place.  From _SPLIT_CELLS cells on the reversal
+    runs in tiles, shared among the workers: the leading axes [0, a) of
+    ``shape`` make up runs of at least _RUN input cells, and its trailing
+    axes [b, n) runs of as many output cells as fit a tile of _BLOCK cells.
     Viewed as (A, len(bases), T), A and T the products of shape[:a] and
-    shape[b:], tile t of the output is ``flat[bases[t] + index].T``: index
-    is (T, A), each of its rows a permutation of A consecutive input cells,
-    and each row of the tile is T consecutive output cells.  The offsets of
-    each group of axes are cached per shape.  Each tile is gathered into a
-    buffer, divided there, and copied into place.  Either way every value
-    is copied, and divided once.
+    shape[b:], tile t of a row's output is ``row[bases[t] + index].T``:
+    index is (T, A), each of its rows a permutation of A consecutive input
+    cells, and each row of the tile is T consecutive output cells.  The
+    offsets of each group of axes are cached per shape.  Each tile is
+    gathered into a buffer, divided there, and copied into place.  Either
+    way every value is copied, and divided once.
 
-    ``flat`` may be any array whose C order is the input, such as the
+    ``flat`` may be any array whose C order is the input rows, such as the
     transposed view :func:`_run_stages` leaves after a split.  The copy of
     the transposed view reads it in place; the tiles read
-    ``flat.reshape(-1)``, which copies such a view.
+    ``flat.reshape(rows, -1)``, which copies such a view.
     """
-    out = np.empty(flat.size, dtype=flat.dtype)
+    size = math.prod(shape)
+    rows = flat.size // size
+    out = np.empty((rows, size), dtype=flat.dtype)
     if flat.size < _SPLIT_CELLS:
-        np.copyto(out.reshape(shape), flat.reshape(shape[::-1]).transpose())
+        axes = (0, *range(len(shape), 0, -1))
+        np.copyto(out.reshape(rows, *shape), flat.reshape(rows, *shape[::-1]).transpose(axes))
         if divisor is not None:
             out /= divisor
         return out
-    flat = flat.reshape(-1)
+    flat = flat.reshape(rows, size)
     a = 0
     while a < len(shape) and math.prod(shape[:a]) < _RUN:
         a += 1
@@ -259,17 +293,18 @@ def _digit_reversed(flat: np.ndarray, shape: tuple[int, ...], divisor: int | Non
         b += 1
     index = _digit_offsets(shape, b, len(shape))[:, None] + _digit_offsets(shape, 0, a)
     bases = _digit_offsets(shape, a, b)
-    dst = out.reshape(lead, len(bases), -1)
+    dst = out.reshape(rows, lead, len(bases), -1)
 
     def copy(start: int, stop: int) -> None:
         tile = np.empty(index.shape, dtype=flat.dtype)
-        for t in range(start, stop):
-            np.take(flat[bases[t] :], index, out=tile, mode="clip")
+        for share in range(start, stop):
+            row, t = divmod(share, len(bases))
+            np.take(flat[row, bases[t] :], index, out=tile, mode="clip")
             if divisor is not None:
                 np.divide(tile, divisor, out=tile)
-            np.copyto(dst[:, t], tile.T)
+            np.copyto(dst[row, :, t], tile.T)
 
-    _in_shares(len(bases), flat.size, copy)
+    _in_shares(rows * len(bases), flat.size, copy)
     return out
 
 
@@ -302,9 +337,14 @@ def _einsum_stage(mat: np.ndarray, src: np.ndarray) -> np.ndarray:
 
 def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, reverse: bool = False) -> np.ndarray:
     # Synthesis stage j multiplies by root_powers(vs)[j], analysis by its
-    # conjugate.  With ``reverse`` the stages read _digit_reversed(flat,
-    # vs.m), a spectrum in stage order.  The result's C order is the stage
-    # output's; after a split of the einsum stages it is a transposed view.
+    # conjugate.  ``flat`` is one row of M[N] entries or a (stack, M[N])
+    # array of rows, each transformed alone: every loop below runs the
+    # stack * M[j] blocks of all rows as it runs one row's M[j].  With
+    # ``reverse`` the stages read _digit_reversed(flat, vs.m), spectra in
+    # stage order.  The result's C order is the stage output's: an array
+    # shaped as ``flat``, or after a split of the einsum stages a view that
+    # transposes each row back.
+    stack = flat.size // vs.size
     powers = root_powers(vs)
     # Stages from r0 on are radix 2 and run as butterflies; the rest as einsum.
     r0 = vs.N
@@ -326,22 +366,22 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     lead = 1
     for j in range(r0):
         if j == s and vs.M[s] >= _RUN:
-            # Transposed as (M[s], rest), stage j >= s acts on
+            # Each row transposed as (M[s], rest), stage j >= s acts on
             # (M[j] / M[s], m_j, rest), rows of at least M[s] cells.
             lead = vs.M[s]
-            a = a.reshape(lead, -1).T.copy()
+            a = a.reshape(stack, lead, -1).transpose(0, 2, 1).copy()
         mat = powers[j].conj() if conjugate else powers[j]
-        a = _einsum_stage(mat, a.reshape(vs.M[j] // lead, vs.m[j], -1)).reshape(-1)
+        a = _einsum_stage(mat, a.reshape(stack * vs.M[j] // lead, vs.m[j], -1)).reshape(-1)
     if lead > 1:
         # Stage order again: the caller takes the view, the butterflies a copy.
-        a = a.reshape(-1, lead).T
+        a = a.reshape(*flat.shape[:-1], -1, lead).swapaxes(-1, -2)
         if r0 < vs.N:
             a = a.reshape(-1)
     if r0 == vs.N:
-        return a
+        return a if lead > 1 else a.reshape(flat.shape)
     # Each tile is read from a and written back to out once all its stages
     # are done, so an array made here (the einsum result or the reversed
-    # spectrum) is updated in place and the caller's array is never
+    # spectra) is updated in place and the caller's array is never
     # written.  The read adds +0.0: einsum accumulates onto +0.0 and so
     # never returns -0.0, and neither may the butterflies.
     out = np.empty_like(flat) if a is flat else a
@@ -353,8 +393,8 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     rows = vs.M[tail] // vs.M[r0]
     cols = min(width, max(_BLOCK // rows, 1))
     if tail > r0:
-        src = a.view(np.float64).reshape(vs.M[r0], rows, width, 2)
-        dst = out.view(np.float64).reshape(vs.M[r0], rows, width, 2)
+        src = a.view(np.float64).reshape(stack * vs.M[r0], rows, width, 2)
+        dst = out.view(np.float64).reshape(stack * vs.M[r0], rows, width, 2)
         lows = [vs.M[tail] // vs.M[j + 1] * cols for j in range(r0, tail)]
         slabs = width // cols
 
@@ -368,7 +408,7 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
                 done, _ = _butterflies(x, y, scratch, lows, w_imag)
                 np.copyto(dst[h, :, c : c + cols].transpose(2, 0, 1), done.reshape(2, rows, cols))
 
-        _in_shares(vs.M[r0] * slabs, vs.size, run_slabs)
+        _in_shares(stack * vs.M[r0] * slabs, flat.size, run_slabs)
         a = out
     # Block (hi, lo) is transposed to (lo, hi) halfway, so that no stage
     # pairs cells closer than min(hi, lo) apart.
@@ -377,16 +417,17 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
     lo = width // hi
     first = [vs.size // vs.M[j + 1] for j in range(tail, tail + half)]
     second = [vs.size // vs.M[j + 1] * hi for j in range(tail + half, vs.N)]
-    src = a.view(np.float64).reshape(vs.M[tail], width, 2)
-    dst = out.view(np.float64).reshape(vs.M[tail], width, 2)
+    blocks = stack * vs.M[tail]
+    src = a.view(np.float64).reshape(blocks, width, 2)
+    dst = out.view(np.float64).reshape(blocks, width, 2)
     per = max(_BLOCK // width, 1)
-    cells = min(per, vs.M[tail]) * width
+    cells = min(per, blocks) * width
 
     def run_chunks(start: int, stop: int) -> None:
         planes = np.empty((2, 2, cells))
         scratch = np.empty((2, cells // 2))
-        for b in range(start * per, min(stop * per, vs.M[tail]), per):
-            g = min(per, vs.M[tail] - b)
+        for b in range(start * per, min(stop * per, blocks), per):
+            g = min(per, blocks - b)
             x = planes[0, :, : g * width]
             y = planes[1, :, : g * width]
             np.add(src[b : b + g].transpose(2, 0, 1), 0.0, out=x.reshape(2, g, width))
@@ -396,8 +437,8 @@ def _run_stages(flat: np.ndarray, vs: VilenkinStructure, conjugate: bool, revers
             back = x.reshape(2, g, lo, hi).transpose(0, 1, 3, 2)
             np.copyto(dst[b : b + g].transpose(2, 0, 1).reshape(2, g, hi, lo), back)
 
-    _in_shares(-(-vs.M[tail] // per), vs.size, run_chunks)
-    return out
+    _in_shares(-(-blocks // per), flat.size, run_chunks)
+    return out.reshape(flat.shape)
 
 
 def _butterflies(
@@ -432,12 +473,17 @@ def _butterflies(
 
 
 def analyze(f: StepFunction) -> Spectrum:
-    """Character coefficients of ``f`` via the factorized fast transform."""
+    """Character coefficients of ``f`` via the factorized fast transform.
+
+    A stack of functions gives the stack of their spectra, each row byte for
+    byte the analysis of that row alone: one function is the one-row case.
+    """
     vs = f.vs
     packed = _run_stages(f.values, vs, conjugate=True)
-    # Stage j leaves coefficient digit j on axis j of packed.reshape(vs.m);
-    # the index sum_j k_j * M[j] is C order over the reversed axes.
-    return Spectrum(vs, _digit_reversed(packed, vs.m[::-1], vs.size))
+    # Stage j leaves coefficient digit j on axis j of a row of
+    # packed.reshape(vs.m); the index sum_j k_j * M[j] is C order over the
+    # reversed axes.
+    return Spectrum(vs, _digit_reversed(packed, vs.m[::-1], vs.size).reshape(f.values.shape))
 
 
 def synthesize(s: Spectrum) -> StepFunction:
@@ -450,16 +496,23 @@ def synthesize(s: Spectrum) -> StepFunction:
     each value repeated over its block.  This is exact: every stage above
     L sees input only at digit 0 of its axis, and 1 * x + w * 0 rounds to
     x, while neither path returns -0.0.  Full support is the case L = N.
+
+    A stack of spectra gives the stack of their functions, synthesized
+    together at the largest support level of the rows.  Each row keeps the
+    bytes of its own synthesis, since any level at or above a row's support
+    gives that row's full-synthesis bytes.
     """
     vs = s.vs
+    coeffs = s.coeffs.reshape(-1, vs.size)
     level = vs.N
-    while level > 1 and not s.coeffs[vs.M[level - 1] : vs.M[level]].any():
+    while level > 1 and not coeffs[:, vs.M[level - 1] : vs.M[level]].any():
         level -= 1
     coarse = VilenkinStructure.from_m(vs.m[:level])
-    values = _run_stages(s.coeffs[: coarse.size], coarse, conjugate=False, reverse=True)
+    values = _run_stages(coeffs[:, : coarse.size], coarse, conjugate=False, reverse=True)
     # The stages may return a transposed view; repeat and reshape read it in C order.
-    values = np.repeat(values, vs.size // coarse.size) if level < vs.N else values.reshape(-1)
-    return StepFunction(vs, values)
+    if level < vs.N:
+        values = np.repeat(values, vs.size // coarse.size)
+    return StepFunction(vs, values.reshape(s.coeffs.shape))
 
 
 def naive_analyze(f: StepFunction, indices: np.ndarray | None = None) -> np.ndarray:
@@ -507,38 +560,40 @@ def fejer_mean(s: Spectrum, n: int) -> StepFunction:
 
 
 def _block_maximum(f: StepFunction) -> np.ndarray:
-    # Pointwise maximum over all levels of |block mean| of f's values, real.
-    # Pyramid of block-mean magnitudes from the finest level down; the
-    # running maximum is then carried back up at each level's resolution,
-    # and only the last step touches every cell.  A radix-2 mean is one add
-    # and the same division as ``mean``'s, so the bytes match; the longer
-    # sums of other radices keep ``mean``, whose summation order differs
-    # from a plain ascending sum.
+    # Pointwise maximum over all levels of |block mean| of f's values, real,
+    # for each row of a stack.  Pyramid of block-mean magnitudes from the
+    # finest level down; the running maximum is then carried back up at
+    # each level's resolution, and only the last step touches every cell.
+    # A radix-2 mean is one add and the same division as ``mean``'s, so the
+    # bytes match; the longer sums of other radices keep ``mean``, whose
+    # summation order differs from a plain ascending sum.
     vs = f.vs
+    stack = f.values.shape[:-1]
     means = f.values
     mags = []
     for level in range(vs.N - 1, -1, -1):
-        blocks = means.reshape(vs.M[level], vs.m[level])
+        blocks = means.reshape(*stack, vs.M[level], vs.m[level])
         if vs.m[level] == 2:
-            means = blocks[:, 0] + blocks[:, 1]
+            means = blocks[..., 0] + blocks[..., 1]
             means /= 2
         else:
-            means = blocks.mean(axis=1)
+            means = blocks.mean(axis=-1)
         mags.append(np.abs(means))
     run = mags.pop()
     for level in range(1, vs.N):
         mag = mags.pop()
-        blocks = mag.reshape(vs.M[level - 1], vs.m[level - 1])
-        np.maximum(blocks, run[:, None], out=blocks)
+        blocks = mag.reshape(*stack, vs.M[level - 1], vs.m[level - 1])
+        np.maximum(blocks, run[..., None], out=blocks)
         run = mag
     best = np.abs(f.values)
-    blocks = best.reshape(vs.M[vs.N - 1], vs.m[vs.N - 1])
-    np.maximum(blocks, run[:, None], out=blocks)
+    blocks = best.reshape(*stack, vs.M[vs.N - 1], vs.m[vs.N - 1])
+    np.maximum(blocks, run[..., None], out=blocks)
     return best
 
 
 def maximal_function(s: Spectrum) -> StepFunction:
-    """Pointwise maximum of |conditional expectation| over all levels."""
+    """Pointwise maximum of |conditional expectation| over all levels, for
+    each row of a stack of spectra."""
     return StepFunction(s.vs, _block_maximum(synthesize(s)))
 
 
@@ -567,32 +622,43 @@ class FejerWeight:
 
 def fejer_mean_blocks(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first, block) for the Fejer means of orders 1..n_max, where row
-    i of the block holds the values of the (first + i)-th mean.
+    i of the block holds the values of the (first + i)-th mean: one row of
+    cell values, or for a stack of spectra one such row per spectrum.
 
-    The blocks are those of :func:`character_blocks`.  Their rows are the
-    recurrence S_n = S_{n-1} + coefficient * character, then the running
-    sum of partial sums, added row by row in ascending n and carried from
-    the last row of one block into the first of the next.  A zero
-    coefficient adds zeros, which leave the sums as they were, as skipping
-    the order does: the sums start at +0.0, so they never hold a -0.0 part,
-    the one value that adding +0.0 would change.  Each running sum is
-    divided by its order as a complex number, as dividing by the integer n
-    does.  The result is byte for byte the one-order-at-a-time recurrence,
-    at O(n_max * M[N]) cost overall.
+    The blocks are those of :func:`character_blocks` for the stack, each
+    made once and applied to every spectrum.  Their rows are the recurrence
+    S_n = S_{n-1} + coefficient * character, then the running sum of
+    partial sums, added row by row in ascending n and carried from the last
+    row of one block into the first of the next.  A zero coefficient adds
+    zeros, which leave the sums as they were, as skipping the order does:
+    the sums start at +0.0, so they never hold a -0.0 part, the one value
+    that adding +0.0 would change.  Each running sum is divided by its
+    order as a complex number, as dividing by the integer n does.  The
+    result is byte for byte the one-order-at-a-time recurrence of each
+    spectrum, at O(n_max * M[N]) cost per spectrum.
     """
     vs = s.vs
     if not 1 <= n_max <= vs.size:
         raise ResolutionError(f"sweep bound {n_max} not in [1, {vs.size}]")
-    partial = total = np.zeros(vs.size, dtype=np.complex128)
-    for first, terms in character_blocks(np.arange(n_max), vs):
-        count = len(terms)
-        np.multiply(s.coeffs[first : first + count, None], terms, out=terms)
-        sums = np.empty_like(terms)
+    coeffs = s.coeffs.reshape(-1, vs.size)
+    partial = total = np.zeros(coeffs.shape, dtype=np.complex128)
+    # The terms and the running sums of every block share two buffers, so
+    # that no block's arrays are fresh pages again; the sums carried to the
+    # next block are copied out of them.
+    buffers = None
+    for first, chars in character_blocks(np.arange(n_max), vs, len(coeffs)):
+        count = len(chars)
+        if buffers is None:
+            buffers = np.empty((2, count, *coeffs.shape), dtype=np.complex128)
+        terms, sums = buffers[:, :count]
+        # terms[i, r] = coefficient first + i of spectrum r times its character
+        np.multiply(coeffs[:, first : first + count].T[:, :, None], chars[:, None], out=terms)
         for i in range(count):
             partial = np.add(partial, terms[i], out=terms[i])
             total = np.add(total, partial, out=sums[i])
+        partial, total = partial.copy(), total.copy()
         n = np.arange(first + 1, first + count + 1, dtype=np.complex128)
-        yield first + 1, sums / n[:, None]
+        yield first + 1, (sums / n[:, None, None]).reshape(count, *s.coeffs.shape)
 
 
 def iter_fejer_means(s: Spectrum, n_max: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -32,7 +32,9 @@ import pytest
 
 import vilenkin_lab
 from vilenkin_lab import acceptance, experiments, frozen
+from vilenkin_lab.counterexamples import critical_atom
 from vilenkin_lab.rng import XorShift64Star
+from vilenkin_lab.transform import analyze
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "vilenkin_lab"
@@ -277,21 +279,55 @@ def test_seed_maxima_for_two_p_equal_two_single_p_calls():
     assert both == [experiments.seed_maxima(vs, (p,), **CRITERION_12_FAMILY)[0] for p in (0.25, 0.5)]
 
 
+def criterion_12_spectra(ps):
+    """The sample family of ``seed_maxima``, one spectrum at a time: the
+    atom of each p, the damped critical spectrum, then the random spectra
+    of each seed."""
+    vs, family = MAXIMAL_BOUND_VS, CRITERION_12_FAMILY
+    atoms = [analyze(critical_atom(family["atom_scale"], p, vs)) for p in ps]
+    damped = experiments.family_damped_critical(vs, vs.N - 1, family["damping"])
+    randoms = []
+    for s in range(family["seeds"]):
+        rng = XorShift64Star(family["first_seed"] + s)
+        randoms.append([experiments.family_character_polynomial(vs, vs.N, rng)
+                        for _ in range(family["randoms"])])
+    return atoms, damped, randoms
+
+
 def test_seed_maxima_sweeps_each_spectrum_once_per_call(monkeypatch):
-    # 30 random spectra and the damped one for both p, the atom once per p;
-    # a second call sweeps as much again, so nothing is kept between calls
-    sweeps = []
+    # 30 random spectra, the damped one and the atom of each p, each swept
+    # once; a second call sweeps as much again, so nothing is kept between
+    # calls
+    atoms, damped, randoms = criterion_12_spectra((0.25, 0.5))
+    family = [s.coeffs.tobytes() for s in [*atoms, damped, *itertools.chain(*randoms)]]
+    assert len(set(family)) == 33
+    swept = []
     blocks = experiments.fejer_mean_blocks
 
     def counted(s, n_max):
-        sweeps.append(n_max)
+        assert n_max == MAXIMAL_BOUND_VS.size
+        swept.extend(row.tobytes() for row in s.coeffs.reshape(-1, s.vs.size))
         return blocks(s, n_max)
 
     monkeypatch.setattr(experiments, "fejer_mean_blocks", counted)
     for _ in range(2):
-        sweeps.clear()
+        swept.clear()
         experiments.seed_maxima(MAXIMAL_BOUND_VS, (0.25, 0.5), **CRITERION_12_FAMILY)
-        assert len(sweeps) == 33
+        assert sorted(swept) == sorted(family)
+
+
+@pytest.mark.parametrize("ps", [(0.25, 0.5), (0.5,), (0.25, 0.25)])
+def test_seed_maxima_is_the_per_spectrum_loop(ps):
+    # the stacked family against one max_weighted_ratio call per spectrum,
+    # each atom at its own p alone
+    atoms, damped, randoms = criterion_12_spectra(ps)
+    n_max = CRITERION_12_FAMILY["n_max"]
+    atom = [experiments.max_weighted_ratio(a, (p,), n_max)[0] for a, p in zip(atoms, ps)]
+    damp = experiments.max_weighted_ratio(damped, ps, n_max)
+    per_seed = [[experiments.max_weighted_ratio(s, ps, n_max) for s in spectra] for spectra in randoms]
+    want = [[max(atom[i], damp[i], *(ratios[i] for ratios in spectra)) for spectra in per_seed]
+            for i in range(len(ps))]
+    assert experiments.seed_maxima(MAXIMAL_BOUND_VS, ps, **CRITERION_12_FAMILY) == want
 
 
 # the (config, p) runs criteria 6 to 10 and 12 read, as the arguments of

@@ -664,17 +664,27 @@ class TestThreadedTiles:
     def test_small_transforms_start_no_thread(self):
         # Transforms below _SPLIT_CELLS cells whose einsum stages stay below
         # _SPLIT_CELLS multiply-adds, which include all that a check makes,
-        # start no thread; a 2^18 round trip and a 172800-cell mixed one
-        # start their workers and join them.
+        # its stacks too, start no thread; a 2^18 round trip and a
+        # 172800-cell mixed one start their workers and join them.
         code = "\n".join([
             "import threading",
             "from vilenkin_lab import transform",
+            "from vilenkin_lab.acceptance import run_all",
             "from vilenkin_lab.rng import XorShift64Star",
             "from vilenkin_lab.structure import VilenkinStructure",
             "from vilenkin_lab.transform import StepFunction, analyze, synthesize",
             "started = []",
             "start = threading.Thread.start",
             "threading.Thread.start = lambda thread: started.append(thread) or start(thread)",
+            "cells = []",
+            "run_stages = transform._run_stages",
+            "def counted(flat, *args, **kwargs):",
+            "    cells.append(flat.size)",
+            "    return run_stages(flat, *args, **kwargs)",
+            "transform._run_stages = counted",
+            "assert all(result.passed for result in run_all())",
+            "transform._run_stages = run_stages",
+            "print(threading.active_count(), len(started), max(cells))",
             "def round_trip(vs):",
             "    synthesize(analyze(StepFunction(vs, XorShift64Star(84).complex_uniforms(vs.size))))",
             "round_trip(VilenkinStructure.from_pattern((2,), 16))",
@@ -693,7 +703,10 @@ class TestThreadedTiles:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env=env, check=True)
-        small, large, mixed = (list(map(int, line.split())) for line in proc.stdout.splitlines())
+        check, small, large, mixed = (list(map(int, line.split())) for line in proc.stdout.splitlines())
+        # no transform of run_all, stack or single function, reaches
+        # _SPLIT_CELLS cells
+        assert check[:2] == [1, 0] and check[2] < transform._SPLIT_CELLS
         assert small == [1, 0]
         active, started, workers = large
         # six split loops: analyze's slabs, chunks and permutation, then
@@ -702,6 +715,98 @@ class TestThreadedTiles:
         # twenty shared stages, ten in each direction; below _SPLIT_CELLS
         # cells the permutation stays on the calling thread
         assert mixed == [1, 20 * (workers - 1), workers]
+
+
+class TestStacks:
+    # A stack of rows is analyzed and synthesized in one pass, each row byte
+    # for byte the one-row call on it; one function is the one-row case.
+
+    @staticmethod
+    def stack_rows(vs):
+        """A random row, the dense block values and their negation, then the
+        cancelling inputs with their -0.0 parts."""
+        dense = dense_block_values(vs)
+        return np.stack([random_function(vs, 92).values, dense, -dense, *cancelling_values(vs)])
+
+    @staticmethod
+    def assert_rows_are_the_row_calls(vs, rows):
+        got = analyze(StepFunction(vs, rows)).coeffs
+        assert got.shape == rows.shape
+        for row, coeffs in zip(rows, got):
+            assert coeffs.tobytes() == analyze(StepFunction(vs, row)).coeffs.tobytes()
+        got = synthesize(Spectrum(vs, rows)).values
+        assert got.shape == rows.shape
+        for row, values in zip(rows, got):
+            assert values.tobytes() == synthesize(Spectrum(vs, row)).values.tobytes()
+
+    # Walsh below and above _BLOCK cells (column slabs), an einsum stage
+    # before the butterflies, the random-parseval structures, whose einsum
+    # stages split and are shared, and a split with a butterfly tail.
+    @pytest.mark.parametrize(
+        "gens",
+        [(2,) * 10, (2,) * 15, (2,) * 16, (2,) * 17, (2, 3, 2, 3), (3, 5) + (2,) * 13, (7, 3), (2,)]
+        + RANDOM_PARSEVAL + [(3, 5, 4, 3, 5, 4) + (2,) * 4, (16,) * 4],
+    )
+    def test_each_row_is_its_own_transform(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        self.assert_rows_are_the_row_calls(vs, self.stack_rows(vs))
+
+    @pytest.mark.parametrize("gens", [(2,) * 12, (2, 3, 2, 3) * 2 + (2,) * 4])
+    def test_large_stack_reverses_in_tiles_on_worker_threads(self, gens, monkeypatch):
+        # 2^18 cells in all: the coefficient permutation runs in tiles and
+        # the loops are shared among two workers, though one row is small
+        vs = VilenkinStructure.from_m(gens)
+        count = -(-(2**18) // vs.size)
+        rows = XorShift64Star(93).complex_uniforms(count * vs.size).reshape(count, vs.size)
+        assert vs.size < transform._SPLIT_CELLS <= rows.size
+        monkeypatch.setattr(transform, "_WORKERS", 2)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        taken = []
+        take = np.take
+        monkeypatch.setattr(np, "take", lambda *args, **kwargs: taken.append(1) or take(*args, **kwargs))
+        self.assert_rows_are_the_row_calls(vs, rows)
+        assert started and taken
+
+    @pytest.mark.parametrize("gens", [(2,) * 9, (2, 3, 4, 5, 2, 3), (3, 5) + (2,) * 6])
+    def test_band_limited_rows_keep_their_bytes(self, gens):
+        # the stack synthesizes at its largest support level, at or above
+        # each row's own; -dense also carries -0.0 parts above M[L]
+        vs = VilenkinStructure.from_m(gens)
+        for base in (random_spectrum(vs, 94).coeffs, dense_block_values(vs), -dense_block_values(vs)):
+            for top in range(vs.N + 1):
+                rows = np.stack([band_limited(base, vs, level) for level in range(top + 1)])
+                got = synthesize(Spectrum(vs, rows)).values
+                for level, values in enumerate(got):
+                    want = synthesize(Spectrum(vs, rows[level])).values
+                    assert values.tobytes() == want.tobytes(), f"L = {level} of {top}"
+
+    @pytest.mark.parametrize("gens", [(2,) * 8, (2, 3, 4, 5, 2, 3)])
+    def test_one_row_stack_is_the_function(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        f = random_function(vs, 95)
+        s = analyze(f)
+        one = analyze(StepFunction(vs, f.values[None]))
+        assert one.coeffs.shape == (1, vs.size) and one.coeffs.tobytes() == s.coeffs.tobytes()
+        back = synthesize(Spectrum(vs, s.coeffs[None]))
+        assert back.values.shape == (1, vs.size)
+        assert back.values.tobytes() == synthesize(s).values.tobytes()
+
+    @pytest.mark.parametrize("gens", [(2,) * 10, (2, 3, 4, 5, 2, 3), (3, 5) + (2,) * 6])
+    def test_maximal_function_of_each_row(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        rows = self.stack_rows(vs)
+        got = maximal_function(Spectrum(vs, rows)).values
+        for row, values in zip(rows, got):
+            assert values.tobytes() == maximal_function(Spectrum(vs, row)).values.tobytes()
+
+    def test_rows_of_the_wrong_shape_are_refused(self, mixed232):
+        for shape in ((2, 11), (2, 2, 12), ()):
+            with pytest.raises(ValueError):
+                StepFunction(mixed232, np.zeros(shape))
+            with pytest.raises(ValueError):
+                Spectrum(mixed232, np.zeros(shape))
 
 
 class TestSynthesize:
@@ -1101,6 +1206,57 @@ class TestBlockedSweep:
         want = tuple(per_order_weighted_ratio(s, q, vs.size) for q in ps)
         assert max_weighted_ratio(s, ps, vs.size) == want
         assert max_weighted_ratio(s, (p,), vs.size) == want[:1]
+
+
+class TestStackedSweep:
+    # A stack of spectra is swept with each block of characters made once;
+    # row r of each block is spectrum r's mean, as its own sweep gives it.
+
+    @staticmethod
+    def assert_rows_are_the_sweeps(vs, spectra, n_max):
+        stack = Spectrum(vs, np.stack([s.coeffs for s in spectra]))
+        got = list(fejer_mean_blocks(stack, n_max))
+        assert [first for first, _ in got] == sorted({first for first, _ in got})
+        means = np.concatenate([block for _, block in got])
+        assert means.shape == (n_max, len(spectra), vs.size)
+        for r, s in enumerate(spectra):
+            want = np.array([sigma for _, sigma in iter_fejer_means(s, n_max)])
+            assert means[:, r].tobytes() == want.tobytes(), r
+
+    @pytest.mark.parametrize("gens", SWEEP_STRUCTURES)
+    def test_each_row_is_its_own_sweep(self, gens):
+        vs = VilenkinStructure.from_m(gens)
+        spectra = [*sweep_inputs(vs).values(), random_spectrum(vs, 96),
+                   Spectrum(vs, np.zeros(vs.size)), Spectrum(vs, -dense_block_values(vs))]
+        for n_max in (vs.size, vs.size - 3, 1):
+            self.assert_rows_are_the_sweeps(vs, spectra, n_max)
+
+    def test_blocks_shrink_with_the_stack(self, monkeypatch):
+        # a block holds _BLOCK cells across the stack, one order at least,
+        # and the sums carry from block to block
+        vs = VilenkinStructure.from_pattern((2,), 6)
+        spectra = [random_spectrum(vs, seed) for seed in range(97, 102)]
+        blocks = spy_blocks(monkeypatch)
+        for budget, rows in ((7 * 5 * vs.size, 7), (2 * vs.size, 1), (transform._BLOCK, 102)):
+            monkeypatch.setattr(transform, "_BLOCK", budget)
+            blocks.clear()
+            self.assert_rows_are_the_sweeps(vs, spectra, vs.size)
+            # the spy counts the stack's blocks first, then each spectrum's
+            stacked = -(-vs.size // rows)
+            assert blocks[:stacked] == [rows] * (stacked - 1) + [vs.size - rows * (stacked - 1)]
+
+    def test_max_weighted_ratio_of_each_row(self):
+        # the stacked ratios are each row's own call; a pair left out reads 0
+        vs = VilenkinStructure.from_pattern((2,), 8)
+        spectra = [*sweep_inputs(vs).values(), Spectrum(vs, np.zeros(vs.size))]
+        ps = (0.25, 0.5)
+        stack = Spectrum(vs, np.stack([s.coeffs for s in spectra]))
+        want = [max_weighted_ratio(s, ps, vs.size) for s in spectra]
+        assert max_weighted_ratio(stack, ps, vs.size) == want
+        wanted = np.ones((len(spectra), len(ps)), dtype=bool)
+        wanted[0, 1] = wanted[2, 0] = False
+        got = max_weighted_ratio(stack, ps, vs.size, wanted)
+        assert got == [(want[0][0], 0.0), want[1], (0.0, want[2][1]), (0.0, 0.0)]
 
 
 class TestStepFunctionArithmetic:
